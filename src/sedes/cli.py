@@ -136,6 +136,9 @@ def load_config(path=None, overrides=None) -> dict:
     if cfg["preset"] not in PRESET_NAMES:
         raise ConfigError("unknown preset %r (choose from %s)"
                           % (cfg["preset"], ", ".join(PRESET_NAMES)))
+    if type(cfg["n_paths"]) is not int or cfg["n_paths"] < 1:
+        raise ConfigError("n_paths must be an integer >= 1, got %r"
+                          % (cfg["n_paths"],))
     if cfg["decay_solver"] is None:
         cfg["decay_solver"] = cfg["preset"] == "eq24"
 
@@ -160,13 +163,16 @@ def load_config(path=None, overrides=None) -> dict:
 
 
 def _build_preset(cfg):
-    return make_preset(
-        cfg["preset"], grid_n=cfg["grid_n"], dt=cfg["dt"], tau=cfg["tau"],
-        t_final=cfg["t_final"], seed=cfg["seed"], amplitude=cfg["amplitude"],
-        nu=cfg["nu"], a=cfg["a"], b=cfg["b"], c=cfg["c"],
-        sign_variant=cfg["sign_variant"], g_factor=cfg["g_factor"],
-        lam2=cfg["lam2"],
-        enforce_constraints=not cfg["allow_unstable"])
+    try:
+        return make_preset(
+            cfg["preset"], grid_n=cfg["grid_n"], dt=cfg["dt"],
+            tau=cfg["tau"], t_final=cfg["t_final"], seed=cfg["seed"],
+            amplitude=cfg["amplitude"], nu=cfg["nu"], a=cfg["a"],
+            b=cfg["b"], c=cfg["c"], sign_variant=cfg["sign_variant"],
+            g_factor=cfg["g_factor"], lam2=cfg["lam2"],
+            enforce_constraints=not cfg["allow_unstable"])
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 _CHECKERS = {
@@ -251,7 +257,7 @@ def run(cfg) -> int:
     explosion_rows = None
     numerical_failure = False
     if cfg["ms_ensemble"] or cfg["as_stats"]:
-        n_paths = int(cfg["n_paths"])
+        n_paths = cfg["n_paths"]
         res = simulate_paths(p, range(n_paths), clamp=cfg["clamp"],
                              record_v=int(cfg["n_sample_paths"]))
         record_times = default_record_times(p, int(cfg["record_points"]))
@@ -314,7 +320,7 @@ def run(cfg) -> int:
 
     if cfg["explosion_scan"]:
         explosion_rows = explosion_scan(p, cfg["explosion_k_values"],
-                                        int(cfg["n_paths"]),
+                                        cfg["n_paths"],
                                         cfg["explosion_horizon"])
         monotone = all(
             b.probability <= a.probability + 2.0 * (a.stderr + b.stderr)
@@ -330,7 +336,7 @@ def run(cfg) -> int:
     report = StabilityReport(
         ms_curve=curve, fitted_rate=fitted, rate_half_width=half_width,
         fit_window=fit_window_used, decay=decay, as_stats=as_stats,
-        explosion_rows=explosion_rows, n_paths=int(cfg["n_paths"]),
+        explosion_rows=explosion_rows, n_paths=cfg["n_paths"],
         seed=int(cfg["seed"]),
         metadata={
             "scheme": SCHEME,

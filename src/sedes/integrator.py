@@ -155,6 +155,7 @@ class ProblemSpec:
         self.dt_adjusted = not math.isclose(self.dt, self.dt_requested,
                                             rel_tol=1e-12)
         self.n_steps = int(math.ceil(self.t_final / self.dt - 1e-9))
+        self._factor = None     # set by _factor_for for a static operator
 
         if validate:
             self._validate()
@@ -308,14 +309,26 @@ class _TridiagFactor:
         return x
 
 
-def _factor_for(p: ProblemSpec, t_next: float, cache=None):
-    if cache is not None and not p.op.time_dependent:
-        if cache.get("factor") is None:
-            a_mid = p.op.midpoint_values(t_next, p.grid)
-            cache["factor"] = _TridiagFactor(a_mid, p.dt, p.grid.dx)
-        return cache["factor"]
-    a_mid = p.op.midpoint_values(t_next, p.grid)
-    return _TridiagFactor(a_mid, p.dt, p.grid.dx)
+def _factor_for(p: ProblemSpec, t_next: float) -> _TridiagFactor:
+    """Factor of I - dt A(t_next): built once per problem when A does not
+    depend on time, afresh for every step when it does."""
+    factor = p._factor
+    if factor is None:
+        factor = _TridiagFactor(p.op.midpoint_values(t_next, p.grid), p.dt,
+                                p.grid.dx)
+        if not p.op.time_dependent:
+            p._factor = factor
+    return factor
+
+
+def _em_step(p: ProblemSpec, t: float, t_next: float, x, y, coords):
+    """Scheme arithmetic: solve (I - dt A(t_next)) x' = x + dt f + g z, with
+    f, g at (t, x, y) and z the noise coordinates summed per row of x."""
+    dx = p.grid.dx
+    drift = np.asarray(p.drift.evaluate(t, x, y, dx), dtype=float)
+    diff = np.asarray(p.diffusion.evaluate(t, x, y, dx), dtype=float)
+    z = coords.sum(axis=-1)[..., None]
+    return _factor_for(p, t_next).solve(x + p.dt * drift + diff * z)
 
 
 def imex_em_step(p: ProblemSpec, h: HistoryBuffer, t: float,
@@ -328,16 +341,8 @@ def imex_em_step(p: ProblemSpec, h: HistoryBuffer, t: float,
     if not math.isclose(dW.dt, p.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ValueError("noise increment dt=%g does not match problem dt=%g"
                          % (dW.dt, p.dt))
-    x = h.current()
-    y = h.delayed()
-    dx = p.grid.dx
-    drift = np.asarray(p.drift.evaluate(t, x, y, dx), dtype=float)
-    diff = np.asarray(p.diffusion.evaluate(t, x, y, dx), dtype=float)
-    z = float(np.sum(dW.coords))
-    rhs = x + p.dt * drift + diff * z
-    factor = _factor_for(p, t + p.dt)
-    out = factor.solve(rhs)
-    return Field(p.grid, out[0] if out.ndim == 2 else out)
+    out = _em_step(p, t, t + p.dt, h.current(), h.delayed(), dW.coords)
+    return Field(p.grid, out[0])
 
 
 class Trajectory:
@@ -385,47 +390,35 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
     single-path run, so results do not depend on how paths are grouped."""
     path_arr = np.asarray(list(path_ids), dtype=np.int64)
     B = path_arr.size
-    n = p.grid.n_interior
-    dx = p.grid.dx
-    dt = p.dt
-    n_steps = p.n_steps
+    dx, dt, n_steps = p.grid.dx, p.dt, p.n_steps
     n_v = B if record_v is None else min(record_v, B)
 
-    ring = p.history_values(B)
-    head = p.m_delay
-    x = ring[head]
+    hist = HistoryBuffer.from_problem(p, B)
+    x0 = hist.current()
 
     times = dt * np.arange(n_steps + 1)
     h_norms = np.full((B, n_steps + 1), np.nan)
     v_norms = np.full((n_v, n_steps + 1), np.nan) if n_v else None
-    h_norms[:, 0] = np.sqrt(h_norm_sq_values(x, dx))
+    h_norms[:, 0] = np.sqrt(h_norm_sq_values(x0, dx))
     if n_v:
-        v_norms[:, 0] = np.sqrt(v_norm_sq_values(x[:n_v], dx))
+        v_norms[:, 0] = np.sqrt(v_norm_sq_values(x0[:n_v], dx))
 
     alive = np.ones(B, dtype=bool)
-    statuses = ["completed"] * B
-    status_times = [None] * B
+    statuses = np.full(B, "completed", dtype=object)
+    status_times = np.full(B, None, dtype=object)
     limit_sq = p.explosion_limit * p.explosion_limit
-    cache = {}
     snapshots = {}
     snapshot_steps = set(int(s) for s in snapshot_steps)
     if 0 in snapshot_steps:
-        snapshots[0] = x.copy()
+        snapshots[0] = x0.copy()
 
     for step in range(1, n_steps + 1):
-        t_prev = (step - 1) * dt
-        y = ring[(head + 1) % (p.m_delay + 1)]
         # a path heading for blow-up may overflow inside the coefficients;
         # that is detected and reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            drift = np.asarray(p.drift.evaluate(t_prev, x, y, dx),
-                               dtype=float)
-            diff = np.asarray(p.diffusion.evaluate(t_prev, x, y, dx),
-                              dtype=float)
             coords = p.noise.increments(path_arr, step - 1, dt)
-            z = coords.sum(axis=1)[:, None]
-            rhs = x + dt * drift + diff * z
-            x_new = _factor_for(p, step * dt, cache).solve(rhs)
+            x_new = _em_step(p, (step - 1) * dt, step * dt, hist.current(),
+                             hist.delayed(), coords)
             hn2 = h_norm_sq_values(x_new, dx)
 
         finite = np.isfinite(hn2) & np.all(np.isfinite(x_new), axis=1)
@@ -438,18 +431,16 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
                                      p.explosion_limit / np.sqrt(hn2), 1.0)
                 x_new = x_new * scale[:, None]
                 hn2 = np.where(over, limit_sq, hn2)
-                for i in np.nonzero(newly_clamped)[0]:
-                    if statuses[i] == "completed":
-                        statuses[i] = "clamped"
-                        status_times[i] = step * dt
+                first = newly_clamped & (statuses == "completed")
+                statuses[first] = "clamped"
+                status_times[first] = step * dt
             bad = ~finite
         else:
             bad = ~finite | over
         newly_bad = bad & alive
         if newly_bad.any():
-            for i in np.nonzero(newly_bad)[0]:
-                statuses[i] = "exploded"
-                status_times[i] = step * dt
+            statuses[newly_bad] = "exploded"
+            status_times[newly_bad] = step * dt
             alive &= ~bad
             x_new[bad] = 0.0
             hn2 = np.where(bad, np.nan, hn2)
@@ -460,14 +451,12 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
                 vn2 = v_norm_sq_values(x_new[:n_v], dx)
                 v_norms[:, step] = np.where(alive[:n_v], np.sqrt(vn2), np.nan)
 
-        head = (head + 1) % (p.m_delay + 1)
-        ring[head] = x_new
-        x = ring[head]
+        hist.push(x_new)
         if step in snapshot_steps:
-            snapshots[step] = x.copy()
+            snapshots[step] = hist.current().copy()
 
-    res = BatchResult(times, h_norms, v_norms, statuses, status_times,
-                      list(path_arr))
+    res = BatchResult(times, h_norms, v_norms, statuses.tolist(),
+                      status_times.tolist(), list(path_arr))
     res.snapshots = snapshots
     return res
 
@@ -482,20 +471,15 @@ def simulate(p: ProblemSpec, path_id: int, snapshot_times=(),
     snap_steps = sorted({min(p.n_steps, int(round(t / p.dt)))
                          for t in snapshot_times})
     res = simulate_paths(p, [path_id], clamp=clamp, snapshot_steps=snap_steps)
-    status = res.statuses[0]
-    status_time = res.status_times[0]
-    times = res.times
-    h = res.h_norms[0]
-    v = res.v_norms[0]
-    if status == "exploded":
-        last_good = int(round(status_time / p.dt)) - 1
-        times = times[: last_good + 1]
-        h = h[: last_good + 1]
-        v = v[: last_good + 1]
+    status, status_time = res.statuses[0], res.status_times[0]
+    # an exploded path ends at the last step before the explosion
+    end = (int(round(status_time / p.dt)) if status == "exploded"
+           else p.n_steps + 1)
     snaps = [(s * p.dt, Field(p.grid, res.snapshots[s][0]))
              for s in snap_steps if s in res.snapshots
              and np.all(np.isfinite(res.snapshots[s][0]))]
-    return Trajectory(times, h, v, status, status_time, snaps,
+    return Trajectory(res.times[:end], res.h_norms[0, :end],
+                      res.v_norms[0, :end], status, status_time, snaps,
                       path_id=int(path_id))
 
 

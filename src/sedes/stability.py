@@ -19,8 +19,9 @@ ensemble of counter-based paths, fits the decay rate by least squares on
 the log of the mean curve (the theorem speaks about the mean, not about
 pathwise rates), and computes finite-horizon proxies for almost-sure
 stability and for non-explosion (empirical crossing probabilities of the
-truncated problems).  Exploded paths are excluded from the mean but
-always counted and reported; they are failures, not missing data.
+truncated problems, read off one untruncated run).  Exploded paths are
+excluded from the mean but always counted and reported; they are
+failures, not missing data.
 """
 
 import math
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from .fields import h_norm_sq_values
-from .integrator import ProblemSpec, simulate_paths, truncate_problem
+from .integrator import ProblemSpec, simulate_paths
 
 __all__ = [
     "DecaySolution",
@@ -129,7 +130,11 @@ def solve_decay(alpha1, alpha2, alpha3, alpha4, tau, mu=math.inf):
 
 
 class MsCurve:
-    """Mean-square curve: estimate of E ||x(t)||_H^2 with standard errors."""
+    """Mean-square curve: estimate of E ||x(t)||_H^2 with standard errors.
+
+    n_alive is the number of paths that never exploded over the whole run
+    (the same count at every t), and mean and stderr are taken over those
+    paths only: the curve is conditioned on survival to t_final."""
 
     def __init__(self, times, mean, stderr, n_alive, n_paths, exploded_ids,
                  seed):
@@ -165,10 +170,14 @@ def default_record_times(p: ProblemSpec, n_points=501):
     return steps * p.dt
 
 
+def _exploded(res):
+    return np.asarray(res.statuses, dtype=str) == "exploded"
+
+
 def ms_curve_from_batch(res, p: ProblemSpec, record_times) -> MsCurve:
     """Reduce an ensemble batch to the mean-square curve (see ms_ensemble)."""
     record_times = np.asarray(record_times, dtype=float)
-    alive = np.array([s != "exploded" for s in res.statuses])
+    alive = ~_exploded(res)
     if not alive.any():
         raise RuntimeError("ensemble collapse: every path exploded")
     steps = np.clip(np.round(record_times / p.dt).astype(int), 0, p.n_steps)
@@ -179,9 +188,8 @@ def ms_curve_from_batch(res, p: ProblemSpec, record_times) -> MsCurve:
         stderr = h2.std(axis=0, ddof=1) / math.sqrt(alive.sum())
     else:
         stderr = np.zeros_like(mean)
-    exploded = [pid for pid, ok in zip(res.path_ids, alive) if not ok]
     return MsCurve(steps * p.dt, mean, stderr, n_alive, res.n_paths,
-                   exploded, p.noise.seed)
+                   res.exploded_ids(), p.noise.seed)
 
 
 def ms_ensemble(p: ProblemSpec, n_paths: int, record_times=None) -> MsCurve:
@@ -290,19 +298,12 @@ def as_stats_from_batch(res, p: ProblemSpec, threshold=1e-2, window=None,
         raise ValueError("window must sit inside [0, t_final]")
     i0 = int(math.floor(lo / p.dt))
     i1 = min(int(math.ceil(hi / p.dt)), p.n_steps)
-    ok = 0
-    bounded = 0
-    n_expl = 0
-    for row, status in zip(res.h_norms, res.statuses):
-        if status == "exploded":
-            n_expl += 1
-            continue
-        if float(np.max(row[i0:i1 + 1])) < threshold:
-            ok += 1
-        if float(np.max(row)) ** 2 < u_bound:
-            bounded += 1
+    exploded = _exploded(res)
+    h = res.h_norms[~exploded]
+    ok = int(np.count_nonzero(h[:, i0:i1 + 1].max(axis=1) < threshold))
+    bounded = int(np.count_nonzero(h.max(axis=1) ** 2 < u_bound))
     return ASStats(ok / n_paths, bounded / n_paths, threshold, window,
-                   u_bound, n_paths, n_expl)
+                   u_bound, n_paths, int(exploded.sum()))
 
 
 class ExplosionRow:
@@ -319,30 +320,36 @@ class ExplosionRow:
                 "stderr": self.stderr, "n_paths": self.n_paths}
 
 
+def _exits(res, ks):
+    """(len(ks), n_paths) mask: the path's norm reached k, or it exploded."""
+    peak = np.fmax.reduce(res.h_norms, axis=1)      # skips the NaN tails
+    return (peak >= ks[:, None]) | _exploded(res)
+
+
 def explosion_scan(p: ProblemSpec, k_values, n_paths: int,
                    horizon: float):
     """Exit statistics of the truncated problems over a finite horizon.
 
-    For each radius k runs the k-truncated problem and reports the
-    fraction of paths whose H norm reaches k within the horizon (an
-    exploded truncated path counts as an exit).  The non-explosion
-    theorem predicts the table is nonincreasing in k and heads to 0."""
-    ks = [float(k) for k in k_values]
-    if any(b <= a for a, b in zip(ks, ks[1:])):
+    For each radius k, the fraction of paths of the k-truncated problem
+    whose H norm reaches k within the horizon (an exploded path counts as
+    an exit).  One untruncated run gives every k exactly: the projection
+    leaves states inside the ball bitwise unchanged, so a truncated path
+    is the untruncated one up to the first step whose norm reaches k,
+    provided the initial ring lies in the ball (checked).  The theorem
+    predicts the table is nonincreasing in k and heads to 0."""
+    ks = np.array([float(k) for k in k_values])
+    if np.any(ks[1:] <= ks[:-1]):
         raise ValueError("k_values must be increasing")
-    rows = []
-    for k in ks:
-        q = truncate_problem(p, k).replace(t_final=horizon)
-        res = simulate_paths(q, range(n_paths), record_v=0)
-        crossed = 0
-        for row, status in zip(res.h_norms, res.statuses):
-            with np.errstate(invalid="ignore"):
-                hit = bool(np.any(row >= k))
-            crossed += hit or status == "exploded"
-        phat = crossed / n_paths
-        se = math.sqrt(max(phat * (1.0 - phat), 0.0) / n_paths)
-        rows.append(ExplosionRow(k, phat, se, n_paths))
-    return rows
+    q = p.replace(t_final=horizon)
+    ring_h = np.sqrt(h_norm_sq_values(q.history_values(), q.grid.dx))
+    bound = max(q.psi_h_bound, float(ring_h.max()))
+    if np.any(ks < bound):
+        raise ValueError("truncation below initial data: k=%g < psi bound %g"
+                         % (ks[0], bound))
+    res = simulate_paths(q, range(n_paths), record_v=0)
+    phat = _exits(res, ks).sum(axis=1) / n_paths
+    se = np.sqrt(phat * (1.0 - phat) / n_paths)
+    return [ExplosionRow(k, ph, s, n_paths) for k, ph, s in zip(ks, phat, se)]
 
 
 class StabilityReport:

@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sedes
 from sedes.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR,
                        EXIT_NUMERICAL_FAILURE, EXIT_OK, ConfigError,
                        load_config, main)
@@ -174,3 +177,29 @@ def test_eq6_with_conditions_and_as_stats_passes(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["checks"]["as_stats"] is True
     assert rep["as_stats"]["fraction"] >= 0.99
+
+
+@pytest.mark.parametrize("args, config", [
+    (["--preset", "heat", "--grid-n", "1"], None),
+    (["--preset", "heat", "--dt", "-1"], None),
+    ([], {"preset": "heat", "n_paths": "many"}),
+    (["--preset", "heat", "--paths", "0"], None),
+], ids=["grid-n-1", "dt-negative", "n-paths-not-integer", "paths-0"])
+def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
+                                                        config):
+    # run as a process so an escaping exception shows as a traceback
+    if config is not None:
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        args = ["--config", str(cfgfile)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SEDES_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sedes.cli", *args,
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG_ERROR
+    assert any(line.startswith("configuration error: ")
+               for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr

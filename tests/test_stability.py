@@ -17,10 +17,13 @@ from sedes import (
     lambda_min,
     make_preset,
     ms_ensemble,
+    simulate_paths,
     solve_decay,
     solve_eps1,
     solve_eps2,
+    truncate_problem,
 )
+from sedes import stability
 
 # roots of eps + a2 e^{eps tau} = a1, frozen from a 40-digit mpmath solve
 EPS1_2_1_1 = 0.44285440100238858
@@ -196,6 +199,37 @@ def test_exploded_paths_are_counted_not_dropped():
     assert np.all(np.isfinite(curve.mean))
 
 
+def cubic_blowup_problem():
+    # the problem of test_exploded_paths_are_counted_not_dropped
+    return ProblemSpec(Grid(31), OperatorCoeff.laplacian(),
+                       drift=lambda t, u, v: u ** 3,
+                       diffusion=lambda t, u, v: 5.0 + 0 * u,
+                       tau=0.1, noise=NoiseModel.scalar(seed=8),
+                       initial_history=lambda th, x: 2.29 * np.sin(x),
+                       t_final=1.0, dt=5e-3)
+
+
+def test_as_stats_matches_per_path_loop():
+    # the per-path loop the array reduction replaced is the reference; a
+    # milder start and kick leave about a third of the paths alive
+    p = cubic_blowup_problem().replace(
+        diffusion=lambda t, u, v: 2.0 + 0 * u,
+        initial_history=lambda th, x: 1.5 * np.sin(x))
+    res = simulate_paths(p, range(32), record_v=0)
+    window = (0.5, 1.0)
+    i0, i1 = 100, 200
+    kept = [row for row, s in zip(res.h_norms, res.statuses)
+            if s != "exploded"]
+    threshold = float(np.median([np.max(row[i0:i1 + 1]) for row in kept]))
+    u_bound = float(np.median([np.max(row) ** 2 for row in kept]))
+    ok = sum(float(np.max(row[i0:i1 + 1])) < threshold for row in kept)
+    bounded = sum(float(np.max(row)) ** 2 < u_bound for row in kept)
+    st = stability.as_stats_from_batch(res, p, threshold, window, u_bound)
+    assert 1 < len(kept) < 32 and 0 < ok < len(kept)
+    assert (st.fraction, st.u_bounded_fraction, st.n_exploded) == (
+        ok / 32, bounded / 32, 32 - len(kept))
+
+
 def test_ensemble_invariant_under_batch_grouping():
     # counter-based noise makes the ensemble independent of how paths are
     # grouped into workers: two half-batches reproduce the full batch
@@ -206,3 +240,83 @@ def test_ensemble_invariant_under_batch_grouping():
     lo = simulate_paths(pre.problem, range(0, 4), record_v=0)
     hi = simulate_paths(pre.problem, range(4, 8), record_v=0)
     assert np.array_equal(full.h_norms, np.vstack([lo.h_norms, hi.h_norms]))
+
+
+def per_k_exits(p, ks, n_paths, horizon):
+    """Oracle for explosion_scan: one k-truncated run per radius.
+
+    Returns the (len(ks), n_paths) mask of paths whose truncated norm
+    reached k within the horizon or that exploded."""
+    exits = []
+    for k in ks:
+        q = truncate_problem(p, k).replace(t_final=horizon)
+        res = simulate_paths(q, range(n_paths), record_v=0)
+        hit = []
+        for row, status in zip(res.h_norms, res.statuses):
+            with np.errstate(invalid="ignore"):
+                hit.append(bool(np.any(row >= k)) or status == "exploded")
+        exits.append(hit)
+    return np.array(exits)
+
+
+@pytest.mark.parametrize("case", ["eq16-amplitude-1.5", "cubic-blowup",
+                                  "cubic-blowup-limit-12"])
+def test_one_pass_scan_matches_per_k_truncated_runs(case, monkeypatch):
+    if case == "eq16-amplitude-1.5":
+        p = make_preset("eq16", amplitude=1.5, seed=0, t_final=2.5).problem
+        ks, n_paths, horizon = [2.0, 4.0, 8.0, 16.0], 60, 2.5
+    else:
+        p = cubic_blowup_problem()
+        ks, n_paths, horizon = [4.0, 8.0, 16.0], 16, 1.0
+        if case == "cubic-blowup-limit-12":
+            # exploded paths never record a norm of 16: they exit the
+            # largest ball by explosion alone
+            p = p.replace(explosion_limit=12.0)
+    oracle = per_k_exits(p, ks, n_paths, horizon)
+    if case == "eq16-amplitude-1.5":
+        assert oracle.any(axis=1).tolist() == [True, True, False, False]
+    else:
+        assert 0 < oracle[-1].sum() < n_paths
+
+    # per path: the exits read off one untruncated run
+    res = simulate_paths(p.replace(t_final=horizon), range(n_paths),
+                         record_v=0)
+    assert np.array_equal(stability._exits(res, np.array(ks)), oracle)
+
+    # the table, bit for bit, from exactly one ensemble run
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return simulate_paths(*args, **kw)
+    monkeypatch.setattr(stability, "simulate_paths", counted)
+    rows = explosion_scan(p, ks, n_paths, horizon)
+    assert len(calls) == 1
+    for row, k, crossed in zip(rows, ks, oracle.sum(axis=1)):
+        phat = int(crossed) / n_paths
+        assert (row.k, row.probability, row.stderr, row.n_paths) == (
+            k, phat, math.sqrt(phat * (1.0 - phat) / n_paths), n_paths)
+
+
+def test_explosion_scan_checks_the_initial_ring_itself():
+    # a spike in psi narrower than the validation grid's theta spacing,
+    # centred on a ring state: psi_h_bound misses it, the ring holds it
+    theta0 = -(37 * 1e-3)
+
+    def psi(th, x):
+        return (0.5 + 20.0 * np.exp(-((th - theta0) / 1e-6) ** 2)) * np.sin(x)
+
+    p = ProblemSpec(Grid(31), OperatorCoeff.laplacian(),
+                    drift=lambda t, u, v: np.zeros_like(u),
+                    diffusion=lambda t, u, v: np.zeros_like(u),
+                    tau=0.1, noise=NoiseModel.scalar(), initial_history=psi,
+                    t_final=0.05, dt=1e-3)
+    assert p.dt == 1e-3
+    ring_max = float(np.max(np.sqrt(
+        stability.h_norm_sq_values(p.history_values(), p.grid.dx))))
+    assert p.psi_h_bound < 1.0 < 20.0 < ring_max
+    truncate_problem(p, 2.0)        # the theta-grid bound lets k = 2 pass
+    with pytest.raises(ValueError, match="truncation below initial data"):
+        explosion_scan(p, [2.0, 4.0], 4, horizon=0.05)
+    rows = explosion_scan(p, [2 * ring_max, 4 * ring_max], 4, horizon=0.05)
+    assert [r.probability for r in rows] == [0.0, 0.0]
