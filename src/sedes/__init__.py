@@ -36,6 +36,7 @@ from .integrator import (
     truncate_problem,
 )
 from .lyapunov import (
+    ArrayFunctional,
     ConditionReport,
     FourierSampler,
     LyapunovSpec,

@@ -93,6 +93,18 @@ CONFIG_DEFAULTS = {
 }
 
 
+# integer keys and their ranges [lo, hi); seeds are hashed as 64-bit words,
+# and a record grid has at least its two ends
+INT_RANGES = {
+    "n_paths": (1, None),
+    "n_samples": (1, None),
+    "record_points": (2, None),
+    "n_sample_paths": (0, None),
+    "seed": (0, 2 ** 64),
+    "sampler_seed": (0, 2 ** 64),
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -136,9 +148,13 @@ def load_config(path=None, overrides=None) -> dict:
     if cfg["preset"] not in PRESET_NAMES:
         raise ConfigError("unknown preset %r (choose from %s)"
                           % (cfg["preset"], ", ".join(PRESET_NAMES)))
-    if type(cfg["n_paths"]) is not int or cfg["n_paths"] < 1:
-        raise ConfigError("n_paths must be an integer >= 1, got %r"
-                          % (cfg["n_paths"],))
+    for key, (lo, hi) in INT_RANGES.items():
+        val = cfg[key]
+        # a JSON float such as 200.0 or a bool is rejected too
+        if type(val) is not int or val < lo or (hi is not None and val >= hi):
+            raise ConfigError("%s must be an integer >= %d%s, got %r"
+                              % (key, lo, "" if hi is None
+                                 else " and < 2^64", val))
     if cfg["decay_solver"] is None:
         cfg["decay_solver"] = cfg["preset"] == "eq24"
 

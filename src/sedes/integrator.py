@@ -79,10 +79,11 @@ def clamp_to_ball(values, radius, dx):
     scale factor is exactly 1.0); the zero field maps to itself, matching
     the convention that the radial projection of 0 is 0.
     """
-    h = np.sqrt(h_norm_sq_values(values, dx))
-    h = h[..., None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(h > 0.0, np.minimum(h, radius) / h, 0.0)
+    h = np.sqrt(h_norm_sq_values(values, dx))[..., None]
+    # decide on h > radius, not h > 0: a field whose squared norm underflows
+    # to 0 is inside the ball and must keep its values
+    with np.errstate(divide="ignore"):
+        scale = np.where(h > radius, radius / h, 1.0)
     return values * scale
 
 

@@ -16,21 +16,34 @@ time derivative, the gradient, and the second derivative as a quadratic
 form evaluated per noise mode (assembling a dense second Frechet
 derivative would buy nothing for these checks).
 
-The three checkers draw (t, x, y) samples, evaluate the relevant
-inequality family, and report the worst relative violation
+The three checkers draw (t, x, y) samples in blocks of SAMPLE_BLOCK and
+evaluate each block on (S, n) arrays with the kernels of fields.py: LU
+and both sides of every inequality become a few numpy calls per block,
+and the relative violations
 
-    (lhs - rhs) / (1 + |lhs| + |rhs|),
+    (lhs - rhs) / (1 + |lhs| + |rhs|)
 
-declaring a pass when no family exceeds the tolerance (default 1e-8).
+form an (S, F) array with one column per inequality family.  The report
+keeps the first maximum in (sample, family) order, carried across
+blocks, which is the sample and family a one-sample-at-a-time loop would
+keep; it passes when no family exceeds the tolerance (default 1e-8).
 The relative floor absorbs the O(dx^2) gap between the discrete
 grounded-mode pairing <A x, x> and its continuum value.  Limit-type
 hypotheses (radial unboundedness of U) are verified as finite ladders of
 doubling norms; a ladder is an honest proxy for the limit statement, not
 a proof, and is reported as such.
 
-Samples are a prefix-extension stream: growing the sample count only
-appends samples, so a failed report can never turn into a pass with the
-same seed.
+Functionals reach the blocks in one of two ways: an ArrayFunctional
+carries its array form (the presets' ||x||_H^2, int u^4 and their
+combinations), and any other Field -> float callable, a custom U
+included, is applied row by row.  Drift, diffusion and gamma take a
+scalar t, so they are called once per sample; the operator coefficient
+is evaluated once per block unless it is time dependent.
+
+Samples are a prefix-extension stream whose rows are bitwise independent
+of the block they are drawn in: growing the sample count only appends
+samples, so a failed report can never turn into a pass with the same
+seed, and the block size never changes a report.
 """
 
 import math
@@ -41,12 +54,13 @@ from .fields import (
     Field,
     apply_operator_values,
     h_norm_sq_values,
-    operator_quad_form,
+    operator_quad_form_values,
     v_norm_sq_values,
 )
 from .noise import keyed_gaussians, keyed_uniforms
 
 __all__ = [
+    "ArrayFunctional",
     "LyapunovSpec",
     "ConditionReport",
     "FourierSampler",
@@ -58,13 +72,51 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-8
 
+# samples per block in the checkers; 128 states of 63 points keep a block
+# in cache, and a report does not depend on this number
+SAMPLE_BLOCK = 128
+
+
+class ArrayFunctional:
+    """A Field -> float functional that also has an array form.
+
+    of_values(values, dx) maps an (..., n) array of field values to the
+    (...) array of the functional, so the checkers evaluate it on a whole
+    block of samples in one call.  Called on a Field it returns a float,
+    like any plain functional.
+    """
+
+    __slots__ = ("of_values",)
+
+    def __init__(self, of_values):
+        self.of_values = of_values
+
+    def __call__(self, f: Field) -> float:
+        return float(self.of_values(f.values, f.grid.dx))
+
+
+def _rows(fn, X, grid):
+    """fn on each row of an (S, n) block: its array form when it has one,
+    otherwise one Field per row."""
+    of_values = getattr(fn, "of_values", None)
+    if of_values is not None:
+        return of_values(X, grid.dx)
+    return np.array([float(fn(Field(grid, row))) for row in X])
+
+
+def _per_sample(fn, t):
+    """fn(t_s) for each sample time, each call with a scalar t."""
+    return np.array([float(fn(ts)) for ts in t.tolist()])
+
 
 class LyapunovSpec:
     """Functionals and constants entering the three stability theorems.
 
     u_kind "h_norm_sq" is the fast path U = ||x||_H^2 used by every
     preset; "custom" requires U_fn, U_t_fn, U_x_fn and the quadratic-form
-    callback U_xx_quadform_fn(t, x, g) = U_xx(t,x)[g, g].
+    callback U_xx_quadform_fn(t, x, g) = U_xx(t,x)[g, g].  The functionals
+    W_fn, w1_fn, w2_fn and W1_fn map a Field to a float; an
+    ArrayFunctional among them is evaluated a block at a time.
 
     Constant families are validated on construction when present:
     lam1, lam2 > 0 (existence); alpha1 > alpha2 >= 0, alpha3 > alpha4 > 0,
@@ -141,9 +193,15 @@ class LyapunovSpec:
         return bad
 
     def U(self, t, f: Field) -> float:
+        return float(self.U_values(np.array([float(t)]), f.values[None, :],
+                                   f.grid)[0])
+
+    def U_values(self, t, X, grid):
+        """U(t_s, X_s) for each row of an (S, n) block, as an (S,) array."""
         if self.u_kind == "h_norm_sq":
-            return float(h_norm_sq_values(f.values, f.grid.dx))
-        return float(self.U_fn(t, f))
+            return h_norm_sq_values(X, grid.dx)
+        return np.array([float(self.U_fn(ts, Field(grid, row)))
+                         for ts, row in zip(t.tolist(), X)])
 
 
 class ConditionReport:
@@ -182,18 +240,14 @@ class ConditionReport:
 
 
 class _Worst:
-    """Running maximum of relative violations with a description."""
+    """Running first maximum of relative violations with a description.
+
+    A margin replaces the current one only when strictly greater, so a tie
+    keeps the family and the sample checked first."""
 
     def __init__(self):
         self.margin = -math.inf
         self.where = "no samples"
-
-    def update(self, lhs, rhs, desc):
-        m = (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-        if m > self.margin:
-            self.margin = m
-            self.where = desc
-        return m
 
     def update_flagged(self, failed, margin, desc):
         # for strict or boolean hypotheses, where a tie must register as a
@@ -206,9 +260,26 @@ class _Worst:
             self.where = desc
         return margin
 
+    def update_block(self, margins, describe):
+        """Fold in an (S, F) array of margins, one column per family.
 
-def _h_of(f: Field) -> float:
-    return math.sqrt(float(h_norm_sq_values(f.values, f.grid.dx)))
+        The block's first maximum in row-major (sample, family) order wins
+        if it beats the running one; describe(row, column) names it and is
+        called for that winner only."""
+        # NaN never compares greater, so it never wins
+        m = np.where(np.isnan(margins), -math.inf, margins)
+        j = int(np.argmax(m))
+        if m.flat[j] > self.margin:
+            self.margin = float(m.flat[j])
+            self.where = describe(*divmod(j, m.shape[1]))
+
+
+def _margin(lhs, rhs):
+    return (lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+
+
+def _h_of(values, dx) -> float:
+    return math.sqrt(float(h_norm_sq_values(values, dx)))
 
 
 class FourierSampler:
@@ -218,7 +289,9 @@ class FourierSampler:
     Gaussian coefficients rescaled so the H norm hits a log-uniform target
     in [norm_lo, norm_hi], and t uniform in [0, t_max].  The stream is
     keyed by (seed, i): samples are a prefix-extension family, and two
-    checkers with the same seed see the same states.
+    checkers with the same seed see the same states.  Samples are drawn
+    in blocks (sample_block); each row of a block is bitwise the same
+    whatever block it is drawn in, and sample(i) is a block of one.
     """
 
     def __init__(self, grid, seed=0, t_max=50.0, n_modes=8,
@@ -235,26 +308,38 @@ class FourierSampler:
         self.norm_hi = float(norm_hi)
         k = np.arange(1, self.n_modes + 1)
         self._sines = np.sin(k[:, None] * grid.points[None, :])
+        self._ground_norm = _h_of(self._sines[0], grid.dx)
         self._log_lo = math.log(norm_lo)
         self._log_span = math.log(norm_hi) - math.log(norm_lo)
 
-    def _field(self, stream, i):
-        c = keyed_gaussians(self.seed, stream, i, np.arange(self.n_modes))
-        vals = c @ self._sines
-        target = math.exp(self._log_lo + self._log_span
-                          * float(keyed_uniforms(self.seed, stream + 1, i, 0)))
-        hn = math.sqrt(float(h_norm_sq_values(vals, self.grid.dx)))
-        if hn == 0.0:  # measure-zero draw; fall back to the ground mode
-            vals = self._sines[0].copy()
-            hn = math.sqrt(float(h_norm_sq_values(vals, self.grid.dx)))
-        return Field(self.grid, vals * (target / hn))
+    def _fields(self, stream, idx):
+        c = keyed_gaussians(self.seed, stream, idx[:, None],
+                            np.arange(self.n_modes)[None, :])
+        # the mode sum in a fixed order, elementwise: a matrix product
+        # would let BLAS blocking tie a row's bits to the block's shape
+        vals = c[:, :1] * self._sines[0]
+        for k in range(1, self.n_modes):
+            vals = vals + c[:, k:k + 1] * self._sines[k]
+        u = keyed_uniforms(self.seed, stream + 1, idx, 0)
+        target = np.array([math.exp(self._log_lo + self._log_span * v)
+                           for v in u.tolist()])
+        hn = np.sqrt(h_norm_sq_values(vals, self.grid.dx))
+        zero = hn == 0.0  # measure-zero draw; fall back to the ground mode
+        vals = np.where(zero[:, None], self._sines[0], vals)
+        hn = np.where(zero, self._ground_norm, hn)
+        return vals * (target / hn)[:, None]
+
+    def sample_block(self, indices):
+        """(t, X, Y) for a block of sample indices: t has shape (S,), X and
+        Y shape (S, n); row s is pure in (seed, indices[s])."""
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        t = self.t_max * keyed_uniforms(self.seed, 10, idx, 0)
+        return t, self._fields(20, idx), self._fields(30, idx)
 
     def sample(self, i):
         """(t, x, y) for sample index i; pure in (seed, i)."""
-        t = self.t_max * float(keyed_uniforms(self.seed, 10, i, 0))
-        x = self._field(20, i)
-        y = self._field(30, i)
-        return t, x, y
+        t, X, Y = self.sample_block([i])
+        return float(t[0]), Field(self.grid, X[0]), Field(self.grid, Y[0])
 
 
 def _mode_fields(p, g_values):
@@ -266,37 +351,50 @@ def _mode_fields(p, g_values):
     return [g_values] * p.noise.n_modes
 
 
-def _hs_sq(p, g_values):
-    base = float(h_norm_sq_values(g_values, p.grid.dx))
-    return p.noise.trace * base
+def _coeff_rows(coeff, t, X, Y, dx):
+    """A drift or diffusion evaluated once per sample, whose t is a scalar."""
+    out = np.empty_like(X)
+    for s, ts in enumerate(t.tolist()):
+        out[s] = coeff.evaluate(ts, X[s], Y[s], dx)
+    return out
+
+
+def _lu_block(p, L: LyapunovSpec, t, X, Y):
+    """LU(t_s, X_s, Y_s) for each row of an (S, n) block, as an (S,) array."""
+    grid, dx = p.grid, p.grid.dx
+    F = _coeff_rows(p.drift, t, X, Y, dx)
+    G = _coeff_rows(p.diffusion, t, X, Y, dx)
+    if p.op.time_dependent:
+        a_mid = np.stack([p.op.midpoint_values(ts, grid) for ts in t.tolist()])
+    else:
+        a_mid = p.op.midpoint_values(float(t[0]), grid)
+    if L.u_kind == "h_norm_sq":
+        out = (2.0 * operator_quad_form_values(a_mid, X, dx)
+               + 2.0 * dx * np.sum(F * X, axis=-1)
+               + p.noise.trace * h_norm_sq_values(G, dx))
+    else:
+        AXF = apply_operator_values(a_mid, X, dx) + F
+        out = np.empty(len(X))
+        for s, ts in enumerate(t.tolist()):
+            x = Field(grid, X[s])
+            ux = L.U_x_fn(ts, x)
+            ux_vals = ux.values if isinstance(ux, Field) else np.asarray(ux)
+            trace = 0.0
+            for lam, gk in zip(p.noise.eigenvalues, _mode_fields(p, G[s])):
+                trace += float(lam) * float(
+                    L.U_xx_quadform_fn(ts, x, Field(grid, gk)))
+            out[s] = (float(L.U_t_fn(ts, x))
+                      + dx * float(np.sum(AXF[s] * ux_vals)) + 0.5 * trace)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("evaluation overflow")
+    return out
 
 
 def diffusion_operator(p, L: LyapunovSpec, t, x: Field, y: Field) -> float:
-    """LU(t, x, y) for the problem's drift, diffusion, and noise model."""
-    dx = p.grid.dx
-    fv = np.asarray(p.drift.evaluate(t, x.values, y.values, dx), dtype=float)
-    gv = np.asarray(p.diffusion.evaluate(t, x.values, y.values, dx),
-                    dtype=float)
-    fv = np.broadcast_to(fv, x.values.shape)
-    gv = np.broadcast_to(gv, x.values.shape)
-    if L.u_kind == "h_norm_sq":
-        out = (2.0 * operator_quad_form(p.op, t, x)
-               + 2.0 * dx * float(np.dot(fv, x.values))
-               + _hs_sq(p, gv))
-    else:
-        a_mid = p.op.midpoint_values(t, p.grid)
-        ax = apply_operator_values(a_mid, x.values, dx)
-        ux = L.U_x_fn(t, x)
-        ux_vals = ux.values if isinstance(ux, Field) else np.asarray(ux)
-        pairing = dx * float(np.dot(ax + fv, ux_vals))
-        trace = 0.0
-        for lam, gk in zip(p.noise.eigenvalues, _mode_fields(p, gv)):
-            trace += float(lam) * float(
-                L.U_xx_quadform_fn(t, x, Field(p.grid, gk)))
-        out = float(L.U_t_fn(t, x)) + pairing + 0.5 * trace
-    if not math.isfinite(out):
-        raise ValueError("evaluation overflow")
-    return out
+    """LU(t, x, y) for the problem's drift, diffusion, and noise model
+    (a block of one sample)."""
+    return float(_lu_block(p, L, np.array([float(t)]), x.values[None, :],
+                           y.values[None, :])[0])
 
 
 def _u_inf_proxy(L, field, t_grid):
@@ -357,6 +455,21 @@ def _constants_family(L, worst, names):
             worst.update_flagged(True, 1.0, "constants: " + msg)
 
 
+def _blocks(sampler, n):
+    """(first index, t, X, Y) for samples 0..n-1, SAMPLE_BLOCK at a time."""
+    if n < 0:
+        raise ValueError("number of samples must be >= 0, got %d" % n)
+    for start in range(0, n, SAMPLE_BLOCK):
+        idx = np.arange(start, min(start + SAMPLE_BLOCK, n))
+        t, X, Y = sampler.sample_block(idx)
+        yield start, t, X, Y
+
+
+def _state_desc(what, i, t, x, y, dx):
+    return ("%s at sample %d: t=%.3f, |x|_H=%.3f, |y|_H=%.3f"
+            % (what, i, t, _h_of(x, dx), _h_of(y, dx)))
+
+
 def check_khasminskii(p, L: LyapunovSpec, sampler, n,
                       tolerance=DEFAULT_TOLERANCE) -> ConditionReport:
     """Existence-theorem hypotheses: the LU growth bound
@@ -368,16 +481,17 @@ def check_khasminskii(p, L: LyapunovSpec, sampler, n,
         raise ValueError("check_khasminskii needs lam1, lam2 and W_fn")
     worst = _Worst()
     _constants_family(L, worst, ("lam1", "lam2"))
-    tau = p.tau
-    for i in range(n):
-        t, x, y = sampler.sample(i)
-        lhs = diffusion_operator(p, L, t, x, y)
-        rhs = (L.lam1 * (1.0 + L.U(t, x) + L.U(max(t - tau, 0.0), y)
-                         + float(L.W_fn(y)))
-               - L.lam2 * float(L.W_fn(x)))
-        worst.update(lhs, rhs,
-                     "growth bound at sample %d: t=%.3f, |x|_H=%.3f, "
-                     "|y|_H=%.3f" % (i, t, _h_of(x), _h_of(y)))
+    grid, dx, tau = p.grid, p.grid.dx, p.tau
+    for start, t, X, Y in _blocks(sampler, n):
+        lhs = _lu_block(p, L, t, X, Y)
+        rhs = (L.lam1 * (1.0 + L.U_values(t, X, grid)
+                         + L.U_values(np.maximum(t - tau, 0.0), Y, grid)
+                         + _rows(L.W_fn, Y, grid))
+               - L.lam2 * _rows(L.W_fn, X, grid))
+        worst.update_block(
+            _margin(lhs, rhs)[:, None],
+            lambda s, f: _state_desc("growth bound", start + s, t[s], X[s],
+                                     Y[s], dx))
     ladder = _radial_ladder(p, L, worst, "h")
     return ConditionReport("khasminskii", n, worst.margin, worst.where,
                            tolerance, extras={"u_radial_ladder": ladder})
@@ -400,19 +514,23 @@ def check_lasalle(p, L: LyapunovSpec, sampler, n,
     worst.update_flagged(zero_bad,
                          abs(w10) + abs(w20) if zero_bad else -math.inf,
                          "w1(0)=%g, w2(0)=%g not both zero" % (w10, w20))
-    for i in range(n):
-        t, x, y = sampler.sample(i)
-        lhs = diffusion_operator(p, L, t, x, y)
-        rhs = float(L.gamma_fn(t)) - float(L.w1_fn(x)) + float(L.w2_fn(y))
-        worst.update(lhs, rhs,
-                     "dissipation bound at sample %d: t=%.3f, |x|_H=%.3f, "
-                     "|y|_H=%.3f" % (i, t, _h_of(x), _h_of(y)))
-        w1x, w2x = float(L.w1_fn(x)), float(L.w2_fn(x))
-        strict_fail = not w1x > w2x
-        worst.update_flagged(
-            strict_fail,
-            (w2x - w1x) / (1.0 + abs(w1x) + abs(w2x)),
-            "strictness w1 > w2 at sample %d (w1=%g, w2=%g)" % (i, w1x, w2x))
+    grid, dx = p.grid, p.grid.dx
+    for start, t, X, Y in _blocks(sampler, n):
+        lhs = _lu_block(p, L, t, X, Y)
+        w1x, w2x = _rows(L.w1_fn, X, grid), _rows(L.w2_fn, X, grid)
+        rhs = _per_sample(L.gamma_fn, t) - w1x + _rows(L.w2_fn, Y, grid)
+        strict = (w2x - w1x) / (1.0 + np.abs(w1x) + np.abs(w2x))
+        # update_flagged's rule: a failure scores at least 1.0
+        strict = np.where(w1x > w2x, strict, np.maximum(strict, 1.0))
+
+        def describe(s, f):
+            if f == 0:
+                return _state_desc("dissipation bound", start + s, t[s],
+                                   X[s], Y[s], dx)
+            return ("strictness w1 > w2 at sample %d (w1=%g, w2=%g)"
+                    % (start + s, w1x[s], w2x[s]))
+        worst.update_block(
+            np.column_stack([_margin(lhs, rhs), strict]), describe)
     ladders = {"h": _radial_ladder(p, L, worst, "h"),
                "v": _radial_ladder(p, L, worst, "v")}
     gamma_int = _gamma_integral(L, p.t_final)
@@ -442,22 +560,26 @@ def check_exponential(p, L: LyapunovSpec, sampler, n,
                          "beta2, W1_fn and gamma_fn")
     worst = _Worst()
     _constants_family(L, worst, ("alpha", "mu", "beta"))
-    tau = p.tau
-    for i in range(n):
-        t, x, y = sampler.sample(i)
-        hx2 = float(h_norm_sq_values(x.values, p.grid.dx))
-        u = L.U(t, x)
-        worst.update(L.beta1 * hx2, u,
-                     "sandwich lower bound at sample %d" % i)
-        worst.update(u, L.beta2 * hx2,
-                     "sandwich upper bound at sample %d" % i)
-        lhs = diffusion_operator(p, L, t, x, y)
-        rhs = (float(L.gamma_fn(t)) - L.alpha1 * u
-               + L.alpha2 * L.U(max(t - tau, 0.0), y)
-               - L.alpha3 * float(L.W1_fn(x)) + L.alpha4 * float(L.W1_fn(y)))
-        worst.update(lhs, rhs,
-                     "decay bound at sample %d: t=%.3f, |x|_H=%.3f, "
-                     "|y|_H=%.3f" % (i, t, _h_of(x), _h_of(y)))
+    grid, dx, tau = p.grid, p.grid.dx, p.tau
+    for start, t, X, Y in _blocks(sampler, n):
+        hx2 = h_norm_sq_values(X, dx)
+        u = L.U_values(t, X, grid)
+        lhs = _lu_block(p, L, t, X, Y)
+        rhs = (_per_sample(L.gamma_fn, t) - L.alpha1 * u
+               + L.alpha2 * L.U_values(np.maximum(t - tau, 0.0), Y, grid)
+               - L.alpha3 * _rows(L.W1_fn, X, grid)
+               + L.alpha4 * _rows(L.W1_fn, Y, grid))
+
+        def describe(s, f):
+            if f == 2:
+                return _state_desc("decay bound", start + s, t[s], X[s],
+                                   Y[s], dx)
+            return ("sandwich %s bound at sample %d"
+                    % (("lower", "upper")[f], start + s))
+        worst.update_block(
+            np.column_stack([_margin(L.beta1 * hx2, u),
+                             _margin(u, L.beta2 * hx2),
+                             _margin(lhs, rhs)]), describe)
     mu = L.mu
     gamma_int = _gamma_integral(L, p.t_final, mu=mu)
     worst.update_flagged(not math.isfinite(gamma_int), -math.inf,

@@ -34,9 +34,9 @@ import math
 
 import numpy as np
 
-from .fields import Field, OperatorCoeff, Grid, h_norm_sq_values, quartic
+from .fields import OperatorCoeff, Grid, h_norm_sq_values, quartic_values
 from .integrator import ProblemSpec
-from .lyapunov import LyapunovSpec
+from .lyapunov import ArrayFunctional, LyapunovSpec
 from .noise import NoiseModel
 
 __all__ = ["PRESET_NAMES", "Preset", "make_preset"]
@@ -53,8 +53,10 @@ DEFAULTS = {
 }
 
 
-def _h_sq(f: Field) -> float:
-    return float(h_norm_sq_values(f.values, f.grid.dx))
+# the certificates' functionals, in array form so the checkers evaluate
+# them a block of samples at a time
+_H_SQ = ArrayFunctional(h_norm_sq_values)
+_Q4 = ArrayFunctional(quartic_values)
 
 
 def _sine_history(amplitude):
@@ -111,8 +113,10 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             t_final=t_final, dt=dt)
         # zero drift and diffusion: the trivial certificate LU <= 0 works
         lyap = LyapunovSpec(
-            u_kind="h_norm_sq", W_fn=_h_sq, lam1=1.0, lam2=1.0,
-            w1_fn=lambda f: 2.0 * _h_sq(f), w2_fn=_h_sq,
+            u_kind="h_norm_sq", W_fn=_H_SQ, lam1=1.0, lam2=1.0,
+            w1_fn=ArrayFunctional(
+                lambda v, dx: 2.0 * h_norm_sq_values(v, dx)),
+            w2_fn=_H_SQ,
             gamma_fn=lambda t: 0.0)
         return Preset(name, problem, lyap, params)
 
@@ -125,7 +129,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
         lyap = LyapunovSpec(
-            u_kind="h_norm_sq", W_fn=quartic,
+            u_kind="h_norm_sq", W_fn=_Q4,
             lam1=4.0 / 3.0, lam2=(4.0 / 3.0 if lam2 is None else float(lam2)),
             gamma_fn=lambda t: 0.0)
         params.update(sign_variant=sign_variant, lam2=lyap.lam2)
@@ -141,8 +145,10 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             t_final=t_final, dt=dt)
         lyap = LyapunovSpec(
             u_kind="h_norm_sq",
-            w1_fn=lambda f: 2.0 * (quartic(f) + 2.0 * _h_sq(f)),
-            w2_fn=_h_sq,
+            w1_fn=ArrayFunctional(
+                lambda v, dx: 2.0 * (quartic_values(v, dx)
+                                     + 2.0 * h_norm_sq_values(v, dx))),
+            w2_fn=_H_SQ,
             gamma_fn=lambda t: 0.0)
         params.update(g_factor=gf)
         return Preset(name, problem, lyap, params)
@@ -168,7 +174,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
         tau=tau, noise=noise, initial_history=psi,
         t_final=t_final, dt=dt)
     lyap = LyapunovSpec(
-        u_kind="h_norm_sq", W1_fn=quartic,
+        u_kind="h_norm_sq", W1_fn=_Q4,
         alpha1=2.0 * (nu - a), alpha2=2.0 * b * b,
         alpha3=1.0, alpha4=0.5 * c ** 4,
         mu=math.inf, beta1=1.0, beta2=1.0,

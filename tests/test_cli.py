@@ -184,7 +184,21 @@ def test_eq6_with_conditions_and_as_stats_passes(tmp_path):
     (["--preset", "heat", "--dt", "-1"], None),
     ([], {"preset": "heat", "n_paths": "many"}),
     (["--preset", "heat", "--paths", "0"], None),
-], ids=["grid-n-1", "dt-negative", "n-paths-not-integer", "paths-0"])
+    ([], {"preset": "heat", "n_samples": "many"}),
+    (["--preset", "heat", "--n-samples", "-5"], None),
+    (["--preset", "heat", "--n-samples", "0"], None),
+    ([], {"preset": "heat", "record_points": 10.5}),
+    ([], {"preset": "heat", "record_points": 1}),
+    ([], {"preset": "heat", "n_sample_paths": -1}),
+    ([], {"preset": "heat", "seed": "7"}),
+    ([], {"preset": "heat", "seed": 2 ** 64}),
+    (["--preset", "heat", "--sampler-seed", "-1"], None),
+    ([], {"preset": "heat", "sampler_seed": 1.0}),
+], ids=["grid-n-1", "dt-negative", "n-paths-not-integer", "paths-0",
+        "n-samples-not-integer", "n-samples-negative", "n-samples-0",
+        "record-points-not-integer", "record-points-1",
+        "n-sample-paths-negative", "seed-not-integer", "seed-too-large",
+        "sampler-seed-negative", "sampler-seed-float"])
 def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
                                                         config):
     # run as a process so an escaping exception shows as a traceback

@@ -190,6 +190,21 @@ def test_truncation_wrapper_semantics():
         truncate_problem(p, 0.01)
 
 
+def test_clamp_keeps_fields_whose_squared_norm_underflows():
+    # dx * sum(u^2) underflows to 0 for entries of 1e-170, yet the field is
+    # inside the ball and must come back bitwise unchanged, not as zeros
+    from sedes.integrator import clamp_to_ball
+    tiny = np.full((1, 31), 1e-170)
+    assert np.array_equal(clamp_to_ball(tiny, 2.0, 0.1), tiny)
+    # a batch mixing the tiny field, the zero field and one outside the ball
+    dx = 0.1
+    rows = np.stack([tiny[0], np.zeros(31), np.full(31, 3.0)])
+    out = clamp_to_ball(rows, 2.0, dx)
+    assert np.array_equal(out[:2], rows[:2])
+    assert math.sqrt(dx * np.sum(out[2] ** 2)) == pytest.approx(2.0,
+                                                                rel=1e-12)
+
+
 def test_truncation_consistency_bitwise():
     # a path that never leaves the ball coincides with the untruncated one
     pre = make_preset("eq16", t_final=2.0, seed=21)

@@ -128,6 +128,9 @@ def test_khasminskii_eq16_passes():
                             default_sampler(pre.problem), 10000)
     assert rep.passed
     assert rep.max_violation <= rep.tolerance
+    # the worst sample of the stream is pinned (seed 0, 10000 samples)
+    assert rep.argmax_sample.startswith("growth bound at sample 7420:")
+    assert rep.max_violation == pytest.approx(-0.14736008099113, rel=1e-9)
     ladder = rep.extras["u_radial_ladder"]
     assert all(b > a for a, b in zip(ladder, ladder[1:]))
 
@@ -152,6 +155,7 @@ def test_khasminskii_broken_lam2_fails():
                             default_sampler(pre.problem), 10000)
     assert not rep.passed
     assert rep.max_violation > 0
+    assert rep.argmax_sample.startswith("growth bound at sample 871:")
     # direct construction of a violating state: the drift only sinks the
     # quartic at rate 2, so demanding 10 Q4(x) on the right fails at
     # large ||x||
@@ -169,6 +173,8 @@ def test_lasalle_eq6_passes():
     rep = check_lasalle(pre.problem, pre.lyapunov,
                         default_sampler(pre.problem), 10000)
     assert rep.passed
+    assert rep.argmax_sample.startswith("strictness w1 > w2 at sample 5722 ")
+    assert rep.max_violation == pytest.approx(-2.9991126582605e-4, rel=1e-9)
     assert math.isfinite(rep.extras["gamma_integral"])
     for ladder in rep.extras["u_radial_ladders"].values():
         assert all(b > a for a, b in zip(ladder, ladder[1:]))
@@ -191,6 +197,7 @@ def test_lasalle_amplified_noise_fails():
                         default_sampler(pre.problem), 10000)
     assert not rep.passed
     assert rep.max_violation > 0
+    assert rep.argmax_sample.startswith("dissipation bound at sample 4203:")
     # direct evaluation at x = 0, ||y||_H = 1, t = pi/2: the dissipation
     # bound is beaten by (9 sin^2 t - 1) ||y||^2 = 8
     p, L = pre.problem, pre.lyapunov
@@ -206,6 +213,10 @@ def test_exponential_eq24_passes():
     rep = check_exponential(pre.problem, pre.lyapunov,
                             default_sampler(pre.problem), 10000)
     assert rep.passed
+    # U = ||x||_H^2 and beta1 = beta2 = 1 tie both sandwich families at 0
+    # on every sample; the first family of the first sample is reported
+    assert rep.max_violation == 0.0
+    assert rep.argmax_sample == "sandwich lower bound at sample 0"
     assert rep.extras["gamma_exp_integral"] == 0.0
 
 
@@ -258,3 +269,246 @@ def test_report_serializes():
     doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["name"] == "khasminskii"
     assert doc["passed"] == (doc["max_violation"] <= doc["tolerance"])
+
+
+# ---------------------------------------------------------------------------
+# Block evaluation: the checkers draw and evaluate SAMPLE_BLOCK samples at a
+# time; nothing a report says may depend on the block size.
+
+def _report_cases():
+    yield "eq16 lam2=10", make_preset("eq16", lam2=10.0), check_khasminskii
+    yield "eq6", make_preset("eq6"), check_lasalle
+    yield "eq6 g_factor=3", make_preset("eq6", g_factor=3.0), check_lasalle
+    yield "eq24", make_preset("eq24"), check_exponential
+    yield "heat", make_preset("heat"), check_khasminskii
+
+
+@pytest.mark.parametrize("block", [1, 7, 128, 300])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
+    import sedes.lyapunov as lyap
+    n = 300
+    ref = {}
+    for name, pre, checker in _report_cases():
+        ref[name] = checker(pre.problem, pre.lyapunov,
+                            default_sampler(pre.problem), n).to_dict()
+    monkeypatch.setattr(lyap, "SAMPLE_BLOCK", block)
+    for name, pre, checker in _report_cases():
+        rep = checker(pre.problem, pre.lyapunov,
+                      default_sampler(pre.problem), n)
+        assert rep.to_dict() == ref[name], name
+
+
+def test_sample_is_a_row_of_any_block():
+    s = FourierSampler(Grid(63), seed=3, t_max=20.0)
+    whole = s.sample_block(np.arange(300))
+    for idx in ([7], [250, 3, 17], np.arange(120, 140), np.arange(300)):
+        t, X, Y = s.sample_block(idx)
+        for r, i in enumerate(idx):
+            assert t[r] == whole[0][i]
+            assert np.array_equal(X[r], whole[1][i])
+            assert np.array_equal(Y[r], whole[2][i])
+    for i in (0, 1, 64, 299):
+        t, x, y = s.sample(i)
+        assert t == whole[0][i]
+        assert np.array_equal(x.values, whole[1][i])
+        assert np.array_equal(y.values, whole[2][i])
+
+
+def test_block_reduction_keeps_the_loops_first_maximum():
+    # margins drawn from a few integers tie all over the array; the loop
+    # replaced its maximum only on a strictly greater margin, visiting
+    # samples in order and families in order within a sample
+    from sedes.lyapunov import _Worst
+    rng = np.random.default_rng(5)
+    margins = rng.integers(-3, 2, size=(300, 3)).astype(float)
+    margins[:40] = -3.0
+    margins[40, 0] = np.nan
+    best, where = -math.inf, None
+    for s in range(300):
+        for f in range(3):
+            if margins[s, f] > best:
+                best, where = margins[s, f], (s, f)
+    for block in (1, 7, 128, 300):
+        w = _Worst()
+        for start in range(0, 300, block):
+            w.update_block(margins[start:start + block],
+                           lambda s, f, start=start: (start + s, f))
+        assert (w.margin, w.where) == (best, where)
+
+
+def _loop_oracle(kind, p, L, s, n):
+    """The checkers' sample families as the per-sample loop they replaced:
+    a margin wins only when strictly greater, samples in order, families
+    in order within a sample.  Returns (max margin, description)."""
+    best, where = -math.inf, "no samples"
+
+    def update(m, desc):
+        nonlocal best, where
+        if m > best:
+            best, where = m, desc
+
+    def rel(lhs, rhs):
+        return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+
+    def state(what, i, t, x, y):
+        return ("%s at sample %d: t=%.3f, |x|_H=%.3f, |y|_H=%.3f"
+                % (what, i, t, h_norm(x), h_norm(y)))
+
+    for i in range(n):
+        t, x, y = s.sample(i)
+        lu = diffusion_operator(p, L, t, x, y)
+        u, uy = L.U(t, x), L.U(max(t - p.tau, 0.0), y)
+        if kind == "khasminskii":
+            rhs = (L.lam1 * (1.0 + u + uy + float(L.W_fn(y)))
+                   - L.lam2 * float(L.W_fn(x)))
+            update(rel(lu, rhs), state("growth bound", i, t, x, y))
+        elif kind == "lasalle":
+            w1x, w2x = float(L.w1_fn(x)), float(L.w2_fn(x))
+            rhs = float(L.gamma_fn(t)) - w1x + float(L.w2_fn(y))
+            update(rel(lu, rhs), state("dissipation bound", i, t, x, y))
+            m = (w2x - w1x) / (1.0 + abs(w1x) + abs(w2x))
+            update(m if w1x > w2x else max(m, 1.0),
+                   "strictness w1 > w2 at sample %d (w1=%g, w2=%g)"
+                   % (i, w1x, w2x))
+        else:
+            hx2 = float(h_norm_sq_values(x.values, x.grid.dx))
+            update(rel(L.beta1 * hx2, u),
+                   "sandwich lower bound at sample %d" % i)
+            update(rel(u, L.beta2 * hx2),
+                   "sandwich upper bound at sample %d" % i)
+            rhs = (float(L.gamma_fn(t)) - L.alpha1 * u + L.alpha2 * uy
+                   - L.alpha3 * float(L.W1_fn(x))
+                   + L.alpha4 * float(L.W1_fn(y)))
+            update(rel(lu, rhs), state("decay bound", i, t, x, y))
+    return best, where
+
+
+def _tie_spec():
+    # strictness fails, scoring exactly 1.0, on every sample with
+    # |x|_H > 1 (the first is sample 1 of the seed-0 stream)
+    def w1(f):
+        h2 = h_norm(f) ** 2
+        return h2 if h2 > 1.0 else 2.0 * h2
+    return LyapunovSpec(u_kind="h_norm_sq", w1_fn=w1,
+                        w2_fn=lambda f: h_norm(f) ** 2,
+                        gamma_fn=lambda t: 0.0)
+
+
+def test_block_checkers_match_the_per_sample_loop(monkeypatch):
+    # exact agreement: every row of a block is computed with the arithmetic
+    # of a one-sample block, so only the reduction differs from the loop.
+    # eq24 ties its two sandwich families at 0 on every sample, and the
+    # tie spec ties strictness failures across samples and blocks.
+    import sedes.lyapunov as lyap
+    n = 400
+    eq6 = make_preset("eq6")
+    cases = [("khasminskii", make_preset("eq16"), None),
+             ("khasminskii", make_preset("eq16", lam2=10.0), None),
+             ("lasalle", eq6, None),
+             ("lasalle", make_preset("eq6", g_factor=3.0), None),
+             ("lasalle", eq6, _tie_spec()),
+             ("exponential", make_preset("eq24"), None)]
+    checkers = {"khasminskii": check_khasminskii, "lasalle": check_lasalle,
+                "exponential": check_exponential}
+    for kind, pre, L in cases:
+        p, L = pre.problem, L or pre.lyapunov
+        s = default_sampler(p)
+        expected = _loop_oracle(kind, p, L, s, n)
+        for block in (1, 7, 128):
+            monkeypatch.setattr(lyap, "SAMPLE_BLOCK", block)
+            rep = checkers[kind](p, L, s, n)
+            assert (rep.max_violation, rep.argmax_sample) == expected, kind
+
+
+def test_plain_functionals_match_their_array_forms():
+    # the row-wise adapter for Field -> float callables gives the report
+    # the presets' array functionals give
+    def h2(f):
+        return h_norm_sq_values(f.values, f.grid.dx)
+
+    n = 500
+    pre = make_preset("eq16", lam2=10.0)
+    plain = LyapunovSpec(u_kind="h_norm_sq", W_fn=quartic, lam1=4.0 / 3.0,
+                         lam2=10.0, gamma_fn=lambda t: 0.0)
+    s = default_sampler(pre.problem)
+    assert (check_khasminskii(pre.problem, plain, s, n).to_dict()
+            == check_khasminskii(pre.problem, pre.lyapunov, s, n).to_dict())
+    pre = make_preset("eq6")
+    plain = LyapunovSpec(u_kind="h_norm_sq",
+                         w1_fn=lambda f: 2.0 * (quartic(f) + 2.0 * h2(f)),
+                         w2_fn=h2, gamma_fn=lambda t: 0.0)
+    assert (check_lasalle(pre.problem, plain, s, n).to_dict()
+            == check_lasalle(pre.problem, pre.lyapunov, s, n).to_dict())
+    pre = make_preset("eq24")
+    L = pre.lyapunov
+    plain = LyapunovSpec(u_kind="h_norm_sq", W1_fn=quartic,
+                         alpha1=L.alpha1, alpha2=L.alpha2, alpha3=L.alpha3,
+                         alpha4=L.alpha4, mu=L.mu, beta1=1.0, beta2=1.0,
+                         gamma_fn=lambda t: 0.0)
+    assert (check_exponential(pre.problem, plain, s, n).to_dict()
+            == check_exponential(pre.problem, L, s, n).to_dict())
+
+
+def _custom_h_norm_sq(**kw):
+    return LyapunovSpec(
+        u_kind="custom",
+        U_fn=lambda t, f: float(h_norm_sq_values(f.values, f.grid.dx)),
+        U_t_fn=lambda t, f: 0.0,
+        U_x_fn=lambda t, f: Field(f.grid, 2.0 * f.values),
+        U_xx_quadform_fn=lambda t, f, g: 2.0 * h_norm(g) ** 2, **kw)
+
+
+def test_custom_u_check_agrees_with_fast_path():
+    pre = make_preset("eq24")
+    L = pre.lyapunov
+    custom = _custom_h_norm_sq(W1_fn=L.W1_fn, alpha1=L.alpha1,
+                               alpha2=L.alpha2, alpha3=L.alpha3,
+                               alpha4=L.alpha4, mu=L.mu, beta1=1.0,
+                               beta2=1.0, gamma_fn=lambda t: 0.0)
+    s = default_sampler(pre.problem)
+    fast = check_exponential(pre.problem, L, s, 300)
+    slow = check_exponential(pre.problem, custom, s, 300)
+    assert slow.passed and fast.passed
+    assert slow.argmax_sample == fast.argmax_sample
+    pre = make_preset("eq16", lam2=10.0)
+    L = pre.lyapunov
+    custom = _custom_h_norm_sq(W_fn=L.W_fn, lam1=L.lam1, lam2=L.lam2)
+    fast = check_khasminskii(pre.problem, L, s, 300)
+    slow = check_khasminskii(pre.problem, custom, s, 300)
+    assert not slow.passed and not fast.passed
+    assert slow.argmax_sample == fast.argmax_sample
+    assert slow.max_violation == pytest.approx(fast.max_violation, rel=1e-12)
+
+
+def test_diffusion_operator_is_a_row_of_the_block_kernel():
+    from sedes.lyapunov import _lu_block
+    grid = Grid(31)
+    varying = ProblemSpec(
+        grid, OperatorCoeff.divergence(
+            lambda t, x: 1.5 + 0.25 * math.sin(t) * np.cos(x),
+            nu=1.25, alpha_upper=1.75),
+        drift=lambda t, u, v: -u * u * u + 0.5 * v,
+        diffusion=lambda t, u, v: v * math.cos(t),
+        tau=1.0, noise=NoiseModel.q_wiener(n_modes=4),
+        initial_history=lambda th, x: 0.1 * np.sin(x),
+        t_final=10.0, dt=0.01)
+    cases = [(pre.problem, pre.lyapunov)
+             for pre in (make_preset(nm) for nm in ("eq16", "eq6", "eq24"))]
+    cases += [(varying, LyapunovSpec(u_kind="h_norm_sq")),
+              (varying, _custom_h_norm_sq()),
+              (cases[2][0], _custom_h_norm_sq())]
+    for p, L in cases:
+        s = default_sampler(p)
+        t, X, Y = s.sample_block(np.arange(40))
+        block = _lu_block(p, L, t, X, Y)
+        for i in range(40):
+            one = diffusion_operator(p, L, t[i], Field(p.grid, X[i]),
+                                     Field(p.grid, Y[i]))
+            assert one == block[i]
+
+
+def test_checkers_reject_a_negative_sample_count():
+    pre = make_preset("eq16")
+    with pytest.raises(ValueError, match="samples"):
+        check_khasminskii(pre.problem, pre.lyapunov,
+                          default_sampler(pre.problem), -1)
