@@ -22,7 +22,7 @@ from .fields import (
     sine_field,
     v_norm,
 )
-from .noise import NoiseIncrement, NoiseModel, hs_norm_sq, sample_increment
+from .noise import NoiseIncrement, NoiseModel, sample_increment
 from .integrator import (
     BallClampedCoeff,
     HistoryBuffer,

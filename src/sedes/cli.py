@@ -335,6 +335,9 @@ def run(cfg) -> int:
                    zip(curve.times, curve.mean, curve.stderr, curve.n_alive))
 
     if cfg["explosion_scan"]:
+        if cfg["explosion_horizon"] != p.t_final:
+            print("note: explosion scan runs to horizon %g, not t_final %g"
+                  % (cfg["explosion_horizon"], p.t_final))
         explosion_rows = explosion_scan(p, cfg["explosion_k_values"],
                                         cfg["n_paths"],
                                         cfg["explosion_horizon"])
@@ -370,6 +373,7 @@ def run(cfg) -> int:
             "seed": int(cfg["seed"]),
             "sampler_seed": int(cfg["sampler_seed"]),
             "explosion_limit": p.explosion_limit,
+            "explosion_horizon": cfg["explosion_horizon"],
         })
     doc = report.to_dict()
     doc["conditions"] = [r.to_dict() for r in reports]

@@ -63,8 +63,6 @@ class PointwiseCoeff:
     fn must be numpy-vectorized (it receives arrays of grid values).
     """
 
-    field_level = False
-
     def __init__(self, fn):
         self.fn = fn
 
@@ -90,12 +88,10 @@ def clamp_to_ball(values, radius, dx):
 class BallClampedCoeff:
     """Coefficient that first projects x and y onto the H ball of radius k.
 
-    This is a field-level operation (the scale factor depends on the whole
-    field), which is why it is a distinct coefficient kind rather than a
-    pointwise function of (u, v).
+    The scale factor depends on the whole field, not on the value at one
+    grid point, so this cannot be written as a pointwise function of
+    (u, v) and wraps the inner coefficient instead.
     """
-
-    field_level = True
 
     def __init__(self, inner, radius):
         if radius <= 0:
@@ -268,9 +264,6 @@ class HistoryBuffer:
         self._ring[self._head] = values
         self.head_time += self.dt
 
-    def current_field(self, grid: Grid) -> Field:
-        return Field(grid, self.current()[0])
-
 
 class _TridiagFactor:
     """Prefactored Thomas solve of (I - dt A(t)) x = rhs, batched over rows.
@@ -322,14 +315,13 @@ def _factor_for(p: ProblemSpec, t_next: float) -> _TridiagFactor:
     return factor
 
 
-def _em_step(p: ProblemSpec, t: float, t_next: float, x, y, coords):
-    """Scheme arithmetic: solve (I - dt A(t_next)) x' = x + dt f + g z, with
-    f, g at (t, x, y) and z the noise coordinates summed per row of x."""
+def _em_step(p: ProblemSpec, t: float, t_next: float, x, y, dB):
+    """Scheme arithmetic: solve (I - dt A(t_next)) x' = x + dt f + g dB, with
+    f, g at (t, x, y) and dB the Brownian increments, one per row of x."""
     dx = p.grid.dx
     drift = np.asarray(p.drift.evaluate(t, x, y, dx), dtype=float)
     diff = np.asarray(p.diffusion.evaluate(t, x, y, dx), dtype=float)
-    z = coords.sum(axis=-1)[..., None]
-    return _factor_for(p, t_next).solve(x + p.dt * drift + diff * z)
+    return _factor_for(p, t_next).solve(x + p.dt * drift + diff * dB)
 
 
 def imex_em_step(p: ProblemSpec, h: HistoryBuffer, t: float,
@@ -417,9 +409,9 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
         # a path heading for blow-up may overflow inside the coefficients;
         # that is detected and reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            coords = p.noise.increments(path_arr, step - 1, dt)
+            dB = p.noise.increments(path_arr, step - 1, dt)
             x_new = _em_step(p, (step - 1) * dt, step * dt, hist.current(),
-                             hist.delayed(), coords)
+                             hist.delayed(), dB)
             hn2 = h_norm_sq_values(x_new, dx)
 
         finite = np.isfinite(hn2) & np.all(np.isfinite(x_new), axis=1)

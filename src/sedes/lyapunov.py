@@ -4,17 +4,18 @@ hypotheses it enters.
 For a functional U(t, x) along the delay equation, the Ito drift is
 
     LU(t, x, y) = dU/dt + <A(t,x) + f(t,x,y), U_x(t,x)>
-                  + 1/2 trace(U_xx(t,x) g(t,x,y) Q g*(t,x,y)).
+                  + 1/2 U_xx(t,x)[g(t,x,y), g(t,x,y)]
 
-Every worked example uses U = ||x||_H^2, for which this collapses to
+for the scalar Brownian motion that drives the integrator.  Every worked
+example uses U = ||x||_H^2, for which this collapses to
 
-    LU = 2 <A x, x>_H + 2 <f, x>_H + ||g||_HS^2,
+    LU = 2 <A x, x>_H + 2 <f, x>_H + ||g||_H^2,
 
 with <A x, x>_H evaluated through the summation-by-parts identity so the
 coercive term is exact at the discrete level.  A custom U supplies the
 time derivative, the gradient, and the second derivative as a quadratic
-form evaluated per noise mode (assembling a dense second Frechet
-derivative would buy nothing for these checks).
+form evaluated at g (assembling a dense second Frechet derivative would
+buy nothing for these checks).
 
 The three checkers draw (t, x, y) samples in blocks of SAMPLE_BLOCK and
 evaluate each block on (S, n) arrays with the kernels of fields.py: LU
@@ -243,11 +244,15 @@ class _Worst:
     """Running first maximum of relative violations with a description.
 
     A margin replaces the current one only when strictly greater, so a tie
-    keeps the family and the sample checked first."""
+    keeps the family and the sample checked first.  The sampled families
+    (one column each in update_block) also keep their own maxima, so a
+    family that never wins overall still shows its worst margin."""
 
-    def __init__(self):
+    def __init__(self, families=()):
         self.margin = -math.inf
         self.where = "no samples"
+        self.families = tuple(families)
+        self._family_max = -math.inf    # becomes one entry per column
 
     def update_flagged(self, failed, margin, desc):
         # for strict or boolean hypotheses, where a tie must register as a
@@ -268,10 +273,16 @@ class _Worst:
         called for that winner only."""
         # NaN never compares greater, so it never wins
         m = np.where(np.isnan(margins), -math.inf, margins)
+        self._family_max = np.maximum(self._family_max, m.max(axis=0))
         j = int(np.argmax(m))
         if m.flat[j] > self.margin:
             self.margin = float(m.flat[j])
             self.where = describe(*divmod(j, m.shape[1]))
+
+    def by_family(self):
+        """Worst margin of each sampled family, keyed by family name."""
+        worst = np.broadcast_to(self._family_max, len(self.families))
+        return {nm: float(v) for nm, v in zip(self.families, worst)}
 
 
 def _margin(lhs, rhs):
@@ -342,15 +353,6 @@ class FourierSampler:
         return float(t[0]), Field(self.grid, X[0]), Field(self.grid, Y[0])
 
 
-def _mode_fields(p, g_values):
-    """Diffusion output as one field per noise mode.
-
-    All presets use multiplication-operator diffusions, so the mode fields
-    coincide with the single pointwise output (the sqrt(lambda_k) weights
-    live in the increments and in the Q-weighted trace)."""
-    return [g_values] * p.noise.n_modes
-
-
 def _coeff_rows(coeff, t, X, Y, dx):
     """A drift or diffusion evaluated once per sample, whose t is a scalar."""
     out = np.empty_like(X)
@@ -371,7 +373,7 @@ def _lu_block(p, L: LyapunovSpec, t, X, Y):
     if L.u_kind == "h_norm_sq":
         out = (2.0 * operator_quad_form_values(a_mid, X, dx)
                + 2.0 * dx * np.sum(F * X, axis=-1)
-               + p.noise.trace * h_norm_sq_values(G, dx))
+               + h_norm_sq_values(G, dx))
     else:
         AXF = apply_operator_values(a_mid, X, dx) + F
         out = np.empty(len(X))
@@ -379,19 +381,16 @@ def _lu_block(p, L: LyapunovSpec, t, X, Y):
             x = Field(grid, X[s])
             ux = L.U_x_fn(ts, x)
             ux_vals = ux.values if isinstance(ux, Field) else np.asarray(ux)
-            trace = 0.0
-            for lam, gk in zip(p.noise.eigenvalues, _mode_fields(p, G[s])):
-                trace += float(lam) * float(
-                    L.U_xx_quadform_fn(ts, x, Field(grid, gk)))
+            uxx = float(L.U_xx_quadform_fn(ts, x, Field(grid, G[s])))
             out[s] = (float(L.U_t_fn(ts, x))
-                      + dx * float(np.sum(AXF[s] * ux_vals)) + 0.5 * trace)
+                      + dx * float(np.sum(AXF[s] * ux_vals)) + 0.5 * uxx)
     if not np.all(np.isfinite(out)):
         raise ValueError("evaluation overflow")
     return out
 
 
 def diffusion_operator(p, L: LyapunovSpec, t, x: Field, y: Field) -> float:
-    """LU(t, x, y) for the problem's drift, diffusion, and noise model
+    """LU(t, x, y) for the problem's drift and diffusion
     (a block of one sample)."""
     return float(_lu_block(p, L, np.array([float(t)]), x.values[None, :],
                            y.values[None, :])[0])
@@ -479,7 +478,7 @@ def check_khasminskii(p, L: LyapunovSpec, sampler, n,
     on n sampled states, plus the radial-unboundedness ladder for U."""
     if L.lam1 is None or L.lam2 is None or L.W_fn is None:
         raise ValueError("check_khasminskii needs lam1, lam2 and W_fn")
-    worst = _Worst()
+    worst = _Worst(("growth bound",))
     _constants_family(L, worst, ("lam1", "lam2"))
     grid, dx, tau = p.grid, p.grid.dx, p.tau
     for start, t, X, Y in _blocks(sampler, n):
@@ -494,7 +493,9 @@ def check_khasminskii(p, L: LyapunovSpec, sampler, n,
                                      Y[s], dx))
     ladder = _radial_ladder(p, L, worst, "h")
     return ConditionReport("khasminskii", n, worst.margin, worst.where,
-                           tolerance, extras={"u_radial_ladder": ladder})
+                           tolerance, extras={
+                               "u_radial_ladder": ladder,
+                               "max_violation_by_family": worst.by_family()})
 
 
 def check_lasalle(p, L: LyapunovSpec, sampler, n,
@@ -507,7 +508,7 @@ def check_lasalle(p, L: LyapunovSpec, sampler, n,
     radial ladders for U, and integrability of gamma by quadrature."""
     if L.w1_fn is None or L.w2_fn is None or L.gamma_fn is None:
         raise ValueError("check_lasalle needs w1_fn, w2_fn and gamma_fn")
-    worst = _Worst()
+    worst = _Worst(("dissipation bound", "strictness"))
     zero = Field.zero(p.grid)
     w10, w20 = float(L.w1_fn(zero)), float(L.w2_fn(zero))
     zero_bad = w10 != 0.0 or w20 != 0.0
@@ -538,7 +539,9 @@ def check_lasalle(p, L: LyapunovSpec, sampler, n,
                          "gamma quadrature not finite")
     return ConditionReport("lasalle", n, worst.margin, worst.where, tolerance,
                            extras={"u_radial_ladders": ladders,
-                                   "gamma_integral": gamma_int})
+                                   "gamma_integral": gamma_int,
+                                   "max_violation_by_family":
+                                       worst.by_family()})
 
 
 def check_exponential(p, L: LyapunovSpec, sampler, n,
@@ -558,7 +561,7 @@ def check_exponential(p, L: LyapunovSpec, sampler, n,
     if any(v is None for v in need):
         raise ValueError("check_exponential needs alpha1..4, mu, beta1, "
                          "beta2, W1_fn and gamma_fn")
-    worst = _Worst()
+    worst = _Worst(("sandwich lower", "sandwich upper", "decay bound"))
     _constants_family(L, worst, ("alpha", "mu", "beta"))
     grid, dx, tau = p.grid, p.grid.dx, p.tau
     for start, t, X, Y in _blocks(sampler, n):
@@ -586,4 +589,6 @@ def check_exponential(p, L: LyapunovSpec, sampler, n,
                          "int gamma e^{mu t} dt diverges on [0, t_final]")
     return ConditionReport("exponential", n, worst.margin, worst.where,
                            tolerance,
-                           extras={"gamma_exp_integral": gamma_int})
+                           extras={"gamma_exp_integral": gamma_int,
+                                   "max_violation_by_family":
+                                       worst.by_family()})

@@ -1,14 +1,10 @@
-"""Driving noise for the delay integrator.
-
-Two models: a real standard Brownian motion (the case used by every worked
-example) and a truncated Q-Wiener process, represented through its
-eigenvalue sequence lambda_1 >= lambda_2 >= ... >= lambda_M >= 0.  An
-increment over a step of length dt carries the coordinates
-sqrt(lambda_k) * (beta_k(t+dt) - beta_k(t)), one per retained mode.
+"""Driving noise for the delay integrator: one real standard Brownian
+motion B, the noise of every worked example.  An increment over a step of
+length dt is sqrt(dt) times a standard normal, one per path and step.
 
 Gaussians are generated counter-based: every draw is a pure function of
-(seed, path_id, step_index, mode), obtained by hashing the key words with
-the SplitMix64 finalizer and feeding two 53-bit uniforms to Box-Muller.
+(seed, path_id, step_index), obtained by hashing the key words with the
+SplitMix64 finalizer and feeding two 53-bit uniforms to Box-Muller.
 No generator state exists, so ensembles produce identical numbers no
 matter how paths are scheduled or batched.  Transcendental evaluations
 are always performed on buffers padded to a multiple of 64 entries so
@@ -20,9 +16,7 @@ import math
 
 import numpy as np
 
-from .fields import Field, h_norm
-
-__all__ = ["NoiseModel", "NoiseIncrement", "sample_increment", "hs_norm_sq"]
+__all__ = ["NoiseModel", "NoiseIncrement", "sample_increment"]
 
 _U64 = np.uint64
 _GOLD = _U64(0x9E3779B97F4A7C15)
@@ -91,69 +85,30 @@ def keyed_uniforms(seed, *keys):
 
 
 class NoiseModel:
-    """Scalar Brownian motion or truncated Q-Wiener noise.
+    """Scalar standard Brownian motion, keyed by seed."""
 
-    eigenvalues must be nonincreasing and nonnegative with a finite sum
-    (the trace of Q).  The scalar model is the q_wiener model with the
-    single eigenvalue 1, kept as its own kind because it is what all the
-    worked examples use.
-    """
-
-    def __init__(self, kind, eigenvalues=None, seed=0):
-        if kind not in ("scalar", "q_wiener"):
-            raise ValueError("unknown noise kind %r" % kind)
-        self.kind = kind
+    def __init__(self, seed=0):
         self.seed = int(seed)
-        if kind == "scalar":
-            if eigenvalues is not None:
-                raise ValueError("scalar noise takes no eigenvalues")
-            self.eigenvalues = np.ones(1)
-        else:
-            lam = np.asarray(eigenvalues, dtype=float)
-            if lam.ndim != 1 or lam.size == 0:
-                raise ValueError("q_wiener needs a 1-D eigenvalue sequence")
-            if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-                raise ValueError("eigenvalues must be finite and >= 0")
-            if np.any(np.diff(lam) > 0):
-                raise ValueError("eigenvalues must be nonincreasing")
-            self.eigenvalues = lam.copy()
-        self.eigenvalues.flags.writeable = False
-        self._sqrt_lam = np.sqrt(self.eigenvalues)
-        self._sqrt_lam.flags.writeable = False
 
     @classmethod
     def scalar(cls, seed=0) -> "NoiseModel":
-        return cls("scalar", seed=seed)
-
-    @classmethod
-    def q_wiener(cls, eigenvalues=None, n_modes=16, seed=0) -> "NoiseModel":
-        """Truncated Q-Wiener model; defaults to lambda_k = 1/k^2, M modes."""
-        if eigenvalues is None:
-            k = np.arange(1, int(n_modes) + 1, dtype=float)
-            eigenvalues = 1.0 / (k * k)
-        return cls("q_wiener", eigenvalues=eigenvalues, seed=seed)
-
-    @property
-    def n_modes(self) -> int:
-        return self.eigenvalues.size
-
-    @property
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
+        return cls(seed=seed)
 
     def increments(self, path_ids, step_index, dt):
-        """Batch of increment coordinates, shape (len(path_ids), n_modes)."""
+        """Batch of increments B(t+dt) - B(t), shape (len(path_ids), 1)."""
         if dt <= 0:
             raise ValueError("nonpositive step")
         paths = np.atleast_1d(np.asarray(path_ids))
-        modes = np.arange(self.n_modes)
-        z = keyed_gaussians(self.seed, paths[:, None], int(step_index),
-                            modes[None, :])
-        return (math.sqrt(dt) * self._sqrt_lam) * z
+        # the trailing key word 0 is part of the key of every stream the
+        # package draws: dropping it would move every path, and with it
+        # every ensemble and every reproducible artifact
+        z = keyed_gaussians(self.seed, paths[:, None], int(step_index), 0)
+        return math.sqrt(dt) * z
 
 
 class NoiseIncrement:
-    """Coordinates sqrt(lambda_k) dbeta_k of one noise increment."""
+    """One path's Brownian increment over a step of length dt, as a
+    length-1 coords array."""
 
     __slots__ = ("dt", "coords")
 
@@ -170,25 +125,3 @@ def sample_increment(m: NoiseModel, path_id: int, step_index: int,
     """Increment over [t_n, t_n + dt) for one path; pure in its arguments."""
     coords = m.increments([int(path_id)], int(step_index), dt)[0]
     return NoiseIncrement(dt, coords)
-
-
-def hs_norm_sq(g_out, m: NoiseModel) -> float:
-    """Squared Hilbert-Schmidt norm trace(G Q G*) of a diffusion output.
-
-    g_out is one Field per retained mode (a bare Field for scalar noise).
-    For the scalar model with Q the identity on R this is just the squared
-    H norm of the single field.
-    """
-    if isinstance(g_out, Field):
-        g_fields = [g_out]
-    else:
-        g_fields = list(g_out)
-    if len(g_fields) != m.n_modes:
-        raise ValueError(
-            "diffusion output has %d mode fields, noise model has %d modes"
-            % (len(g_fields), m.n_modes))
-    total = 0.0
-    for lam, g in zip(m.eigenvalues, g_fields):
-        hn = h_norm(g)
-        total += float(lam) * hn * hn
-    return total

@@ -106,6 +106,28 @@ def test_dt_adjustment_recorded(tmp_path):
     assert resolved["m_delay"] * resolved["dt"] == pytest.approx(0.25)
 
 
+def test_explosion_scan_horizon_is_reported(tmp_path, capsys):
+    flags = ["--preset", "eq16", "--grid-n", "15", "--tau", "0.1",
+             "--dt", "0.01", "--paths", "4", "--no-check-conditions",
+             "--no-ms-ensemble", "--explosion-scan"]
+    out = tmp_path / "scan"
+    code = run_cli(flags + ["--t-final", "0.2", "--out-dir", str(out)])
+    assert code == EXIT_OK
+    note = "note: explosion scan runs to horizon 5, not t_final 0.2"
+    assert note in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert report["metadata"]["explosion_horizon"] == 5.0
+    # a config whose horizon is t_final needs no note
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"explosion_horizon": 0.2}))
+    code = run_cli(flags + ["--config", str(cfgfile), "--t-final", "0.2",
+                            "--out-dir", str(tmp_path / "same")])
+    assert code == EXIT_OK
+    assert "explosion scan runs to horizon" not in capsys.readouterr().out
+    report = json.loads((tmp_path / "same" / "report.json").read_text())
+    assert report["metadata"]["explosion_horizon"] == 0.2
+
+
 def test_sedes_out_env_override(tmp_path, monkeypatch):
     out = tmp_path / "env-out"
     monkeypatch.setenv("SEDES_OUT", str(out))

@@ -254,27 +254,6 @@ def test_snapshots_at_requested_times():
     assert np.allclose(f0.values, np.sin(pre.problem.grid.points))
 
 
-def test_q_wiener_noise_drives_the_integrator():
-    # the Q-Wiener path: M weighted modes, summed into the step; the
-    # zero-eigenvalue tail contributes nothing
-    grid = Grid(31)
-    lam = np.array([1.0, 0.25, 0.0])
-    p = ProblemSpec(grid, OperatorCoeff.laplacian(),
-                    drift=lambda t, u, v: -u,
-                    diffusion=lambda t, u, v: 0.2 * v,
-                    tau=0.1, noise=NoiseModel.q_wiener(eigenvalues=lam,
-                                                       seed=6),
-                    initial_history=lambda th, x: 0.1 * np.sin(x),
-                    t_final=1.0, dt=1e-3)
-    a = simulate(p, 0)
-    b = simulate(p, 0)
-    assert a.status == "completed"
-    assert np.array_equal(a.h_norms, b.h_norms)
-    # a different path id decorrelates the trajectory
-    c = simulate(p, 1)
-    assert not np.array_equal(a.h_norms, c.h_norms)
-
-
 def test_manual_stepping_matches_simulate_bitwise():
     # the public step-by-step workflow reproduces the engine exactly
     from sedes import h_norm
@@ -289,3 +268,15 @@ def test_manual_stepping_matches_simulate_bitwise():
         h.push(x.values)
         assert h_norm(x) == traj.h_norms[n + 1]
     assert h.head_time == pytest.approx(5 * p.dt)
+
+
+def test_step_rejects_an_increment_of_another_dt():
+    p = make_preset("eq16", t_final=1.0).problem
+    h = HistoryBuffer.from_problem(p)
+    for dt in (2.0 * p.dt, p.dt * (1.0 + 1e-9)):
+        with pytest.raises(ValueError, match="does not match problem dt"):
+            imex_em_step(p, h, 0.0, sample_increment(p.noise, 0, 0, dt))
+    # the step is pure: a rejected call leaves the history untouched
+    assert h.head_time == 0.0
+    x = imex_em_step(p, h, 0.0, sample_increment(p.noise, 0, 0, p.dt))
+    assert x.values.shape == (p.grid.n_interior,)

@@ -220,6 +220,19 @@ def test_exponential_eq24_passes():
     assert rep.extras["gamma_exp_integral"] == 0.0
 
 
+def test_exponential_eq24_reports_each_familys_worst_margin():
+    # the tied sandwich families win the report; the decay bound, which is
+    # what the preset certifies, still shows its own worst margin
+    pre = make_preset("eq24")
+    rep = check_exponential(pre.problem, pre.lyapunov,
+                            default_sampler(pre.problem), 10000)
+    fam = rep.extras["max_violation_by_family"]
+    assert list(fam) == ["sandwich lower", "sandwich upper", "decay bound"]
+    assert fam["sandwich lower"] == fam["sandwich upper"] == 0.0
+    assert math.isfinite(fam["decay bound"]) and fam["decay bound"] < 0.0
+    assert max(fam.values()) == rep.max_violation
+
+
 def test_exponential_gamma_integral_value():
     # gamma(t) = e^{-2 mu t}: the weighted integral tends to 1/mu
     pre = make_preset("eq24", t_final=50.0)
@@ -334,6 +347,22 @@ def test_block_reduction_keeps_the_loops_first_maximum():
             w.update_block(margins[start:start + block],
                            lambda s, f, start=start: (start + s, f))
         assert (w.margin, w.where) == (best, where)
+
+
+def test_block_reduction_keeps_each_familys_maximum():
+    from sedes.lyapunov import _Worst
+    rng = np.random.default_rng(6)
+    margins = rng.normal(size=(300, 3))
+    margins[17, 1] = np.nan
+    expected = np.where(np.isnan(margins), -math.inf, margins).max(axis=0)
+    for block in (1, 7, 128, 300):
+        w = _Worst(("a", "b", "c"))
+        for start in range(0, 300, block):
+            w.update_block(margins[start:start + block],
+                           lambda s, f: "")
+        assert w.by_family() == dict(zip("abc", expected.tolist()))
+    assert _Worst(("a", "b")).by_family() == {"a": -math.inf,
+                                              "b": -math.inf}
 
 
 def _loop_oracle(kind, p, L, s, n):
@@ -489,7 +518,7 @@ def test_diffusion_operator_is_a_row_of_the_block_kernel():
             nu=1.25, alpha_upper=1.75),
         drift=lambda t, u, v: -u * u * u + 0.5 * v,
         diffusion=lambda t, u, v: v * math.cos(t),
-        tau=1.0, noise=NoiseModel.q_wiener(n_modes=4),
+        tau=1.0, noise=NoiseModel.scalar(),
         initial_history=lambda th, x: 0.1 * np.sin(x),
         t_final=10.0, dt=0.01)
     cases = [(pre.problem, pre.lyapunov)
