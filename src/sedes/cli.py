@@ -105,8 +105,33 @@ INT_RANGES = {
 }
 
 
+# float keys and the range each must lie in; every one must be finite
+FLOAT_RANGES = {
+    "as_threshold": ("> 0", lambda v: v > 0.0),
+    "as_pass_fraction": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "u_bound": ("> 0", lambda v: v > 0.0),
+    "explosion_horizon": ("> 0", lambda v: v > 0.0),
+    "explosion_budget": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+
+
 class ConfigError(ValueError):
     pass
+
+
+def _is_number(val):
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
+
+
+def _check_window(key, val):
+    """None, or [lo, hi] with 0 <= lo < hi."""
+    if val is None:
+        return
+    if not (isinstance(val, list) and len(val) == 2
+            and all(_is_number(v) for v in val) and 0 <= val[0] < val[1]):
+        raise ConfigError("%s must be [lo, hi] with 0 <= lo < hi, got %r"
+                          % (key, val))
 
 
 def load_config(path=None, overrides=None) -> dict:
@@ -155,6 +180,17 @@ def load_config(path=None, overrides=None) -> dict:
             raise ConfigError("%s must be an integer >= %d%s, got %r"
                               % (key, lo, "" if hi is None
                                  else " and < 2^64", val))
+    for key, (text, ok) in FLOAT_RANGES.items():
+        if not (_is_number(cfg[key]) and ok(cfg[key])):
+            raise ConfigError("%s must be a finite number %s, got %r"
+                              % (key, text, cfg[key]))
+    ks = cfg["explosion_k_values"]
+    if not (isinstance(ks, list) and ks
+            and all(_is_number(k) and k > 0 for k in ks)):
+        raise ConfigError("explosion_k_values must be a non-empty list of "
+                          "positive numbers, got %r" % (ks,))
+    for key in ("as_window", "fit_window"):
+        _check_window(key, cfg[key])
     if cfg["decay_solver"] is None:
         cfg["decay_solver"] = cfg["preset"] == "eq24"
 
@@ -220,6 +256,10 @@ def run(cfg) -> int:
 
     preset = _build_preset(cfg)
     p = preset.problem
+    if cfg["as_window"] is not None and \
+            cfg["as_window"][1] > p.t_final + 1e-12:
+        raise ConfigError("as_window %r must sit inside [0, t_final=%g]"
+                          % (cfg["as_window"], p.t_final))
     resolved = dict(cfg)
     resolved.update(grid_n=p.grid.n_interior, dt=p.dt, tau=p.tau,
                     t_final=p.t_final, amplitude=preset.params["amplitude"])

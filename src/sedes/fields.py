@@ -111,12 +111,20 @@ def _check_values(values):
 # be processed as an array of shape (..., n).  The Field-level operations
 # below are thin wrappers.
 
+def _wall_diffs(values):
+    """Differences u_{i+1} - u_i over i = 0..n with u_0 = u_{n+1} = 0, as
+    np.diff(values, axis=-1, prepend=0.0, append=0.0) computes them."""
+    padded = np.zeros(values.shape[:-1] + (values.shape[-1] + 2,))
+    padded[..., 1:-1] = values
+    return padded[..., 1:] - padded[..., :-1]
+
+
 def h_norm_sq_values(values, dx):
     return dx * np.sum(values * values, axis=-1)
 
 
 def v_norm_sq_values(values, dx):
-    d = np.diff(values, axis=-1, prepend=0.0, append=0.0)
+    d = _wall_diffs(values)
     return np.sum(d * d, axis=-1) / dx
 
 
@@ -131,7 +139,7 @@ def h_inner_values(a, b, dx):
 
 def apply_operator_values(a_mid, values, dx):
     """Divergence-form stencil on (..., n) arrays; a_mid has length n+1."""
-    d = np.diff(values, axis=-1, prepend=0.0, append=0.0)
+    d = _wall_diffs(values)
     flux = a_mid * d
     return np.diff(flux, axis=-1) / (dx * dx)
 
@@ -142,7 +150,7 @@ def operator_quad_form_values(a_mid, values, dx):
     Returns -(1/dx) sum_i a_{i+1/2} (u_{i+1} - u_i)^2, which equals
     dx * sum_j (A u)_j u_j exactly in exact arithmetic.
     """
-    d = np.diff(values, axis=-1, prepend=0.0, append=0.0)
+    d = _wall_diffs(values)
     return -np.sum(a_mid * d * d, axis=-1) / dx
 
 

@@ -11,9 +11,11 @@ on the interior grid of (0, pi).  One step solves
 implicit in the stiff linear part (whose largest eigenvalue grows like
 4/dx^2 and would otherwise force dt = O(dx^2)), explicit in the
 nonlinearity and the noise so the scheme stays Ito-consistent.  The
-tridiagonal solve uses the Thomas algorithm without pivoting; the matrix
-is strictly diagonally dominant for any positive diffusion coefficient,
-so breakdown cannot occur.
+tridiagonal solve is cyclic reduction (Hockney 1965) without pivoting: the
+matrix is strictly diagonally dominant for any positive diffusion
+coefficient, every reduction level stays so, and breakdown cannot occur.
+Each level's multipliers are computed once per factor, and the solve runs
+on all paths at once with elementwise arithmetic only.
 
 The delay tau is pinned to an exact multiple m * dt (the constructor
 shrinks dt to the nearest divisor and records the adjustment), so the
@@ -55,6 +57,9 @@ __all__ = [
 ]
 
 EXPLOSION_LIMIT = 1e12
+# steps whose noise simulate_paths draws in one call; every draw is keyed
+# by (seed, path, step), so the value moves no bit of any path
+NOISE_BLOCK = 64
 
 
 class PointwiseCoeff:
@@ -266,10 +271,16 @@ class HistoryBuffer:
 
 
 class _TridiagFactor:
-    """Prefactored Thomas solve of (I - dt A(t)) x = rhs, batched over rows.
+    """Prefactored cyclic-reduction solve of (I - dt A(t)) x = rhs, batched
+    over rows.
 
-    No pivoting: the matrix is strictly diagonally dominant with positive
-    diagonal for any a > 0, so the elimination cannot break down.
+    Level k keeps the odd-numbered equations of level k-1, with their
+    even-numbered neighbours eliminated, so its rows sit at stride 2**k.
+    Every level's multipliers and reciprocal pivots are computed here, once;
+    solve() applies them level by level with elementwise ufuncs on (n, B)
+    rows, so no path's arithmetic depends on the rest of its batch.  No
+    pivoting: reduction keeps the matrix strictly diagonally dominant with
+    positive diagonal for any a > 0, so no pivot can vanish.
     """
 
     def __init__(self, a_mid, dt, dx):
@@ -278,29 +289,61 @@ class _TridiagFactor:
         lower = -r * a_mid[:-1]          # subdiagonal, entry j couples j-1
         upper = -r * a_mid[1:]           # superdiagonal, entry j couples j+1
         diag = 1.0 + r * (a_mid[:-1] + a_mid[1:])
-        denom = np.empty(n)
-        w = np.empty(n)
-        denom[0] = diag[0]
-        w[0] = upper[0] / denom[0]
-        for j in range(1, n):
-            denom[j] = diag[j] - lower[j] * w[j - 1]
-            w[j] = upper[j] / denom[j]
-        assert np.all(denom > 0.0), "tridiagonal elimination broke down"
+        lower[0] = upper[-1] = 0.0       # the walls carry no unknown
         self.n = n
-        self._lower = lower.tolist()
-        self._inv_denom = (1.0 / denom).tolist()
-        self._w = w.tolist()
+        self._reduce, self._back = [], []
+        s = 1                            # stride of this level's rows
+        while diag.size > 1:
+            ne, no = (diag.size + 1) // 2, diag.size // 2
+            m = ne - 1                   # odd rows with a right neighbour
+            assert np.all(diag > 0.0), "cyclic reduction broke down"
+            inv = 1.0 / diag[0::2]
+            lo_e, up_e = lower[0::2], upper[0::2]
+            alpha = -lower[1::2] * inv[:no]
+            beta = -upper[1::2][:m] * inv[1:]
+            w = 2 * s
+            odd = slice(w - 1, None, w)
+            odd_m = slice(w - 1, w - 1 + w * m, w)      # the first m odd rows
+            left = slice(s - 1, s - 1 + w * no, w)      # even row left of odd
+            right = slice(w + s - 1, w + s - 1 + w * m, w)  # right of odd_m
+            self._reduce.append((no, m, odd, odd_m, left, right,
+                                 alpha[:, None], beta[:, None]))
+            self._back.append((no, m, slice(s - 1, None, w), odd, odd_m,
+                               left, right, inv[:, None],
+                               (lo_e[1:] * inv[1:])[:, None],
+                               (up_e[:no] * inv[:no])[:, None]))
+            next_diag = diag[1::2] + alpha * up_e[:no]
+            next_diag[:m] += beta * lo_e[1:]
+            lower = alpha * lo_e[:no]
+            upper = np.zeros(no)
+            upper[:m] = beta * up_e[1:]
+            diag = next_diag
+            s = w
+        assert diag[0] > 0.0, "cyclic reduction broke down"
+        self._top = (s - 1, 1.0 / diag[0])
+        self._back.reverse()
 
     def solve(self, rhs):
-        n = self.n
-        lo, inv, w = self._lower, self._inv_denom, self._w
-        x = np.empty_like(rhs)
-        x[..., 0] = rhs[..., 0] * inv[0]
-        for j in range(1, n):
-            x[..., j] = (rhs[..., j] - lo[j] * x[..., j - 1]) * inv[j]
-        for j in range(n - 2, -1, -1):
-            x[..., j] -= w[j] * x[..., j + 1]
-        return x
+        """Solve for every row of rhs (B, n); returns a C-contiguous (B, n)."""
+        work = np.empty((self.n + self.n // 2, rhs.shape[0]))
+        f, tmp = work[:self.n], work[self.n:]
+        np.copyto(f, rhs.T)
+        for no, m, odd, odd_m, left, right, alpha, beta in self._reduce:
+            o = f[odd]
+            o += np.multiply(alpha, f[left], out=tmp[:no])
+            o = f[odd_m]
+            o += np.multiply(beta, f[right], out=tmp[:m])
+        row, inv = self._top
+        f[row] *= inv
+        for (no, m, even, odd, odd_m, left, right,
+             inv, lo_inv, up_inv) in self._back:
+            e = f[even]
+            e *= inv
+            e = f[right]
+            e -= np.multiply(lo_inv, f[odd_m], out=tmp[:m])
+            e = f[left]
+            e -= np.multiply(up_inv, f[odd], out=tmp[:no])
+        return f.T.copy()
 
 
 def _factor_for(p: ProblemSpec, t_next: float) -> _TridiagFactor:
@@ -405,48 +448,53 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
     if 0 in snapshot_steps:
         snapshots[0] = x0.copy()
 
-    for step in range(1, n_steps + 1):
-        # a path heading for blow-up may overflow inside the coefficients;
-        # that is detected and reported below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            dB = p.noise.increments(path_arr, step - 1, dt)
+    # a path heading for blow-up may overflow inside the coefficients, the
+    # solve or the norms; that is detected and reported below, not warned
+    # about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(1, n_steps + 1):
+            k = (step - 1) % NOISE_BLOCK
+            if k == 0:
+                dBs = p.noise.increments(
+                    path_arr,
+                    np.arange(step - 1, min(step - 1 + NOISE_BLOCK, n_steps)),
+                    dt)
             x_new = _em_step(p, (step - 1) * dt, step * dt, hist.current(),
-                             hist.delayed(), dB)
+                             hist.delayed(), dBs[:, k:k + 1])
             hn2 = h_norm_sq_values(x_new, dx)
 
-        finite = np.isfinite(hn2) & np.all(np.isfinite(x_new), axis=1)
-        over = finite & (hn2 > limit_sq)
-        if clamp:
-            newly_clamped = over & alive
-            if newly_clamped.any():
-                with np.errstate(invalid="ignore", divide="ignore"):
+            # a finite squared norm implies finite entries
+            finite = np.isfinite(hn2)
+            over = finite & (hn2 > limit_sq)
+            if clamp:
+                newly_clamped = over & alive
+                if newly_clamped.any():
                     scale = np.where(over,
                                      p.explosion_limit / np.sqrt(hn2), 1.0)
-                x_new = x_new * scale[:, None]
-                hn2 = np.where(over, limit_sq, hn2)
-                first = newly_clamped & (statuses == "completed")
-                statuses[first] = "clamped"
-                status_times[first] = step * dt
-            bad = ~finite
-        else:
-            bad = ~finite | over
-        newly_bad = bad & alive
-        if newly_bad.any():
-            statuses[newly_bad] = "exploded"
-            status_times[newly_bad] = step * dt
-            alive &= ~bad
-            x_new[bad] = 0.0
-            hn2 = np.where(bad, np.nan, hn2)
+                    x_new = x_new * scale[:, None]
+                    hn2 = np.where(over, limit_sq, hn2)
+                    first = newly_clamped & (statuses == "completed")
+                    statuses[first] = "clamped"
+                    status_times[first] = step * dt
+                bad = ~finite
+            else:
+                bad = ~finite | over
+            newly_bad = bad & alive
+            if newly_bad.any():
+                statuses[newly_bad] = "exploded"
+                status_times[newly_bad] = step * dt
+                alive &= ~bad
+                x_new[bad] = 0.0
+                hn2 = np.where(bad, np.nan, hn2)
 
-        with np.errstate(invalid="ignore", over="ignore"):
             h_norms[:, step] = np.where(alive, np.sqrt(hn2), np.nan)
             if n_v:
                 vn2 = v_norm_sq_values(x_new[:n_v], dx)
                 v_norms[:, step] = np.where(alive[:n_v], np.sqrt(vn2), np.nan)
 
-        hist.push(x_new)
-        if step in snapshot_steps:
-            snapshots[step] = hist.current().copy()
+            hist.push(x_new)
+            if step in snapshot_steps:
+                snapshots[step] = hist.current().copy()
 
     res = BatchResult(times, h_norms, v_norms, statuses.tolist(),
                       status_times.tolist(), list(path_arr))

@@ -95,14 +95,22 @@ class NoiseModel:
         return cls(seed=seed)
 
     def increments(self, path_ids, step_index, dt):
-        """Batch of increments B(t+dt) - B(t), shape (len(path_ids), 1)."""
+        """Increments B(t+dt) - B(t) over the steps starting at step_index.
+
+        step_index is one step, giving shape (len(path_ids), 1), or a 1-D
+        array of K steps, giving shape (len(path_ids), K) whose column k is
+        the one-step draw at step_index[k], bit for bit.
+        """
         if dt <= 0:
             raise ValueError("nonpositive step")
         paths = np.atleast_1d(np.asarray(path_ids))
+        steps = np.atleast_1d(np.asarray(step_index, dtype=np.int64))
+        if steps.ndim != 1:
+            raise ValueError("step_index must be a step or a 1-D array")
         # the trailing key word 0 is part of the key of every stream the
         # package draws: dropping it would move every path, and with it
         # every ensemble and every reproducible artifact
-        z = keyed_gaussians(self.seed, paths[:, None], int(step_index), 0)
+        z = keyed_gaussians(self.seed, paths[:, None], steps[None, :], 0)
         return math.sqrt(dt) * z
 
 

@@ -201,6 +201,11 @@ def test_eq6_with_conditions_and_as_stats_passes(tmp_path):
     assert rep["as_stats"]["fraction"] >= 0.99
 
 
+# a run small enough that a bad key is reached within seconds
+SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
+              "check_conditions": False}
+
+
 @pytest.mark.parametrize("args, config", [
     (["--preset", "heat", "--grid-n", "1"], None),
     (["--preset", "heat", "--dt", "-1"], None),
@@ -216,11 +221,19 @@ def test_eq6_with_conditions_and_as_stats_passes(tmp_path):
     ([], {"preset": "heat", "seed": 2 ** 64}),
     (["--preset", "heat", "--sampler-seed", "-1"], None),
     ([], {"preset": "heat", "sampler_seed": 1.0}),
+    ([], dict(SMALL_EQ16, explosion_scan=True, explosion_horizon=-1)),
+    ([], dict(SMALL_EQ16, as_stats=True, as_threshold="x")),
+    ([], dict(SMALL_EQ16, explosion_budget="x")),
+    ([], dict(SMALL_EQ16, as_stats=True, as_window=[3, 1])),
+    ([], dict(SMALL_EQ16, explosion_scan=True, explosion_k_values=[])),
 ], ids=["grid-n-1", "dt-negative", "n-paths-not-integer", "paths-0",
         "n-samples-not-integer", "n-samples-negative", "n-samples-0",
         "record-points-not-integer", "record-points-1",
         "n-sample-paths-negative", "seed-not-integer", "seed-too-large",
-        "sampler-seed-negative", "sampler-seed-float"])
+        "sampler-seed-negative", "sampler-seed-float",
+        "explosion-horizon-negative", "as-threshold-not-number",
+        "explosion-budget-not-number", "as-window-reversed",
+        "explosion-k-values-empty"])
 def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
                                                         config):
     # run as a process so an escaping exception shows as a traceback

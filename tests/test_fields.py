@@ -23,6 +23,11 @@ from sedes import (
     sine_field,
     v_norm,
 )
+from sedes.fields import (
+    apply_operator_values,
+    operator_quad_form_values,
+    v_norm_sq_values,
+)
 
 
 def random_field(grid, rng, scale=1.0):
@@ -190,3 +195,20 @@ def test_quartic_is_the_integral_of_u4():
     # integral of sin^4 over (0, pi) is 3 pi / 8
     assert quartic(f) == pytest.approx(3 * math.pi / 8, abs=1e-3)
     assert quartic(Field.zero(g)) == 0.0
+
+
+def test_wall_difference_kernels_equal_their_np_diff_forms():
+    # the np.diff forms the kernels used to be written in are the
+    # reference: same subtractions, same sums, so equal to the bit
+    rng = np.random.default_rng(17)
+    for shape in ((2,), (31,), (5, 63), (3, 4, 200)):
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
+        a_mid = rng.uniform(0.5, 2.0, shape[-1] + 1)
+        dx = math.pi / (shape[-1] + 1)
+        d = np.diff(vals, axis=-1, prepend=0.0, append=0.0)
+        assert np.array_equal(v_norm_sq_values(vals, dx),
+                              np.sum(d * d, axis=-1) / dx)
+        assert np.array_equal(apply_operator_values(a_mid, vals, dx),
+                              np.diff(a_mid * d, axis=-1) / (dx * dx))
+        assert np.array_equal(operator_quad_form_values(a_mid, vals, dx),
+                              -np.sum(a_mid * d * d, axis=-1) / dx)

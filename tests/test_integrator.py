@@ -280,3 +280,97 @@ def test_step_rejects_an_increment_of_another_dt():
     assert h.head_time == 0.0
     x = imex_em_step(p, h, 0.0, sample_increment(p.noise, 0, 0, p.dt))
     assert x.values.shape == (p.grid.n_interior,)
+
+
+# ---------------------------------------------------------------------------
+# The implicit solve.  Cyclic reduction replaced the Thomas algorithm; the
+# Thomas elimination is kept here as the reference.
+
+class ThomasFactor:
+    """Thomas solve of (I - dt A) x = rhs, one elimination per row."""
+
+    def __init__(self, a_mid, dt, dx):
+        r = dt / (dx * dx)
+        n = a_mid.size - 1
+        self.lower = -r * a_mid[:-1]
+        upper = -r * a_mid[1:]
+        diag = 1.0 + r * (a_mid[:-1] + a_mid[1:])
+        self.denom = np.empty(n)
+        self.w = np.empty(n)
+        self.denom[0] = diag[0]
+        self.w[0] = upper[0] / diag[0]
+        for j in range(1, n):
+            self.denom[j] = diag[j] - self.lower[j] * self.w[j - 1]
+            self.w[j] = upper[j] / self.denom[j]
+
+    def solve(self, rhs):
+        x = np.empty_like(rhs)
+        x[..., 0] = rhs[..., 0] / self.denom[0]
+        for j in range(1, x.shape[-1]):
+            x[..., j] = ((rhs[..., j] - self.lower[j] * x[..., j - 1])
+                         / self.denom[j])
+        for j in range(x.shape[-1] - 2, -1, -1):
+            x[..., j] -= self.w[j] * x[..., j + 1]
+        return x
+
+
+def tridiag_matrix(a_mid, dt, dx):
+    r = dt / (dx * dx)
+    return (np.diag(1.0 + r * (a_mid[:-1] + a_mid[1:]))
+            - np.diag(r * a_mid[1:-1], 1) - np.diag(r * a_mid[1:-1], -1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 63, 64, 200, 1000])
+@pytest.mark.parametrize("dt", [1e-5, 1e-3, 1e-1])
+def test_cyclic_reduction_matches_thomas(n, dt):
+    from sedes.integrator import _TridiagFactor
+    rng = np.random.default_rng(n)
+    a_mid = rng.uniform(0.5, 2.0, n + 1)
+    dx = math.pi / (n + 1)
+    rhs = rng.standard_normal((7, n))
+    x = _TridiagFactor(a_mid, dt, dx).solve(rhs)
+    ref = ThomasFactor(a_mid, dt, dx).solve(rhs)
+    assert x.shape == rhs.shape and x.flags.c_contiguous
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if n <= 200:
+        resid = tridiag_matrix(a_mid, dt, dx) @ x.T - rhs.T
+        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(rhs))
+    # each row is solved with its own arithmetic: a one-row solve gives
+    # the same bits as that row of the batch
+    solver = _TridiagFactor(a_mid, dt, dx)
+    for i in range(rhs.shape[0]):
+        one = solver.solve(rhs[i:i + 1])
+        assert one.flags.c_contiguous
+        assert np.array_equal(one[0], x[i])
+
+
+def _block_cases():
+    yield "eq16", make_preset("eq16", t_final=0.15, seed=3).problem, False
+    yield "eq24", make_preset("eq24", t_final=0.15, seed=4).problem, False
+    # cubic feedback with multiplicative noise: some paths explode, and in
+    # clamp mode the same paths are held on the ball instead
+    boom = zero_problem(grid_n=31, dt=1e-2, tau=0.1, t_final=1.5,
+                        amplitude=3.0, drift=lambda t, u, v: u ** 3,
+                        diffusion=lambda t, u, v: 3.0 * u,
+                        explosion_limit=1e3)
+    yield "explodes", boom, False
+    yield "clamped", boom, True
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_ensembles_do_not_depend_on_the_noise_block(monkeypatch, block):
+    import sedes.integrator as integ
+    ref = {name: simulate_paths(p, range(6), clamp=clamp)
+           for name, p, clamp in _block_cases()}
+    assert "exploded" in ref["explodes"].statuses
+    assert "completed" in ref["explodes"].statuses
+    assert "clamped" in ref["clamped"].statuses
+    monkeypatch.setattr(integ, "NOISE_BLOCK", block)
+    for name, p, clamp in _block_cases():
+        res = simulate_paths(p, range(6), clamp=clamp)
+        assert np.array_equal(res.h_norms, ref[name].h_norms,
+                              equal_nan=True), name
+        assert np.array_equal(res.v_norms, ref[name].v_norms,
+                              equal_nan=True), name
+        assert res.statuses == ref[name].statuses, name
+        assert res.status_times == ref[name].status_times, name

@@ -54,3 +54,25 @@ def test_nonpositive_step_rejected():
         sample_increment(m, 0, 0, 0.0)
     with pytest.raises(ValueError, match="nonpositive step"):
         sample_increment(m, 0, 0, -0.1)
+
+
+@pytest.mark.parametrize("B", [1, 3, 200])
+@pytest.mark.parametrize("K", [1, 7, 64])
+def test_block_of_steps_is_the_one_step_draws(B, K):
+    # a block of steps is drawn in one call; column k must be the one-step
+    # draw at its step, bit for bit, wherever the block starts
+    m = NoiseModel.scalar(seed=41)
+    ids = np.arange(5, 5 + B)
+    for start in (0, 37, 1001):
+        block = m.increments(ids, np.arange(start, start + K), 1e-3)
+        assert block.shape == (B, K)
+        for k in range(K):
+            assert np.array_equal(block[:, k],
+                                  m.increments(ids, start + k, 1e-3)[:, 0])
+
+
+def test_step_index_must_be_a_step_or_a_1d_array():
+    m = NoiseModel.scalar(seed=0)
+    assert m.increments([0, 1], 4, 0.01).shape == (2, 1)
+    with pytest.raises(ValueError, match="1-D"):
+        m.increments([0, 1], np.zeros((2, 2), dtype=int), 0.01)
