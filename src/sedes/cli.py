@@ -113,6 +113,10 @@ FLOAT_RANGES = {
     "explosion_horizon": ("> 0", lambda v: v > 0.0),
     "explosion_budget": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
 }
+# numbers handed to make_preset, which checks their ranges; None means the
+# preset's default
+PRESET_FLOATS = ("dt", "tau", "t_final", "amplitude", "nu", "a", "b", "c",
+                 "g_factor", "lam2")
 
 
 class ConfigError(ValueError):
@@ -184,11 +188,17 @@ def load_config(path=None, overrides=None) -> dict:
         if not (_is_number(cfg[key]) and ok(cfg[key])):
             raise ConfigError("%s must be a finite number %s, got %r"
                               % (key, text, cfg[key]))
+    for key in PRESET_FLOATS:
+        if cfg[key] is not None and not _is_number(cfg[key]):
+            raise ConfigError("%s must be a finite number, got %r"
+                              % (key, cfg[key]))
     ks = cfg["explosion_k_values"]
     if not (isinstance(ks, list) and ks
-            and all(_is_number(k) and k > 0 for k in ks)):
-        raise ConfigError("explosion_k_values must be a non-empty list of "
-                          "positive numbers, got %r" % (ks,))
+            and all(_is_number(k) and k > 0 for k in ks)
+            and all(a < b for a, b in zip(ks, ks[1:]))):
+        raise ConfigError("explosion_k_values must be a non-empty, "
+                          "increasing list of positive numbers, got %r"
+                          % (ks,))
     for key in ("as_window", "fit_window"):
         _check_window(key, cfg[key])
     if cfg["decay_solver"] is None:
@@ -378,9 +388,13 @@ def run(cfg) -> int:
         if cfg["explosion_horizon"] != p.t_final:
             print("note: explosion scan runs to horizon %g, not t_final %g"
                   % (cfg["explosion_horizon"], p.t_final))
-        explosion_rows = explosion_scan(p, cfg["explosion_k_values"],
-                                        cfg["n_paths"],
-                                        cfg["explosion_horizon"])
+        try:
+            explosion_rows = explosion_scan(p, cfg["explosion_k_values"],
+                                            cfg["n_paths"],
+                                            cfg["explosion_horizon"])
+        except ValueError as err:
+            # a radius inside the initial data's ball
+            raise ConfigError(str(err)) from err
         monotone = all(
             b.probability <= a.probability + 2.0 * (a.stderr + b.stderr)
             for a, b in zip(explosion_rows, explosion_rows[1:]))

@@ -226,6 +226,11 @@ SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
     ([], dict(SMALL_EQ16, explosion_budget="x")),
     ([], dict(SMALL_EQ16, as_stats=True, as_window=[3, 1])),
     ([], dict(SMALL_EQ16, explosion_scan=True, explosion_k_values=[])),
+    ([], dict(SMALL_EQ16, explosion_scan=True, explosion_k_values=[4, 2])),
+    ([], dict(SMALL_EQ16, explosion_scan=True, ms_ensemble=False,
+              amplitude=1.0, explosion_horizon=1.0,
+              explosion_k_values=[0.5, 2.0])),
+    ([], {"preset": "eq24", "grid_n": 15, "nu": "x"}),
 ], ids=["grid-n-1", "dt-negative", "n-paths-not-integer", "paths-0",
         "n-samples-not-integer", "n-samples-negative", "n-samples-0",
         "record-points-not-integer", "record-points-1",
@@ -233,7 +238,8 @@ SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
         "sampler-seed-negative", "sampler-seed-float",
         "explosion-horizon-negative", "as-threshold-not-number",
         "explosion-budget-not-number", "as-window-reversed",
-        "explosion-k-values-empty"])
+        "explosion-k-values-empty", "explosion-k-values-decreasing",
+        "explosion-k-inside-initial-data", "eq24-nu-not-number"])
 def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
                                                         config):
     # run as a process so an escaping exception shows as a traceback
