@@ -35,7 +35,7 @@ from .fields import lambda_min
 from .integrator import simulate_paths
 from .lyapunov import (FourierSampler, check_exponential, check_khasminskii,
                        check_lasalle)
-from .presets import PRESET_NAMES, make_preset
+from .presets import DEFAULTS as PRESET_DEFAULTS, PRESET_NAMES, make_preset
 from .stability import (StabilityReport, as_stats_from_batch,
                         default_record_times, explosion_scan,
                         fit_decay_rate_adaptive, ms_curve_from_batch,
@@ -117,6 +117,15 @@ FLOAT_RANGES = {
 # preset's default
 PRESET_FLOATS = ("dt", "tau", "t_final", "amplitude", "nu", "a", "b", "c",
                  "g_factor", "lam2")
+
+
+# the largest run the CLI starts, in bytes of its arrays as _run_bytes
+# counts them
+MAX_RUN_BYTES = 8 * 2 ** 30
+# floats per grid point held by the problem's set-up (the initial-history
+# check) or by one block of checker samples, whichever is larger; both
+# measure about 840
+SETUP_FLOATS_PER_POINT = 1024
 
 
 class ConfigError(ValueError):
@@ -224,7 +233,43 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
+def _run_bytes(cfg):
+    """Bytes of the arrays a run allocates, counted in floats from the
+    config numbers alone: the set-up, and per ensemble pass the delay ring
+    (m+1, B, n) and the norm traces and time grid of n_steps + 1 entries.
+    None when a number is one make_preset rejects anyway."""
+    d = PRESET_DEFAULTS[cfg["preset"]]
+    try:
+        n, dt, tau, t_final = (float(d[k] if cfg[k] is None else cfg[k])
+                               for k in ("grid_n", "dt", "tau", "t_final"))
+    except (TypeError, ValueError):
+        return None
+    if not (n >= 2 and dt > 0 and tau > 0 and t_final > 0):
+        return None
+    # steps per delay, before ProblemSpec rounds it up to an integer; in
+    # floats, so no count overflows
+    m = max(tau / dt, 1.0)
+    B = float(cfg["n_paths"])
+    floats = SETUP_FLOATS_PER_POINT * n
+
+    def ensemble(horizon, traces):
+        steps = horizon * m / tau
+        return (m + 1.0) * B * n + (traces + 1.0) * (steps + 1.0)
+
+    if cfg["ms_ensemble"] or cfg["as_stats"]:
+        floats += ensemble(t_final, B + min(cfg["n_sample_paths"], B))
+    if cfg["explosion_scan"]:
+        floats += ensemble(cfg["explosion_horizon"], B)
+    return 8.0 * floats
+
+
 def _build_preset(cfg):
+    size = _run_bytes(cfg)
+    if size is not None and size > MAX_RUN_BYTES:
+        raise ConfigError(
+            "run needs about %.3g GiB of arrays (delay ring, norm traces, "
+            "set-up), above the limit of %g GiB; lower n_paths, grid_n, "
+            "tau/dt or t_final" % (size / 2 ** 30, MAX_RUN_BYTES / 2 ** 30))
     try:
         return make_preset(
             cfg["preset"], grid_n=cfg["grid_n"], dt=cfg["dt"],

@@ -15,7 +15,15 @@ tridiagonal solve is cyclic reduction (Hockney 1965) without pivoting: the
 matrix is strictly diagonally dominant for any positive diffusion
 coefficient, every reduction level stays so, and breakdown cannot occur.
 Each level's multipliers are computed once per factor, and the solve runs
-on all paths at once with elementwise arithmetic only.
+on all paths at once with elementwise arithmetic only.  It stores every
+level as two contiguous (k, B) blocks, [evens | odds], so each of its
+ufunc calls is one flat loop over k * B numbers; the odd rows are
+de-interleaved into the next level on the way down and interleaved back
+on the way up.  The ensemble driver forms the right-hand side in buffers
+allocated once per run, and the solve writes the new state straight into
+the ring slot of the delayed state, the one slot no later part of the
+step reads; explosion zeroing and clamp scaling then act on that slot in
+place.
 
 The delay tau is pinned to an exact multiple m * dt (the constructor
 shrinks dt to the nearest divisor and records the adjustment), so the
@@ -265,8 +273,13 @@ class HistoryBuffer:
         return self._ring[(self._head - j) % (self._m + 1)]
 
     def push(self, values):
+        self.delayed()[...] = values
+        self.advance()
+
+    def advance(self):
+        """Move the head onto the slot delayed() returned, whose values the
+        caller has overwritten with the new state (push without a copy)."""
         self._head = (self._head + 1) % (self._m + 1)
-        self._ring[self._head] = values
         self.head_time += self.dt
 
 
@@ -275,12 +288,20 @@ class _TridiagFactor:
     over rows.
 
     Level k keeps the odd-numbered equations of level k-1, with their
-    even-numbered neighbours eliminated, so its rows sit at stride 2**k.
-    Every level's multipliers and reciprocal pivots are computed here, once;
-    solve() applies them level by level with elementwise ufuncs on (n, B)
-    rows, so no path's arithmetic depends on the rest of its batch.  No
-    pivoting: reduction keeps the matrix strictly diagonally dominant with
-    positive diagonal for any a > 0, so no pivot can vanish.
+    even-numbered neighbours eliminated.  Every level's multipliers and
+    reciprocal pivots are computed here, once; solve() applies them level
+    by level with elementwise ufuncs, so no path's arithmetic depends on the
+    rest of its batch.  No pivoting: reduction keeps the matrix strictly
+    diagonally dominant with positive diagonal for any a > 0, so no pivot
+    can vanish.
+
+    solve() keeps each level as two contiguous (k, B) blocks in natural
+    order, [evens | odds] (see _Workspace), so every reduction and
+    back-substitution op is one flat ufunc loop.  The coefficients are
+    materialized as (k, B) arrays for the same reason: against a (k, 1)
+    column numpy restarts its inner loop on every row.  Both forms give the
+    same bits; the materialized one is faster at every batch size measured
+    (50 to 2000).
     """
 
     def __init__(self, a_mid, dt, dx):
@@ -291,8 +312,9 @@ class _TridiagFactor:
         diag = 1.0 + r * (a_mid[:-1] + a_mid[1:])
         lower[0] = upper[-1] = 0.0       # the walls carry no unknown
         self.n = n
-        self._reduce, self._back = [], []
-        s = 1                            # stride of this level's rows
+        # per level: alpha, beta (reduction) and inv, lo_inv, up_inv (back
+        # substitution), for the level's no odd and ne even rows
+        self._levels = []
         while diag.size > 1:
             ne, no = (diag.size + 1) // 2, diag.size // 2
             m = ne - 1                   # odd rows with a right neighbour
@@ -301,49 +323,96 @@ class _TridiagFactor:
             lo_e, up_e = lower[0::2], upper[0::2]
             alpha = -lower[1::2] * inv[:no]
             beta = -upper[1::2][:m] * inv[1:]
-            w = 2 * s
-            odd = slice(w - 1, None, w)
-            odd_m = slice(w - 1, w - 1 + w * m, w)      # the first m odd rows
-            left = slice(s - 1, s - 1 + w * no, w)      # even row left of odd
-            right = slice(w + s - 1, w + s - 1 + w * m, w)  # right of odd_m
-            self._reduce.append((no, m, odd, odd_m, left, right,
-                                 alpha[:, None], beta[:, None]))
-            self._back.append((no, m, slice(s - 1, None, w), odd, odd_m,
-                               left, right, inv[:, None],
-                               (lo_e[1:] * inv[1:])[:, None],
-                               (up_e[:no] * inv[:no])[:, None]))
+            self._levels.append((alpha, beta, inv, lo_e[1:] * inv[1:],
+                                 up_e[:no] * inv[:no]))
             next_diag = diag[1::2] + alpha * up_e[:no]
             next_diag[:m] += beta * lo_e[1:]
             lower = alpha * lo_e[:no]
             upper = np.zeros(no)
             upper[:m] = beta * up_e[1:]
             diag = next_diag
-            s = w
         assert diag[0] > 0.0, "cyclic reduction broke down"
-        self._top = (s - 1, 1.0 / diag[0])
-        self._back.reverse()
+        self._top = 1.0 / diag[0]
+        self._columns = (0, None)
 
-    def solve(self, rhs):
-        """Solve for every row of rhs (B, n); returns a C-contiguous (B, n)."""
-        work = np.empty((self.n + self.n // 2, rhs.shape[0]))
-        f, tmp = work[:self.n], work[self.n:]
-        np.copyto(f, rhs.T)
-        for no, m, odd, odd_m, left, right, alpha, beta in self._reduce:
-            o = f[odd]
-            o += np.multiply(alpha, f[left], out=tmp[:no])
-            o = f[odd_m]
-            o += np.multiply(beta, f[right], out=tmp[:m])
-        row, inv = self._top
-        f[row] *= inv
-        for (no, m, even, odd, odd_m, left, right,
-             inv, lo_inv, up_inv) in self._back:
-            e = f[even]
-            e *= inv
-            e = f[right]
-            e -= np.multiply(lo_inv, f[odd_m], out=tmp[:m])
-            e = f[left]
-            e -= np.multiply(up_inv, f[odd], out=tmp[:no])
-        return f.T.copy()
+    def _columns_for(self, batch):
+        """Every level's coefficients as (k, batch) arrays, kept for the
+        last batch size asked for."""
+        if self._columns[0] != batch:
+            self._columns = (batch, [
+                tuple(np.repeat(c[:, None], batch, axis=1) for c in level)
+                for level in self._levels])
+        return self._columns[1]
+
+    def solve(self, rhs, out=None, work=None):
+        """Solve for every row of rhs (B, n) into out, a C-contiguous (B, n)
+        (allocated when None); work is a _Workspace for n and B, built
+        here when None.  rhs may be work.rhs or share memory with out: it
+        is read in full before out is written."""
+        B = rhs.shape[0]
+        if work is None:
+            work = _Workspace(self.n, B)
+        if out is None:
+            out = np.empty((B, self.n))
+        mul, add, sub, copy = np.multiply, np.add, np.subtract, np.copyto
+        levels = list(zip(work.levels, self._columns_for(B)))
+        evens, odds = work.level0
+        copy(evens, rhs[:, 0::2].T)
+        copy(odds, rhs[:, 1::2].T)
+        for (e, o, e_l, e_r, o_m, t_no, t_m, o_ev, o_od, n_ev, n_od), \
+                (alpha, beta, _, _, _) in levels:
+            mul(alpha, e_l, t_no)
+            add(o, t_no, o)
+            mul(beta, e_r, t_m)
+            add(o_m, t_m, o_m)
+            copy(n_ev, o_ev)
+            copy(n_od, o_od)
+        mul(work.top, self._top, work.top)
+        for (e, o, e_l, e_r, o_m, t_no, t_m, o_ev, o_od, n_ev, n_od), \
+                (_, _, inv, lo_inv, up_inv) in reversed(levels):
+            copy(o_ev, n_ev)
+            copy(o_od, n_od)
+            mul(e, inv, e)
+            mul(lo_inv, o_m, t_m)
+            sub(e_r, t_m, e_r)
+            mul(up_inv, o, t_no)
+            sub(e_l, t_no, e_l)
+        copy(out[:, 0::2], evens.T)
+        copy(out[:, 1::2], odds.T)
+        return out
+
+
+class _Workspace:
+    """Buffers of one IMEX step for B paths of n unknowns, with every view
+    the solve uses, built once per run.
+
+    rhs and noise hold the right-hand side and its noise term.  The solve
+    stores a level of k rows as a (k, B) array whose first (k + 1) // 2 rows
+    are the level's even rows and the rest its odd rows, each in natural
+    order.  The odd rows are the next level's rows, so between levels the
+    odds block is de-interleaved into the next level's array on the way
+    down and interleaved back on the way up; level 0 is filled straight
+    from the transposed right-hand side and read straight into the
+    solution.
+    """
+
+    def __init__(self, n, batch):
+        self.rhs = np.empty((batch, n))
+        self.noise = np.empty((batch, n))
+        tmp = np.empty((n // 2, batch))
+        f = np.empty((n, batch))
+        self.level0 = (f[:(n + 1) // 2], f[(n + 1) // 2:])
+        self.levels = []
+        while f.shape[0] > 1:
+            ne, no = (f.shape[0] + 1) // 2, f.shape[0] // 2
+            e, o = f[:ne], f[ne:]
+            nxt = np.empty((no, batch))
+            half = (no + 1) // 2
+            self.levels.append((e, o, e[:no], e[1:], o[:ne - 1], tmp[:no],
+                                tmp[:ne - 1], o[0::2], o[1::2], nxt[:half],
+                                nxt[half:]))
+            f = nxt
+        self.top = f
 
 
 def _factor_for(p: ProblemSpec, t_next: float) -> _TridiagFactor:
@@ -358,13 +427,23 @@ def _factor_for(p: ProblemSpec, t_next: float) -> _TridiagFactor:
     return factor
 
 
-def _em_step(p: ProblemSpec, t: float, t_next: float, x, y, dB):
-    """Scheme arithmetic: solve (I - dt A(t_next)) x' = x + dt f + g dB, with
-    f, g at (t, x, y) and dB the Brownian increments, one per row of x."""
+def _em_step(p: ProblemSpec, t: float, x, y, dB, work=None, out=None):
+    """Scheme arithmetic: solve (I - dt A(t + dt)) x' = x + dt f + g dB,
+    with f, g at (t, x, y) and dB the Brownian increments, one per row of x.
+
+    x' goes into out (allocated when None).  out may be y's memory: the
+    right-hand side is formed in work's buffers before the solve writes."""
     dx = p.grid.dx
     drift = np.asarray(p.drift.evaluate(t, x, y, dx), dtype=float)
     diff = np.asarray(p.diffusion.evaluate(t, x, y, dx), dtype=float)
-    return _factor_for(p, t_next).solve(x + p.dt * drift + diff * dB)
+    if work is None:
+        work = _Workspace(p.grid.n_interior, x.shape[0])
+    rhs, noise = work.rhs, work.noise
+    np.multiply(p.dt, drift, rhs)
+    np.add(x, rhs, rhs)
+    np.multiply(diff, dB, noise)
+    np.add(rhs, noise, rhs)
+    return _factor_for(p, t + p.dt).solve(rhs, out, work)
 
 
 def imex_em_step(p: ProblemSpec, h: HistoryBuffer, t: float,
@@ -377,7 +456,7 @@ def imex_em_step(p: ProblemSpec, h: HistoryBuffer, t: float,
     if not math.isclose(dW.dt, p.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ValueError("noise increment dt=%g does not match problem dt=%g"
                          % (dW.dt, p.dt))
-    out = _em_step(p, t, t + p.dt, h.current(), h.delayed(), dW.coords)
+    out = _em_step(p, t, h.current(), h.delayed(), dW.coords)
     return Field(p.grid, out[0])
 
 
@@ -431,6 +510,7 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
 
     hist = HistoryBuffer.from_problem(p, B)
     x0 = hist.current()
+    work = _Workspace(p.grid.n_interior, B)
 
     times = dt * np.arange(n_steps + 1)
     h_norms = np.full((B, n_steps + 1), np.nan)
@@ -459,8 +539,12 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
                     path_arr,
                     np.arange(step - 1, min(step - 1 + NOISE_BLOCK, n_steps)),
                     dt)
-            x_new = _em_step(p, (step - 1) * dt, step * dt, hist.current(),
-                             hist.delayed(), dBs[:, k:k + 1])
+            # the delayed state is last read while the right-hand side is
+            # formed, so the solve writes the new state over it, in the ring
+            x_new = _em_step(p, (step - 1) * dt, hist.current(),
+                             hist.delayed(), dBs[:, k:k + 1], work,
+                             out=hist.delayed())
+            hist.advance()
             hn2 = h_norm_sq_values(x_new, dx)
 
             # a finite squared norm implies finite entries
@@ -471,7 +555,7 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
                 if newly_clamped.any():
                     scale = np.where(over,
                                      p.explosion_limit / np.sqrt(hn2), 1.0)
-                    x_new = x_new * scale[:, None]
+                    x_new *= scale[:, None]
                     hn2 = np.where(over, limit_sq, hn2)
                     first = newly_clamped & (statuses == "completed")
                     statuses[first] = "clamped"
@@ -492,9 +576,8 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
                 vn2 = v_norm_sq_values(x_new[:n_v], dx)
                 v_norms[:, step] = np.where(alive[:n_v], np.sqrt(vn2), np.nan)
 
-            hist.push(x_new)
             if step in snapshot_steps:
-                snapshots[step] = hist.current().copy()
+                snapshots[step] = x_new.copy()
 
     res = BatchResult(times, h_norms, v_norms, statuses.tolist(),
                       status_times.tolist(), list(path_arr))

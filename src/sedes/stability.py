@@ -10,9 +10,11 @@ of
     alpha1 = eps1 + alpha2 e^{eps1 tau},      alpha3 = alpha4 e^{eps2 tau}.
 
 solve_eps1 brackets the strictly increasing h(eps) = eps + alpha2
-e^{eps tau} - alpha1 on [0, alpha1] (h(0) < 0 <= h(alpha1)), bisects to
-relative tolerance 1e-13 and polishes with one Newton step; solve_eps2 is
-closed form.  Both carry a residual contract of 1e-12 relative.
+e^{eps tau} - alpha1 on [0, min(alpha1, log(alpha1/alpha2)/tau)] (h is
+negative at 0 and non-negative at both candidate ends, and no exp can
+overflow), bisects to 1e-13 of the bracket's width and polishes with one
+Newton step; solve_eps2 is closed form.  Both carry a residual contract of
+1e-12 relative.
 
 The Monte Carlo side estimates the mean-square curve E ||x(t)||^2 over an
 ensemble of counter-based paths, fits the decay rate by least squares on
@@ -67,8 +69,12 @@ def solve_eps1(alpha1: float, alpha2: float, tau: float) -> float:
     def h(e):
         return e + alpha2 * math.exp(e * tau) - alpha1
 
-    lo, hi = 0.0, float(alpha1)
-    while (hi - lo) > 1e-13 * alpha1:
+    # h(hi) >= 0 at both ends of the min: h(alpha1) = alpha2 e^{alpha1 tau}
+    # and h(log(alpha1/alpha2)/tau) = log(alpha1/alpha2)/tau; the second
+    # keeps e^{eps tau} <= alpha1/alpha2, so no exp overflows for large tau
+    lo, hi = 0.0, min(float(alpha1), math.log(alpha1 / alpha2) / tau)
+    tol = 1e-13 * hi
+    while (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         if h(mid) <= 0.0:
             lo = mid

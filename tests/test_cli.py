@@ -231,6 +231,10 @@ SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
               amplitude=1.0, explosion_horizon=1.0,
               explosion_k_values=[0.5, 2.0])),
     ([], {"preset": "eq24", "grid_n": 15, "nu": "x"}),
+    (["--preset", "eq24", "--dt", "1e-9"], None),
+    (["--preset", "eq24", "--tau", "1e300"], None),
+    (["--preset", "eq24", "--t-final", "1e300"], None),
+    (["--preset", "eq24", "--grid-n", "100000000"], None),
 ], ids=["grid-n-1", "dt-negative", "n-paths-not-integer", "paths-0",
         "n-samples-not-integer", "n-samples-negative", "n-samples-0",
         "record-points-not-integer", "record-points-1",
@@ -239,7 +243,9 @@ SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
         "explosion-horizon-negative", "as-threshold-not-number",
         "explosion-budget-not-number", "as-window-reversed",
         "explosion-k-values-empty", "explosion-k-values-decreasing",
-        "explosion-k-inside-initial-data", "eq24-nu-not-number"])
+        "explosion-k-inside-initial-data", "eq24-nu-not-number",
+        "ring-beyond-limit-dt", "ring-beyond-limit-tau",
+        "traces-beyond-limit-t-final", "ring-beyond-limit-grid-n"])
 def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
                                                         config):
     # run as a process so an escaping exception shows as a traceback
@@ -258,3 +264,38 @@ def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
     assert any(line.startswith("configuration error: ")
                for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def test_preflight_names_the_size_and_admits_the_desk_runs(tmp_path):
+    from sedes.cli import MAX_RUN_BYTES, _run_bytes
+    cfg = load_config(None, {"preset": "eq24", "dt": 1e-9})
+    with pytest.raises(ConfigError, match=r"1\.72e\+05 GiB"):
+        sedes.cli._build_preset(cfg)
+    # the default desk runs: ring (1001, 200, 63) plus 208 traces of
+    # 50001 steps, and the setup term
+    desk = load_config(None, {"preset": "eq24"})
+    expected = 8.0 * (1024 * 63 + 1001 * 200 * 63 + 209 * 50001)
+    assert _run_bytes(desk) == pytest.approx(expected, rel=1e-12)
+    scan = load_config(None, {"preset": "eq16", "explosion_scan": True,
+                              "as_stats": True})
+    assert _run_bytes(scan) < MAX_RUN_BYTES
+    # a number make_preset rejects is left to its message
+    assert _run_bytes(load_config(None, {"preset": "heat", "dt": -1.0})) \
+        is None
+
+
+def test_large_delay_run_ends_without_traceback(tmp_path):
+    # e^{alpha1 tau} overflowed in the decay solver at tau = 1000
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SEDES_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sedes.cli", "--preset", "eq24", "--tau",
+         "1000", "--dt", "1", "--t-final", "2000", "--paths", "4",
+         "--n-samples", "10", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["decay"]["eps1"] == pytest.approx(
+        math.log(1.5) / 1000, rel=1e-2)

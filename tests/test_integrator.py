@@ -374,3 +374,207 @@ def test_ensembles_do_not_depend_on_the_noise_block(monkeypatch, block):
                               equal_nan=True), name
         assert res.statuses == ref[name].statuses, name
         assert res.status_times == ref[name].status_times, name
+
+
+# ---------------------------------------------------------------------------
+# The contiguous-level solve and the in-place ring write.  The cyclic
+# reduction that ran on row-strided views of one (n, B) array is kept here
+# as the bitwise reference: the contiguous layout applies the same
+# multipliers in the same per-element order.
+
+class StridedCyclicReduction:
+    """Cyclic reduction on stride-2**k rows of one (n, B) work array."""
+
+    def __init__(self, a_mid, dt, dx):
+        r = dt / (dx * dx)
+        n = a_mid.size - 1
+        lower = -r * a_mid[:-1]
+        upper = -r * a_mid[1:]
+        diag = 1.0 + r * (a_mid[:-1] + a_mid[1:])
+        lower[0] = upper[-1] = 0.0
+        self.n = n
+        self._reduce, self._back = [], []
+        s = 1
+        while diag.size > 1:
+            ne, no = (diag.size + 1) // 2, diag.size // 2
+            m = ne - 1
+            inv = 1.0 / diag[0::2]
+            lo_e, up_e = lower[0::2], upper[0::2]
+            alpha = -lower[1::2] * inv[:no]
+            beta = -upper[1::2][:m] * inv[1:]
+            w = 2 * s
+            odd = slice(w - 1, None, w)
+            odd_m = slice(w - 1, w - 1 + w * m, w)
+            left = slice(s - 1, s - 1 + w * no, w)
+            right = slice(w + s - 1, w + s - 1 + w * m, w)
+            self._reduce.append((no, m, odd, odd_m, left, right,
+                                 alpha[:, None], beta[:, None]))
+            self._back.append((no, m, slice(s - 1, None, w), odd, odd_m,
+                               left, right, inv[:, None],
+                               (lo_e[1:] * inv[1:])[:, None],
+                               (up_e[:no] * inv[:no])[:, None]))
+            next_diag = diag[1::2] + alpha * up_e[:no]
+            next_diag[:m] += beta * lo_e[1:]
+            lower = alpha * lo_e[:no]
+            upper = np.zeros(no)
+            upper[:m] = beta * up_e[1:]
+            diag = next_diag
+            s = w
+        self._top = (s - 1, 1.0 / diag[0])
+        self._back.reverse()
+
+    def solve(self, rhs):
+        work = np.empty((self.n + self.n // 2, rhs.shape[0]))
+        f, tmp = work[:self.n], work[self.n:]
+        np.copyto(f, rhs.T)
+        for no, m, odd, odd_m, left, right, alpha, beta in self._reduce:
+            o = f[odd]
+            o += np.multiply(alpha, f[left], out=tmp[:no])
+            o = f[odd_m]
+            o += np.multiply(beta, f[right], out=tmp[:m])
+        row, inv = self._top
+        f[row] *= inv
+        for (no, m, even, odd, odd_m, left, right,
+             inv, lo_inv, up_inv) in self._back:
+            e = f[even]
+            e *= inv
+            e = f[right]
+            e -= np.multiply(lo_inv, f[odd_m], out=tmp[:m])
+            e = f[left]
+            e -= np.multiply(up_inv, f[odd], out=tmp[:no])
+        return f.T.copy()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 63, 64, 200, 1000])
+def test_contiguous_levels_match_the_strided_solve_bitwise(n):
+    from sedes.integrator import _TridiagFactor, _Workspace
+    rng = np.random.default_rng(100 + n)
+    a_mid = rng.uniform(0.5, 2.0, n + 1)
+    dx = math.pi / (n + 1)
+    for dt in (1e-5, 1e-3, 1e-1):
+        factor = _TridiagFactor(a_mid, dt, dx)
+        ref = StridedCyclicReduction(a_mid, dt, dx)
+        for B in (1, 7, 200, 7):
+            rhs = rng.standard_normal((B, n))
+            assert np.array_equal(factor.solve(rhs), ref.solve(rhs)), (dt, B)
+            # a reused workspace and a caller's output array: same bits,
+            # and the right-hand side is left as it was
+            work, out = _Workspace(n, B), np.empty((B, n))
+            kept = rhs.copy()
+            for _ in range(2):
+                assert factor.solve(rhs, out, work) is out
+                assert np.array_equal(out, ref.solve(rhs))
+            assert np.array_equal(rhs, kept)
+
+
+def _stepped_by_hand(p, path_id, n_steps):
+    """States of one path from imex_em_step and push, as an (n_steps + 1,
+    n) array."""
+    h = HistoryBuffer.from_problem(p)
+    states = [h.current()[0].copy()]
+    for k in range(n_steps):
+        dW = sample_increment(p.noise, path_id, k, p.dt)
+        x = imex_em_step(p, h, k * p.dt, dW)
+        h.push(x.values)
+        states.append(x.values.copy())
+    return np.array(states)
+
+
+def _assert_engine_equals_hand_stepping(p, path_ids, n_steps):
+    from sedes.fields import h_norm_sq_values, v_norm_sq_values
+    dx = p.grid.dx
+    steps = range(n_steps + 1)
+    res = simulate_paths(p, path_ids, snapshot_steps=steps)
+    for i, pid in enumerate(path_ids):
+        states = _stepped_by_hand(p, pid, n_steps)
+        for k in steps:
+            assert np.array_equal(res.snapshots[k][i], states[k]), (pid, k)
+        assert np.array_equal(res.h_norms[i],
+                              np.sqrt(h_norm_sq_values(states, dx)))
+        assert np.array_equal(res.v_norms[i],
+                              np.sqrt(v_norm_sq_values(states, dx)))
+
+
+def test_coefficients_returning_their_own_inputs_step_bitwise():
+    # the solve writes the new state over the delayed slot of the ring; a
+    # coefficient that hands back that very array (diffusion = v) or the
+    # current one (drift = u) must still see the values of the step
+    cases = [
+        dict(drift=lambda t, u, v: u, diffusion=lambda t, u, v: v),
+        dict(drift=lambda t, u, v: v, diffusion=lambda t, u, v: u),
+    ]
+    for coeffs in cases:
+        # tau = 3 dt: the ring has four slots, so every slot is written
+        # over several times within 12 steps
+        p = zero_problem(grid_n=15, dt=1e-2, tau=0.03, t_final=0.12,
+                         seed=8, **coeffs)
+        assert p.m_delay == 3 and p.n_steps == 12
+        _assert_engine_equals_hand_stepping(p, [0, 3, 5], p.n_steps)
+
+
+def test_time_dependent_operator_is_refactored_every_step():
+    grid = Grid(31)
+    a_fn = lambda t, x: 1.0 + 0.5 * np.sin(3.0 * t + x) ** 2
+    op = OperatorCoeff.divergence(a_fn, nu=1.0, alpha_upper=1.5)
+    assert op.time_dependent
+    p = ProblemSpec(grid, op, drift=lambda t, u, v: 0.5 * v - u ** 3,
+                    diffusion=lambda t, u, v: 0.8 * u * v, tau=0.02,
+                    noise=NoiseModel.scalar(seed=4),
+                    initial_history=lambda th, x: (1.0 + th) * np.sin(x),
+                    t_final=0.2, dt=1e-2)
+    _assert_engine_equals_hand_stepping(p, [0, 1, 6], p.n_steps)
+    # each step solves the system of its own end time t_{n+1}
+    h = HistoryBuffer.from_problem(p)
+    dx, worst = grid.dx, 0.0
+    for k in range(p.n_steps):
+        t, x, y = k * p.dt, h.current(), h.delayed()
+        dW = sample_increment(p.noise, 1, k, p.dt)
+        rhs = (x + p.dt * p.drift.evaluate(t, x, y, dx)
+               + p.diffusion.evaluate(t, x, y, dx) * dW.coords)[0]
+        x_next = imex_em_step(p, h, t, dW).values
+        a_mid = op.midpoint_values(t + p.dt, grid)
+        resid = tridiag_matrix(a_mid, p.dt, dx) @ x_next - rhs
+        worst = max(worst, np.max(np.abs(resid)) / np.max(np.abs(rhs)))
+        # against A at t_n instead the residual is far from rounding
+        stale = (tridiag_matrix(op.midpoint_values(t, grid), p.dt, dx)
+                 @ x_next - rhs)
+        assert np.max(np.abs(stale)) > 1e-6 * np.max(np.abs(rhs))
+        h.push(x_next)
+    assert worst <= 1e-12
+
+
+def test_linear_sine_mode_paths_match_the_scalar_recursion():
+    # du = (u_xx + a u + b v) dt + c v dB with psi = A sin x stays on the
+    # first eigenvector of the grid Laplacian: every path is s_n sin(x_j),
+    # with s driven by the same Brownian increments
+    a, b, c, amp = 0.3, 0.4, 0.6, 1.5
+    p = zero_problem(grid_n=63, dt=1e-3, tau=0.1, t_final=5.0, amplitude=amp,
+                     drift=lambda t, u, v: a * u + b * v,
+                     diffusion=lambda t, u, v: c * v, seed=17)
+    B, m, n_steps, dt = 200, p.m_delay, p.n_steps, p.dt
+    assert m == 100 and n_steps == 5000
+    res = simulate_paths(p, range(B), record_v=0)
+    lam = lambda_min(p.grid)
+    dB = p.noise.increments(np.arange(B), np.arange(n_steps), dt)
+    s = np.empty((B, n_steps + m + 1))
+    s[:, :m + 1] = amp                       # s at steps -m, ..., 0
+    for k in range(n_steps):
+        now, lag = s[:, m + k], s[:, k]
+        s[:, m + k + 1] = ((now * (1.0 + dt * a) + dt * b * lag
+                            + c * lag * dB[:, k]) / (1.0 + dt * lam))
+    # ||sin||_H^2 = dx sum sin^2(x_j) = pi / 2 exactly on the grid
+    oracle = np.abs(s[:, m:]) * math.sqrt(math.pi / 2.0)
+    assert res.statuses == ["completed"] * B
+    rel = np.abs(res.h_norms - oracle) / np.max(oracle, axis=1, keepdims=True)
+    assert np.max(rel) <= 1e-10
+    # the recursion with the delay one step short is far off: the check
+    # sees an off-by-one delay
+    s1 = np.empty_like(s)
+    s1[:, :m + 1] = amp
+    for k in range(n_steps):
+        now, lag = s1[:, m + k], s1[:, k + 1]
+        s1[:, m + k + 1] = ((now * (1.0 + dt * a) + dt * b * lag
+                             + c * lag * dB[:, k]) / (1.0 + dt * lam))
+    off = np.abs(s1[:, m:]) * math.sqrt(math.pi / 2.0)
+    assert np.max(np.abs(res.h_norms - off)
+                  / np.max(off, axis=1, keepdims=True)) > 1e-6

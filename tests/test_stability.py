@@ -45,6 +45,18 @@ def test_solve_eps1_hypothesis_errors():
         solve_eps1(2.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("tau", [1e3, 1e4, 1e6])
+def test_solve_eps1_large_delay_meets_the_residual_contract(tau):
+    # e^{alpha1 tau} overflows here, so the bracket must not evaluate h at
+    # eps = alpha1
+    for a1, a2 in ((2.0, 1.0), (3.0, 2.0), (1.0, 1e-9), (5.0, 4.999)):
+        e1 = solve_eps1(a1, a2, tau)
+        assert 0.0 < e1 <= math.log(a1 / a2) / tau
+        assert abs(a1 - e1 - a2 * math.exp(e1 * tau)) <= 1e-12 * a1
+    sol = solve_decay(2.0, 1.0, 1.0, 0.5, tau)
+    assert sol.residual1 <= 1e-12 * 2.0
+
+
 def test_solve_eps2_closed_form():
     assert solve_eps2(math.e * 0.3, 0.3, 1.0) == pytest.approx(1.0,
                                                                rel=1e-14)
