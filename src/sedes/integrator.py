@@ -300,8 +300,8 @@ class _TridiagFactor:
     back-substitution op is one flat ufunc loop.  The coefficients are
     materialized as (k, B) arrays for the same reason: against a (k, 1)
     column numpy restarts its inner loop on every row.  Both forms give the
-    same bits; the materialized one is faster at every batch size measured
-    (50 to 2000).
+    same bits; at n = 63 the materialized one is about 30% faster at B = 50,
+    25% at 200, and level with the column form at 1000 and 2000.
     """
 
     def __init__(self, a_mid, dt, dx):
