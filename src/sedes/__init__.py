@@ -30,6 +30,7 @@ from .integrator import (
     ProblemSpec,
     Trajectory,
     imex_em_step,
+    run_ensemble,
     simulate,
     simulate_paths,
     stopping_time_sigma_k,

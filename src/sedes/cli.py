@@ -32,14 +32,16 @@ import numpy as np
 
 from . import __version__
 from .fields import lambda_min
-from .integrator import simulate_paths
+# bench/spans.py wraps simulate_paths in this namespace, so it stays
+# importable from here though run() no longer calls it
+from .integrator import PATH_CHUNK, run_ensemble, simulate_paths  # noqa: F401
 from .lyapunov import (FourierSampler, check_exponential, check_khasminskii,
                        check_lasalle)
 from .presets import DEFAULTS as PRESET_DEFAULTS, PRESET_NAMES, make_preset
-from .stability import (StabilityReport, as_stats_from_batch,
+from .stability import (StabilityReport, as_stats_from_batch, as_window,
                         default_record_times, explosion_scan,
                         fit_decay_rate_adaptive, ms_curve_from_batch,
-                        solve_decay)
+                        record_steps, solve_decay)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 2
@@ -94,8 +96,10 @@ CONFIG_DEFAULTS = {
 
 
 # integer keys and their ranges [lo, hi); seeds are hashed as 64-bit words,
-# and a record grid has at least its two ends
+# and a record grid has at least its two ends.  A key whose default is None
+# may also be left unset
 INT_RANGES = {
+    "grid_n": (2, None),
     "n_paths": (1, None),
     "n_samples": (1, None),
     "record_points": (2, None),
@@ -122,6 +126,8 @@ PRESET_FLOATS = ("dt", "tau", "t_final", "amplitude", "nu", "a", "b", "c",
 # the largest run the CLI starts, in bytes of its arrays as _run_bytes
 # counts them
 MAX_RUN_BYTES = 8 * 2 ** 30
+# the step index is a 64-bit word of the noise key
+MAX_STEPS = 2 ** 63
 # floats per grid point held by the problem's set-up (the initial-history
 # check) or by one block of checker samples, whichever is larger; both
 # measure about 840
@@ -188,6 +194,8 @@ def load_config(path=None, overrides=None) -> dict:
                           % (cfg["preset"], ", ".join(PRESET_NAMES)))
     for key, (lo, hi) in INT_RANGES.items():
         val = cfg[key]
+        if val is None and CONFIG_DEFAULTS[key] is None:
+            continue
         # a JSON float such as 200.0 or a bool is rejected too
         if type(val) is not int or val < lo or (hi is not None and val >= hi):
             raise ConfigError("%s must be an integer >= %d%s, got %r"
@@ -233,43 +241,58 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
-def _run_bytes(cfg):
-    """Bytes of the arrays a run allocates, counted in floats from the
-    config numbers alone: the set-up, and per ensemble pass the delay ring
-    (m+1, B, n) and the norm traces and time grid of n_steps + 1 entries.
-    None when a number is one make_preset rejects anyway."""
+def _grid_numbers(cfg):
+    """(n, m, steps, scan_steps) from the config numbers alone: grid points,
+    steps per delay before ProblemSpec rounds it up to an integer, and the
+    steps to t_final and to the explosion horizon.  In floats, so no count
+    overflows; None when a number is one make_preset rejects anyway."""
     d = PRESET_DEFAULTS[cfg["preset"]]
-    try:
-        n, dt, tau, t_final = (float(d[k] if cfg[k] is None else cfg[k])
-                               for k in ("grid_n", "dt", "tau", "t_final"))
-    except (TypeError, ValueError):
-        return None
+    n, dt, tau, t_final = (float(d[k] if cfg[k] is None else cfg[k])
+                           for k in ("grid_n", "dt", "tau", "t_final"))
     if not (n >= 2 and dt > 0 and tau > 0 and t_final > 0):
         return None
-    # steps per delay, before ProblemSpec rounds it up to an integer; in
-    # floats, so no count overflows
     m = max(tau / dt, 1.0)
+    return n, m, t_final * m / tau, cfg["explosion_horizon"] * m / tau
+
+
+def _run_bytes(cfg):
+    """Bytes of the arrays a run allocates, counted in floats from the
+    config numbers alone: the set-up; for the ensemble one path chunk's
+    delay ring (m+1, chunk, n) and the norms its reducers keep at the record
+    points; for the explosion scan a chunk's ring and its per-step trace of
+    n_steps + 1 norms per path.  None when a number is one make_preset
+    rejects anyway."""
+    nums = _grid_numbers(cfg)
+    if nums is None:
+        return None
+    n, m, steps, scan_steps = nums
     B = float(cfg["n_paths"])
+    ring = (m + 1.0) * min(float(PATH_CHUNK), B) * n
     floats = SETUP_FLOATS_PER_POINT * n
-
-    def ensemble(horizon, traces):
-        steps = horizon * m / tau
-        return (m + 1.0) * B * n + (traces + 1.0) * (steps + 1.0)
-
     if cfg["ms_ensemble"] or cfg["as_stats"]:
-        floats += ensemble(t_final, B + min(cfg["n_sample_paths"], B))
+        # default_record_times keeps at most 1.5 (P - 1) + 2 <= 2 P steps:
+        # its stride is n_steps / (P - 1) rounded to the nearest integer
+        records = min(steps + 1.0, 2.0 * cfg["record_points"])
+        floats += ring + (B + min(cfg["n_sample_paths"], B) + 1.0) * records
     if cfg["explosion_scan"]:
-        floats += ensemble(cfg["explosion_horizon"], B)
+        floats += ring + (B + 1.0) * (scan_steps + 1.0)
     return 8.0 * floats
 
 
 def _build_preset(cfg):
+    nums = _grid_numbers(cfg)
+    if nums is not None and nums[2] >= MAX_STEPS:
+        raise ConfigError(
+            "t_final / dt gives about %.3g steps; a step index is a 64-bit "
+            "word of the noise key, so a run has fewer than 2^63 steps"
+            % nums[2])
     size = _run_bytes(cfg)
     if size is not None and size > MAX_RUN_BYTES:
         raise ConfigError(
-            "run needs about %.3g GiB of arrays (delay ring, norm traces, "
-            "set-up), above the limit of %g GiB; lower n_paths, grid_n, "
-            "tau/dt or t_final" % (size / 2 ** 30, MAX_RUN_BYTES / 2 ** 30))
+            "run needs about %.3g GiB of arrays (a path chunk's delay ring, "
+            "recorded norms, set-up), above the limit of %g GiB; lower "
+            "n_paths, grid_n, tau/dt, t_final or the explosion horizon"
+            % (size / 2 ** 30, MAX_RUN_BYTES / 2 ** 30))
     try:
         return make_preset(
             cfg["preset"], grid_n=cfg["grid_n"], dt=cfg["dt"],
@@ -369,9 +392,13 @@ def run(cfg) -> int:
     numerical_failure = False
     if cfg["ms_ensemble"] or cfg["as_stats"]:
         n_paths = cfg["n_paths"]
-        res = simulate_paths(p, range(n_paths), clamp=cfg["clamp"],
-                             record_v=int(cfg["n_sample_paths"]))
         record_times = default_record_times(p, int(cfg["record_points"]))
+        steps = record_steps(p, record_times)
+        res = run_ensemble(
+            p, range(n_paths), record_steps=steps,
+            record_v=int(cfg["n_sample_paths"]), clamp=cfg["clamp"],
+            window=as_window(p, cfg["as_window"])[1] if cfg["as_stats"]
+            else None)
         if cfg["ms_ensemble"]:
             try:
                 curve = ms_curve_from_batch(res, p, record_times)
@@ -412,10 +439,8 @@ def run(cfg) -> int:
 
         # sample-path table from the same batch
         n_show = min(int(cfg["n_sample_paths"]), n_paths)
-        steps = np.clip(np.round(record_times / p.dt).astype(int),
-                        0, p.n_steps)
         rows = []
-        for j, t in zip(steps, steps * p.dt):
+        for j, t in zip(res.columns(steps), steps * p.dt):
             for pid in range(n_show):
                 h = res.h_norms[pid, j]
                 v = res.v_norms[pid, j]

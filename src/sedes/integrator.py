@@ -20,10 +20,16 @@ level as two contiguous (k, B) blocks, [evens | odds], so each of its
 ufunc calls is one flat loop over k * B numbers; the odd rows are
 de-interleaved into the next level on the way down and interleaved back
 on the way up.  The ensemble driver forms the right-hand side in buffers
-allocated once per run, and the solve writes the new state straight into
-the ring slot of the delayed state, the one slot no later part of the
+allocated once per path chunk, and the solve writes the new state straight
+into the ring slot of the delayed state, the one slot no later part of the
 step reads; explosion zeroing and clamp scaling then act on that slot in
 place.
+
+The driver integrates PATH_CHUNK paths at a time, each chunk with a delay
+ring of its own, and keeps per path only what its reducers ask for: the
+norms at the record steps, running maxima of the H norm, statuses and
+snapshots.  A run's memory therefore grows with neither its path count
+(beyond the reducers' arrays) nor its number of steps.
 
 The delay tau is pinned to an exact multiple m * dt (the constructor
 shrinks dt to the nearest divisor and records the adjustment), so the
@@ -58,6 +64,7 @@ __all__ = [
     "Trajectory",
     "BatchResult",
     "imex_em_step",
+    "run_ensemble",
     "simulate",
     "simulate_paths",
     "truncate_problem",
@@ -68,6 +75,12 @@ EXPLOSION_LIMIT = 1e12
 # steps whose noise simulate_paths draws in one call; every draw is keyed
 # by (seed, path, step), so the value moves no bit of any path
 NOISE_BLOCK = 64
+# paths integrated together, each chunk with a delay ring of its own, so a
+# run holds one (m+1, PATH_CHUNK, n) ring however many paths it has; paths
+# are independent and their noise is keyed by path, so the value moves no
+# bit of any path.  The eq24 batch sweep is fastest near B = 200
+# (BENCH_6.json: 923k path-steps/s, against 879k at 1000 and 815k at 2000)
+PATH_CHUNK = 256
 
 
 class PointwiseCoeff:
@@ -166,6 +179,7 @@ class ProblemSpec:
                                             rel_tol=1e-12)
         self.n_steps = int(math.ceil(self.t_final / self.dt - 1e-9))
         self._factor = None     # set by _factor_for for a static operator
+        self._psi = None        # set by history_values
 
         if validate:
             self._validate()
@@ -214,14 +228,20 @@ class ProblemSpec:
             np.max(np.sqrt(h_norm_sq_values(fine, dx))))
 
     def history_values(self, batch: int = 1):
-        """Initial ring (m+1, batch, n): psi at theta = -m dt, ..., -dt, 0."""
+        """Initial ring (m+1, batch, n): psi at theta = -m dt, ..., -dt, 0.
+
+        psi is evaluated once per problem; each call copies those m+1
+        states to every path of the batch."""
         m, n = self.m_delay, self.grid.n_interior
+        if self._psi is None:
+            psi = np.empty((m + 1, n))
+            for j in range(m, -1, -1):
+                psi[m - j] = np.asarray(
+                    self.initial_history(-(j * self.dt), self.grid.points),
+                    dtype=float)
+            self._psi = psi
         ring = np.empty((m + 1, batch, n))
-        for j in range(m, -1, -1):
-            theta = -(j * self.dt)
-            vals = np.asarray(self.initial_history(theta, self.grid.points),
-                              dtype=float)
-            ring[m - j] = np.broadcast_to(vals, (batch, n))
+        ring[...] = self._psi[:, None, :]
         return ring
 
     def replace(self, **kw) -> "ProblemSpec":
@@ -479,16 +499,30 @@ class Trajectory:
 
 
 class BatchResult:
-    """Ensemble run: norms are (n_paths, n_steps+1); dead entries are NaN."""
+    """Ensemble run, as its reducers left it.
 
-    def __init__(self, times, h_norms, v_norms, statuses, status_times,
-                 path_ids):
-        self.times = times
+    h_norms (n_paths, len(steps)) and v_norms (n_v, len(steps)) hold the
+    norms at the recorded steps (every step for simulate_paths); dead
+    entries are NaN.  peak is each path's largest H norm from step 0 to the
+    end, and window_peak its largest over steps window[0]..window[1] (None
+    without a window); both stop at a path's explosion, and window_peak is
+    NaN for a path dead before the window.  snapshots maps a step to the
+    (n_paths, n) states there."""
+
+    def __init__(self, steps, dt, h_norms, v_norms, statuses, status_times,
+                 path_ids, peak, window=None, window_peak=None,
+                 snapshots=None):
+        self.steps = steps
+        self.times = dt * steps
         self.h_norms = h_norms
         self.v_norms = v_norms
         self.statuses = statuses
         self.status_times = status_times
         self.path_ids = path_ids
+        self.peak = peak
+        self.window = window
+        self.window_peak = window_peak
+        self.snapshots = snapshots if snapshots is not None else {}
 
     @property
     def n_paths(self):
@@ -498,35 +532,101 @@ class BatchResult:
         return [pid for pid, s in zip(self.path_ids, self.statuses)
                 if s == "exploded"]
 
+    def columns(self, steps):
+        """Column of h_norms and v_norms holding each of the given steps;
+        ValueError for a step the run did not record."""
+        steps = np.asarray(steps, dtype=np.int64)
+        cols = np.searchsorted(self.steps, steps)
+        if np.any(cols >= self.steps.size) or \
+                not np.array_equal(self.steps[cols], steps):
+            raise ValueError("the ensemble recorded no norms at some of the "
+                             "requested steps")
+        return cols
 
-def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
-                   snapshot_steps=()) -> BatchResult:
-    """Integrate a batch of paths; each path's arithmetic is identical to a
-    single-path run, so results do not depend on how paths are grouped."""
+
+def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
+                 clamp=False, window=None, snapshot_steps=()) -> BatchResult:
+    """Integrate paths PATH_CHUNK at a time through per-path reducers.
+
+    The reducers keep the H norms at record_steps (every step when None),
+    the V norms there for the first record_v paths (all when None), the
+    running maxima of the H norm over the whole run and over the steps
+    window = (i0, i1), the statuses and the states at snapshot_steps.
+    Each reads the very values a full per-step trace would hold, and each
+    path's arithmetic is identical to a single-path run, so results do not
+    depend on how paths are grouped or chunked."""
     path_arr = np.asarray(list(path_ids), dtype=np.int64)
-    B = path_arr.size
-    dx, dt, n_steps = p.grid.dx, p.dt, p.n_steps
+    B, n_steps = path_arr.size, p.n_steps
+    steps = (np.arange(n_steps + 1) if record_steps is None
+             else np.unique(np.asarray(record_steps, dtype=np.int64)))
+    if steps.size and not 0 <= steps[0] <= steps[-1] <= n_steps:
+        raise ValueError("record steps must lie in [0, %d]" % n_steps)
+    if window is not None:
+        window = (int(window[0]), int(window[1]))
+        if not 0 <= window[0] <= window[1] <= n_steps:
+            raise ValueError("window steps must lie in [0, %d]" % n_steps)
     n_v = B if record_v is None else min(record_v, B)
+    res = BatchResult(
+        steps, p.dt, h_norms=np.full((B, steps.size), np.nan),
+        v_norms=np.full((n_v, steps.size), np.nan) if n_v else None,
+        statuses=np.full(B, "completed", dtype=object),
+        status_times=np.full(B, None, dtype=object), path_ids=list(path_arr),
+        peak=np.full(B, np.nan), window=window,
+        window_peak=None if window is None else np.full(B, np.nan),
+        snapshots={s: np.empty((B, p.grid.n_interior))
+                   for s in set(int(s) for s in snapshot_steps)
+                   if 0 <= s <= n_steps})
+    # the reducers keep squared norms: sqrt is monotone and correctly
+    # rounded, so the root of the largest square is the largest root
+    for lo in range(0, B, PATH_CHUNK):
+        _run_chunk(p, res, path_arr, slice(lo, min(lo + PATH_CHUNK, B)),
+                   n_v, clamp)
+    np.sqrt(res.peak, out=res.peak)
+    if window is not None:
+        np.sqrt(res.window_peak, out=res.window_peak)
+    res.statuses = res.statuses.tolist()
+    res.status_times = res.status_times.tolist()
+    return res
 
-    hist = HistoryBuffer.from_problem(p, B)
-    x0 = hist.current()
-    work = _Workspace(p.grid.n_interior, B)
 
-    times = dt * np.arange(n_steps + 1)
-    h_norms = np.full((B, n_steps + 1), np.nan)
-    v_norms = np.full((n_v, n_steps + 1), np.nan) if n_v else None
-    h_norms[:, 0] = np.sqrt(h_norm_sq_values(x0, dx))
-    if n_v:
-        v_norms[:, 0] = np.sqrt(v_norm_sq_values(x0[:n_v], dx))
+def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v, clamp):
+    """Integrate the paths path_arr[rows] in one batch with a delay ring of
+    their own, feeding res's reducers at those rows."""
+    ids = path_arr[rows]
+    dx, dt, n_steps = p.grid.dx, p.dt, p.n_steps
+    nv = max(0, min(rows.stop, n_v) - rows.start)
+    h_rec = res.h_norms[rows]
+    v_rec = res.v_norms[rows.start:rows.start + nv] if nv else None
+    peak_sq = res.peak[rows]
+    w0, w1 = res.window if res.window is not None else (-1, -1)
+    window_sq = res.window_peak[rows] if res.window is not None else None
+    record = res.steps.tolist()
+    snapshots = {s: snap[rows] for s, snap in res.snapshots.items()}
+    statuses, status_times = res.statuses[rows], res.status_times[rows]
 
-    alive = np.ones(B, dtype=bool)
-    statuses = np.full(B, "completed", dtype=object)
-    status_times = np.full(B, None, dtype=object)
+    hist = HistoryBuffer.from_problem(p, ids.size)
+    work = _Workspace(p.grid.n_interior, ids.size)
+    alive = np.ones(ids.size, dtype=bool)
     limit_sq = p.explosion_limit * p.explosion_limit
-    snapshots = {}
-    snapshot_steps = set(int(s) for s in snapshot_steps)
-    if 0 in snapshot_steps:
-        snapshots[0] = x0.copy()
+
+    def feed(step, x, hn2, col):
+        """Feed the reducers the state at step; returns the next record
+        column."""
+        np.fmax(peak_sq, hn2, out=peak_sq, where=alive)
+        if w0 <= step <= w1:
+            np.fmax(window_sq, hn2, out=window_sq, where=alive)
+        if col < len(record) and record[col] == step:
+            h_rec[:, col] = np.where(alive, np.sqrt(hn2), np.nan)
+            if nv:
+                vn2 = v_norm_sq_values(x[:nv], dx)
+                v_rec[:, col] = np.where(alive[:nv], np.sqrt(vn2), np.nan)
+            col += 1
+        if step in snapshots:
+            snapshots[step][...] = x
+        return col
+
+    x0 = hist.current()
+    col = feed(0, x0, h_norm_sq_values(x0, dx), 0)
 
     # a path heading for blow-up may overflow inside the coefficients, the
     # solve or the norms; that is detected and reported below, not warned
@@ -536,7 +636,7 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
             k = (step - 1) % NOISE_BLOCK
             if k == 0:
                 dBs = p.noise.increments(
-                    path_arr,
+                    ids,
                     np.arange(step - 1, min(step - 1 + NOISE_BLOCK, n_steps)),
                     dt)
             # the delayed state is last read while the right-hand side is
@@ -570,19 +670,16 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
                 alive &= ~bad
                 x_new[bad] = 0.0
                 hn2 = np.where(bad, np.nan, hn2)
+            col = feed(step, x_new, hn2, col)
 
-            h_norms[:, step] = np.where(alive, np.sqrt(hn2), np.nan)
-            if n_v:
-                vn2 = v_norm_sq_values(x_new[:n_v], dx)
-                v_norms[:, step] = np.where(alive[:n_v], np.sqrt(vn2), np.nan)
 
-            if step in snapshot_steps:
-                snapshots[step] = x_new.copy()
-
-    res = BatchResult(times, h_norms, v_norms, statuses.tolist(),
-                      status_times.tolist(), list(path_arr))
-    res.snapshots = snapshots
-    return res
+def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
+                   snapshot_steps=()) -> BatchResult:
+    """Integrate a batch of paths, recording the norms at every step; each
+    path's arithmetic is identical to a single-path run, so results do not
+    depend on how paths are grouped."""
+    return run_ensemble(p, path_ids, record_v=record_v, clamp=clamp,
+                        snapshot_steps=snapshot_steps)
 
 
 def simulate(p: ProblemSpec, path_id: int, snapshot_times=(),

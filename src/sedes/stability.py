@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .fields import h_norm_sq_values
-from .integrator import ProblemSpec, simulate_paths
+from .integrator import ProblemSpec, run_ensemble, simulate_paths
 
 __all__ = [
     "DecaySolution",
@@ -45,10 +45,12 @@ __all__ = [
     "ms_ensemble",
     "ms_curve_from_batch",
     "default_record_times",
+    "record_steps",
     "fit_decay_rate",
     "fit_decay_rate_adaptive",
     "as_stability_stats",
     "as_stats_from_batch",
+    "as_window",
     "explosion_scan",
 ]
 
@@ -176,18 +178,24 @@ def default_record_times(p: ProblemSpec, n_points=501):
     return steps * p.dt
 
 
+def record_steps(p: ProblemSpec, record_times):
+    """The step nearest each record time, clipped to [0, n_steps]."""
+    record_times = np.asarray(record_times, dtype=float)
+    return np.clip(np.round(record_times / p.dt).astype(int), 0, p.n_steps)
+
+
 def _exploded(res):
     return np.asarray(res.statuses, dtype=str) == "exploded"
 
 
 def ms_curve_from_batch(res, p: ProblemSpec, record_times) -> MsCurve:
-    """Reduce an ensemble batch to the mean-square curve (see ms_ensemble)."""
-    record_times = np.asarray(record_times, dtype=float)
+    """Reduce an ensemble batch to the mean-square curve (see ms_ensemble);
+    res must hold the norms at the record times' steps."""
     alive = ~_exploded(res)
     if not alive.any():
         raise RuntimeError("ensemble collapse: every path exploded")
-    steps = np.clip(np.round(record_times / p.dt).astype(int), 0, p.n_steps)
-    h2 = res.h_norms[alive][:, steps] ** 2
+    steps = record_steps(p, record_times)
+    h2 = res.h_norms[alive][:, res.columns(steps)] ** 2
     n_alive = np.full(steps.size, int(alive.sum()))
     mean = h2.mean(axis=0)
     if alive.sum() > 1:
@@ -207,7 +215,8 @@ def ms_ensemble(p: ProblemSpec, n_paths: int, record_times=None) -> MsCurve:
         raise ValueError("ensemble needs n_paths >= 2")
     if record_times is None:
         record_times = default_record_times(p)
-    res = simulate_paths(p, range(n_paths), record_v=0)
+    res = run_ensemble(p, range(n_paths),
+                       record_steps=record_steps(p, record_times), record_v=0)
     return ms_curve_from_batch(res, p, record_times)
 
 
@@ -286,17 +295,9 @@ class ASStats:
                 "n_exploded": self.n_exploded}
 
 
-def as_stability_stats(p: ProblemSpec, n_paths: int, threshold=1e-2,
-                       window=None, u_bound=1e6) -> ASStats:
-    """Fraction of paths settled below the threshold over the late window."""
-    res = simulate_paths(p, range(n_paths), record_v=0)
-    return as_stats_from_batch(res, p, threshold, window, u_bound)
-
-
-def as_stats_from_batch(res, p: ProblemSpec, threshold=1e-2, window=None,
-                        u_bound=1e6) -> ASStats:
-    """Reduce an ensemble batch to ASStats (see as_stability_stats)."""
-    n_paths = res.n_paths
+def as_window(p: ProblemSpec, window=None):
+    """The a.s. window in time (by default the last 5 time units) and its
+    steps (i0, i1)."""
     if window is None:
         window = (max(0.0, p.t_final - 5.0), p.t_final)
     lo, hi = window
@@ -304,10 +305,31 @@ def as_stats_from_batch(res, p: ProblemSpec, threshold=1e-2, window=None,
         raise ValueError("window must sit inside [0, t_final]")
     i0 = int(math.floor(lo / p.dt))
     i1 = min(int(math.ceil(hi / p.dt)), p.n_steps)
+    return window, (i0, i1)
+
+
+def as_stability_stats(p: ProblemSpec, n_paths: int, threshold=1e-2,
+                       window=None, u_bound=1e6) -> ASStats:
+    """Fraction of paths settled below the threshold over the late window."""
+    res = run_ensemble(p, range(n_paths), record_steps=(), record_v=0,
+                       window=as_window(p, window)[1])
+    return as_stats_from_batch(res, p, threshold, window, u_bound)
+
+
+def as_stats_from_batch(res, p: ProblemSpec, threshold=1e-2, window=None,
+                        u_bound=1e6) -> ASStats:
+    """Reduce an ensemble batch to ASStats (see as_stability_stats); res
+    must hold the window's maxima or the norms at every step of it."""
+    n_paths = res.n_paths
+    window, (i0, i1) = as_window(p, window)
     exploded = _exploded(res)
-    h = res.h_norms[~exploded]
-    ok = int(np.count_nonzero(h[:, i0:i1 + 1].max(axis=1) < threshold))
-    bounded = int(np.count_nonzero(h.max(axis=1) ** 2 < u_bound))
+    if res.window == (i0, i1):
+        window_peak = res.window_peak[~exploded]
+    else:
+        cols = res.columns(np.arange(i0, i1 + 1))
+        window_peak = res.h_norms[~exploded][:, cols].max(axis=1)
+    ok = int(np.count_nonzero(window_peak < threshold))
+    bounded = int(np.count_nonzero(res.peak[~exploded] ** 2 < u_bound))
     return ASStats(ok / n_paths, bounded / n_paths, threshold, window,
                    u_bound, n_paths, int(exploded.sum()))
 
@@ -328,8 +350,7 @@ class ExplosionRow:
 
 def _exits(res, ks):
     """(len(ks), n_paths) mask: the path's norm reached k, or it exploded."""
-    peak = np.fmax.reduce(res.h_norms, axis=1)      # skips the NaN tails
-    return (peak >= ks[:, None]) | _exploded(res)
+    return (res.peak >= ks[:, None]) | _exploded(res)
 
 
 def explosion_scan(p: ProblemSpec, k_values, n_paths: int,

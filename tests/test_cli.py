@@ -235,6 +235,8 @@ SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
     (["--preset", "eq24", "--tau", "1e300"], None),
     (["--preset", "eq24", "--t-final", "1e300"], None),
     (["--preset", "eq24", "--grid-n", "100000000"], None),
+    ([], {"preset": "heat", "grid_n": 31.9}),
+    ([], {"preset": "heat", "grid_n": "31"}),
 ], ids=["grid-n-1", "dt-negative", "n-paths-not-integer", "paths-0",
         "n-samples-not-integer", "n-samples-negative", "n-samples-0",
         "record-points-not-integer", "record-points-1",
@@ -245,7 +247,8 @@ SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
         "explosion-k-values-empty", "explosion-k-values-decreasing",
         "explosion-k-inside-initial-data", "eq24-nu-not-number",
         "ring-beyond-limit-dt", "ring-beyond-limit-tau",
-        "traces-beyond-limit-t-final", "ring-beyond-limit-grid-n"])
+        "traces-beyond-limit-t-final", "ring-beyond-limit-grid-n",
+        "grid-n-float", "grid-n-string"])
 def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
                                                         config):
     # run as a process so an escaping exception shows as a traceback
@@ -269,12 +272,12 @@ def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
 def test_preflight_names_the_size_and_admits_the_desk_runs(tmp_path):
     from sedes.cli import MAX_RUN_BYTES, _run_bytes
     cfg = load_config(None, {"preset": "eq24", "dt": 1e-9})
-    with pytest.raises(ConfigError, match=r"1\.72e\+05 GiB"):
+    with pytest.raises(ConfigError, match=r"9\.39e\+04 GiB"):
         sedes.cli._build_preset(cfg)
-    # the default desk runs: ring (1001, 200, 63) plus 208 traces of
-    # 50001 steps, and the setup term
+    # the default desk runs: ring (1001, 200, 63) plus 208 norm records of
+    # at most 2 * 501 points and their times, and the setup term
     desk = load_config(None, {"preset": "eq24"})
-    expected = 8.0 * (1024 * 63 + 1001 * 200 * 63 + 209 * 50001)
+    expected = 8.0 * (1024 * 63 + 1001 * 200 * 63 + 209 * 1002)
     assert _run_bytes(desk) == pytest.approx(expected, rel=1e-12)
     scan = load_config(None, {"preset": "eq16", "explosion_scan": True,
                               "as_stats": True})
@@ -282,6 +285,18 @@ def test_preflight_names_the_size_and_admits_the_desk_runs(tmp_path):
     # a number make_preset rejects is left to its message
     assert _run_bytes(load_config(None, {"preset": "heat", "dt": -1.0})) \
         is None
+
+
+def test_preflight_counts_one_path_chunk_and_no_per_step_trace():
+    # the ensemble holds one chunk's ring and its record-time norms, so a
+    # 10^4-path eq24 run fits, and its size does not grow with t_final
+    from sedes.cli import _build_preset, _run_bytes
+    wide = {"preset": "eq24", "n_paths": 10000, "t_final": 50.0}
+    cfg = load_config(None, wide)
+    assert _run_bytes(cfg) < 0.5 * 2 ** 30
+    assert _build_preset(cfg).problem.n_steps == 50000
+    assert _run_bytes(load_config(None, dict(wide, t_final=500.0))) == \
+        _run_bytes(cfg)
 
 
 def test_large_delay_run_ends_without_traceback(tmp_path):

@@ -376,6 +376,67 @@ def test_ensembles_do_not_depend_on_the_noise_block(monkeypatch, block):
         assert res.status_times == ref[name].status_times, name
 
 
+def _chunked_run(p, clamp, n_paths):
+    """Every reducer of one ensemble, and the full trace."""
+    from sedes import as_stability_stats, ms_ensemble, run_ensemble
+    ids = range(n_paths)
+    trace = simulate_paths(p, ids, clamp=clamp, snapshot_steps=(0, 75, 150))
+    reduced = run_ensemble(p, ids, record_steps=[150, 0, 77, 5, 77],
+                           record_v=3, clamp=clamp, window=(40, 90))
+    stats = None
+    if not clamp:
+        stats = (ms_ensemble(p, n_paths).to_dict(),
+                 as_stability_stats(p, n_paths, threshold=0.5).to_dict(),
+                 as_stability_stats(p, n_paths, threshold=0.5,
+                                    window=(0.05, 0.1)).to_dict())
+    return trace, reduced, stats
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_ensembles_do_not_depend_on_the_path_chunk(monkeypatch, chunk):
+    import sedes.integrator as integ
+    # two full chunks and a part one; the reference runs them in one chunk
+    n_paths = 2 * chunk + 3 if chunk < 64 else chunk + 6
+    assert integ.PATH_CHUNK >= n_paths
+    ref = {name: _chunked_run(p, clamp, n_paths)
+           for name, p, clamp in _block_cases()}
+    assert "exploded" in ref["explodes"][0].statuses
+    assert "completed" in ref["explodes"][0].statuses
+    # the reducers read the very values the trace holds
+    for name, (trace, reduced, _) in ref.items():
+        steps = [0, 5, 77, 150]
+        assert np.array_equal(reduced.steps, steps)
+        assert np.array_equal(reduced.h_norms, trace.h_norms[:, steps],
+                              equal_nan=True), name
+        assert np.array_equal(reduced.v_norms, trace.v_norms[:3, steps],
+                              equal_nan=True), name
+        assert np.array_equal(reduced.window_peak,
+                              np.fmax.reduce(trace.h_norms[:, 40:91], axis=1),
+                              equal_nan=True), name
+        for res in (trace, reduced):
+            assert np.array_equal(res.peak,
+                                  np.fmax.reduce(trace.h_norms, axis=1),
+                                  equal_nan=True), name
+            assert (res.statuses, res.status_times) == (
+                trace.statuses, trace.status_times), name
+    monkeypatch.setattr(integ, "PATH_CHUNK", chunk)
+    for name, p, clamp in _block_cases():
+        trace, reduced, stats = _chunked_run(p, clamp, n_paths)
+        ref_trace, ref_reduced, ref_stats = ref[name]
+        for res, want in ((trace, ref_trace), (reduced, ref_reduced)):
+            for key in ("h_norms", "v_norms", "peak"):
+                assert np.array_equal(getattr(res, key), getattr(want, key),
+                                      equal_nan=True), (name, key)
+            assert (res.statuses, res.status_times) == (
+                want.statuses, want.status_times), name
+        assert np.array_equal(reduced.window_peak, ref_reduced.window_peak,
+                              equal_nan=True), name
+        assert trace.snapshots.keys() == ref_trace.snapshots.keys()
+        for step, states in trace.snapshots.items():
+            assert np.array_equal(states, ref_trace.snapshots[step]), name
+        assert stats == ref_stats, name
+
+
 # ---------------------------------------------------------------------------
 # The contiguous-level solve and the in-place ring write.  The cyclic
 # reduction that ran on row-strided views of one (n, B) array is kept here

@@ -332,3 +332,79 @@ def test_explosion_scan_checks_the_initial_ring_itself():
         explosion_scan(p, [2.0, 4.0], 4, horizon=0.05)
     rows = explosion_scan(p, [2 * ring_max, 4 * ring_max], 4, horizon=0.05)
     assert [r.probability for r in rows] == [0.0, 0.0]
+
+
+def test_ms_ensemble_memory_does_not_grow_with_the_horizon():
+    # the ensemble keeps its norms at the 501 record times only, so four
+    # times the horizon costs less than the one (B, n_steps + 1) trace of
+    # the shorter run
+    import tracemalloc
+    B, T = 64, 2.0
+    p = make_preset("eq24", grid_n=15, tau=0.1, t_final=T, seed=3).problem
+
+    def peak(q):
+        # numpy's and the problem's one-time set-up is left out of the count
+        ms_ensemble(q.replace(t_final=0.1), B)
+        q.history_values()
+        tracemalloc.start()
+        try:
+            ms_ensemble(q, B)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    short, long = peak(p), peak(p.replace(t_final=4 * T))
+    trace = B * (p.n_steps + 1) * 8
+    assert abs(long - short) < trace, (short, long, trace)
+
+
+def test_ms_curve_matches_the_exact_second_moment_recursion():
+    # du = (u_xx + a u + b v) dt + c v dB with psi = A sin x: every path is
+    # s_n sin(x_j) (see the pathwise test in test_integrator), with
+    #   s_{n+1} = alpha s_n + beta s_{n-m} + gamma s_{n-m} dB_n,
+    # so D_n(j) = E[s_n s_{n-j}] obeys an exact recursion:
+    #   D_{n+1}(0) = alpha^2 D_n(0) + 2 alpha beta D_n(m)
+    #                + (beta^2 + gamma^2 dt) D_{n-m}(0),
+    #   D_{n+1}(k) = alpha D_n(k-1) + beta D_{n+1-k}(m+1-k),  k = 1..m,
+    # and E||x_n||_H^2 = (pi/2) D_n(0)
+    from statistics import NormalDist
+
+    a, b, c, amp = 0.3, 0.4, 0.6, 1.5
+    p = ProblemSpec(Grid(63), OperatorCoeff.laplacian(),
+                    drift=lambda t, u, v: a * u + b * v,
+                    diffusion=lambda t, u, v: c * v, tau=0.1,
+                    noise=NoiseModel.scalar(seed=17),
+                    initial_history=lambda th, x: amp * np.sin(x),
+                    t_final=5.0, dt=1e-3)
+    m, n_steps, dt = p.m_delay, p.n_steps, p.dt
+    assert (m, n_steps) == (100, 5000)
+    curve = ms_ensemble(p, 200)
+
+    def exact(alpha, beta, gamma):
+        """E||x_n||_H^2 for n = 0..n_steps; row n + m of D is D_n."""
+        D = np.empty((n_steps + m + 1, m + 1))
+        D[:m + 1] = amp * amp               # the history is deterministic
+        k = np.arange(1, m + 1)
+        for i in range(m, n_steps + m):     # row i is D_n with n = i - m
+            D[i + 1, 0] = (alpha * alpha * D[i, 0] + 2 * alpha * beta
+                           * D[i, m] + (beta * beta + gamma * gamma * dt)
+                           * D[i - m, 0])
+            D[i + 1, 1:] = alpha * D[i, :-1] + beta * D[i + 1 - k, m + 1 - k]
+        return 0.5 * math.pi * D[m:, 0]
+
+    lam = lambda_min(p.grid)
+    coeffs = ((1 + dt * a) / (1 + dt * lam), dt * b / (1 + dt * lam),
+              c / (1 + dt * lam))
+    steps = np.round(curve.times / dt).astype(int)
+    want = exact(*coeffs)[steps]
+    assert curve.n_exploded == 0
+    assert curve.mean[0] == pytest.approx(want[0], rel=1e-12)
+    assert np.all(curve.stderr[1:] > 0)
+    z = (curve.mean[1:] - want[1:]) / curve.stderr[1:]
+    # normal tails with a Bonferroni count over the record points: a
+    # correct scheme fails this with probability below 1e-3
+    bound = NormalDist().inv_cdf(1 - 1e-3 / (2 * z.size))
+    assert np.max(np.abs(z)) <= bound, (np.max(np.abs(z)), bound)
+    # noise of twice the variance moves the curve far outside the bound
+    off = exact(coeffs[0], coeffs[1], math.sqrt(2.0) * coeffs[2])[steps]
+    z_off = (curve.mean[1:] - off[1:]) / curve.stderr[1:]
+    assert np.max(np.abs(z_off)) > 2 * bound
