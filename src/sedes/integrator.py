@@ -19,13 +19,13 @@ on all paths at once with elementwise arithmetic only.  It stores every
 level as two contiguous (k, B) blocks, [evens | odds], so each of its
 ufunc calls is one flat loop over k * B numbers; the odd rows are
 de-interleaved into the next level on the way down and interleaved back
-on the way up.  The ensemble driver forms the right-hand side in buffers
+on the way up.  The ensemble engine forms the right-hand side in buffers
 allocated once per path chunk, and the solve writes the new state straight
 into the ring slot of the delayed state, the one slot no later part of the
 step reads; explosion zeroing and clamp scaling then act on that slot in
 place.
 
-The driver integrates PATH_CHUNK paths at a time, each chunk with a delay
+The ensemble engine integrates PATH_CHUNK paths at a time, each chunk with a
 ring of its own, and keeps per path only what its reducers ask for: the
 norms at the record steps, running maxima of the H norm, statuses and
 snapshots.  A run's memory therefore grows with neither its path count
