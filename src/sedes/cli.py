@@ -37,7 +37,8 @@ from .fields import lambda_min
 from .integrator import PATH_CHUNK, run_ensemble, simulate_paths  # noqa: F401
 from .lyapunov import (FourierSampler, check_exponential, check_khasminskii,
                        check_lasalle)
-from .presets import DEFAULTS as PRESET_DEFAULTS, PRESET_NAMES, make_preset
+from .presets import (DEFAULTS as PRESET_DEFAULTS, PRESET_NAMES,
+                      eq24_failed_requirement, make_preset)
 from .stability import (StabilityReport, as_stats_from_batch, as_window,
                         default_record_times, explosion_scan,
                         fit_decay_rate_adaptive, ms_curve_from_batch,
@@ -224,12 +225,13 @@ def load_config(path=None, overrides=None) -> dict:
     if cfg["preset"] == "eq24" and not cfg["allow_unstable"]:
         nu, a, b, c = (float(cfg["nu"]), float(cfg["a"]), float(cfg["b"]),
                        float(cfg["c"]))
-        if not (nu - a > b * b > 0.0):
+        failed = eq24_failed_requirement(nu, a, b, c)
+        if failed == "b":
             raise ConfigError(
                 "eq24 parameters rejected: requires nu-a > b^2 > 0 "
                 "(nu=%g, a=%g, b=%g); pass --allow-unstable to run anyway"
                 % (nu, a, b))
-        if not c ** 4 < 2.0:
+        if failed == "c":
             raise ConfigError(
                 "eq24 parameters rejected: requires c^4 < 2 "
                 "(c=%g gives c^4=%g); pass --allow-unstable to run anyway"
@@ -270,9 +272,8 @@ def _run_bytes(cfg):
     ring = (m + 1.0) * min(float(PATH_CHUNK), B) * n
     floats = SETUP_FLOATS_PER_POINT * n
     if cfg["ms_ensemble"] or cfg["as_stats"]:
-        # default_record_times keeps at most 1.5 (P - 1) + 2 <= 2 P steps:
-        # its stride is n_steps / (P - 1) rounded to the nearest integer
-        records = min(steps + 1.0, 2.0 * cfg["record_points"])
+        # default_record_times keeps at most record_points steps
+        records = min(steps + 1.0, float(cfg["record_points"]))
         floats += ring + (B + min(cfg["n_sample_paths"], B) + 1.0) * records
     if cfg["explosion_scan"]:
         floats += ring + (B + 1.0) * (scan_steps + 1.0)

@@ -86,11 +86,18 @@ PATH_CHUNK = 256
 class PointwiseCoeff:
     """Coefficient applied entrywise: fn(t, u, v) with u current, v delayed.
 
-    fn must be numpy-vectorized (it receives arrays of grid values).
+    fn must be numpy-vectorized: it receives arrays of grid values, one
+    state per row, and a row's result may not depend on the other rows
+    (the rule batch invariance already sets for the integrator).
+    time_dependent=False declares that fn ignores t, which lets the
+    hypothesis checkers evaluate a whole block of sampled states in one
+    call at one time, as OperatorCoeff.time_dependent does for the
+    operator.
     """
 
-    def __init__(self, fn):
+    def __init__(self, fn, time_dependent=True):
         self.fn = fn
+        self.time_dependent = bool(time_dependent)
 
     def evaluate(self, t, x, y, dx):
         return self.fn(t, x, y)
@@ -124,6 +131,8 @@ class BallClampedCoeff:
             raise ValueError("truncation radius must be positive")
         self.inner = inner
         self.radius = float(radius)
+        # the clamp acts row by row, so it keeps the inner time rule
+        self.time_dependent = getattr(inner, "time_dependent", True)
 
     def evaluate(self, t, x, y, dx):
         xk = clamp_to_ball(x, self.radius, dx)

@@ -38,8 +38,10 @@ Functionals reach the blocks in one of two ways: an ArrayFunctional
 carries its array form (the presets' ||x||_H^2, int u^4 and their
 combinations), and any other Field -> float callable, a custom U
 included, is applied row by row.  Drift, diffusion and gamma take a
-scalar t, so they are called once per sample; the operator coefficient
-is evaluated once per block unless it is time dependent.
+scalar t.  A drift or diffusion whose time_dependent attribute is False
+(every preset coefficient that ignores t) is evaluated once per block on
+the (S, n) arrays, like the operator coefficient; any other, and gamma,
+is called once per sample.
 
 Samples are a prefix-extension stream whose rows are bitwise independent
 of the block they are drawn in: growing the sample count only appends
@@ -354,8 +356,13 @@ class FourierSampler:
 
 
 def _coeff_rows(coeff, t, X, Y, dx):
-    """A drift or diffusion evaluated once per sample, whose t is a scalar."""
+    """A drift or diffusion on each row of an (S, n) block, with a scalar t:
+    one call at the block's first time when the coefficient declares
+    time_dependent False, otherwise one call per sample."""
     out = np.empty_like(X)
+    if not getattr(coeff, "time_dependent", True):
+        out[...] = coeff.evaluate(float(t[0]), X, Y, dx)
+        return out
     for s, ts in enumerate(t.tolist()):
         out[s] = coeff.evaluate(ts, X[s], Y[s], dx)
     return out

@@ -17,6 +17,10 @@ H norm, but the quantities they actually produce are Q4 integrals; using
 (int u^2)^2 instead makes the inequalities false on single-mode states,
 so the presets pin the Q4 form.
 
+Every drift and diffusion except the lasalle preset's v sin(t) ignores t
+and is built with time_dependent=False, so the hypothesis checkers
+evaluate it on a whole block of sampled states in one call.
+
 For the existence preset the growth-bound derivation closes with the
 constant pair (lam1, lam2) = (4/3, 4/3): the chain bounds the cross term
 by 3||x||_H^2 + (1/3) Q4(y), so the delayed-W allowance needs lam1 >= 4/3
@@ -35,11 +39,12 @@ import math
 import numpy as np
 
 from .fields import OperatorCoeff, Grid, h_norm_sq_values, quartic_values
-from .integrator import ProblemSpec
+from .integrator import PointwiseCoeff, ProblemSpec
 from .lyapunov import ArrayFunctional, LyapunovSpec
 from .noise import NoiseModel
 
-__all__ = ["PRESET_NAMES", "Preset", "make_preset"]
+__all__ = ["PRESET_NAMES", "Preset", "eq24_failed_requirement",
+           "make_preset"]
 
 PRESET_NAMES = ("heat", "eq16", "eq6", "eq24")
 
@@ -57,6 +62,16 @@ DEFAULTS = {
 # them a block of samples at a time
 _H_SQ = ArrayFunctional(h_norm_sq_values)
 _Q4 = ArrayFunctional(quartic_values)
+
+
+def eq24_failed_requirement(nu, a, b, c):
+    """The first expstab requirement (nu, a, b, c) fails: "b" for
+    nu - a > b^2 > 0, "c" for c^4 < 2; None when both hold."""
+    if not (nu - a > b * b > 0.0):
+        return "b"
+    if not (c ** 4 < 2.0):
+        return "c"
+    return None
 
 
 def _sine_history(amplitude):
@@ -107,8 +122,10 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
     if name == "heat":
         problem = ProblemSpec(
             grid, OperatorCoeff.laplacian(),
-            drift=lambda t, u, v: np.zeros_like(u),
-            diffusion=lambda t, u, v: np.zeros_like(u),
+            drift=PointwiseCoeff(lambda t, u, v: np.zeros_like(u),
+                                 time_dependent=False),
+            diffusion=PointwiseCoeff(lambda t, u, v: np.zeros_like(u),
+                                     time_dependent=False),
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
         # zero drift and diffusion: the trivial certificate LU <= 0 works
@@ -124,8 +141,10 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
         sign = -1.0 if sign_variant else 1.0
         problem = ProblemSpec(
             grid, OperatorCoeff.laplacian(),
-            drift=lambda t, u, v: sign * (v * v - u * u * u),
-            diffusion=lambda t, u, v: v * v,
+            drift=PointwiseCoeff(lambda t, u, v: sign * (v * v - u * u * u),
+                                 time_dependent=False),
+            diffusion=PointwiseCoeff(lambda t, u, v: v * v,
+                                     time_dependent=False),
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
         lyap = LyapunovSpec(
@@ -139,7 +158,8 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
         gf = float(g_factor)
         problem = ProblemSpec(
             grid, OperatorCoeff.laplacian(),
-            drift=lambda t, u, v: -(u * u * u + u),
+            drift=PointwiseCoeff(lambda t, u, v: -(u * u * u + u),
+                                 time_dependent=False),
             diffusion=lambda t, u, v: gf * v * math.sin(t),
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
@@ -155,22 +175,24 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
 
     # eq24: divergence-form operator with 0 < nu <= a(t,x) <= alpha
     nu, a, b, c = float(nu), float(a), float(b), float(c)
-    if enforce_constraints:
-        if not (nu - a > b * b > 0.0):
-            raise ValueError(
-                "expstab preset requires nu - a > b^2 > 0 "
-                "(nu=%g, a=%g, b=%g)" % (nu, a, b))
-        if not (c ** 4 < 2.0):
-            raise ValueError(
-                "expstab preset requires c^4 < 2 (c=%g, c^4=%g)"
-                % (c, c ** 4))
+    failed = (eq24_failed_requirement(nu, a, b, c) if enforce_constraints
+              else None)
+    if failed == "b":
+        raise ValueError(
+            "expstab preset requires nu - a > b^2 > 0 "
+            "(nu=%g, a=%g, b=%g)" % (nu, a, b))
+    if failed == "c":
+        raise ValueError(
+            "expstab preset requires c^4 < 2 (c=%g, c^4=%g)" % (c, c ** 4))
     op = OperatorCoeff.divergence(
         lambda t, x: np.full_like(np.asarray(x, dtype=float), nu),
         nu=nu, alpha_upper=nu, time_dependent=False)
     problem = ProblemSpec(
         grid, op,
-        drift=lambda t, u, v: u * (a + b * v - u * u),
-        diffusion=lambda t, u, v: c * u * v,
+        drift=PointwiseCoeff(lambda t, u, v: u * (a + b * v - u * u),
+                             time_dependent=False),
+        diffusion=PointwiseCoeff(lambda t, u, v: c * u * v,
+                                 time_dependent=False),
         tau=tau, noise=noise, initial_history=psi,
         t_final=t_final, dt=dt)
     lyap = LyapunovSpec(

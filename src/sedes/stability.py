@@ -170,8 +170,10 @@ class MsCurve:
 
 
 def default_record_times(p: ProblemSpec, n_points=501):
-    """Uniform record grid, no finer than the step size."""
-    stride = max(1, int(round(p.n_steps / max(1, n_points - 1))))
+    """Uniform record grid of at most n_points steps, both ends included,
+    no finer than the step size: the stride is n_steps / (n_points - 1)
+    rounded up, and the last step closes the grid."""
+    stride = max(1, -(-p.n_steps // max(1, n_points - 1)))
     steps = np.arange(0, p.n_steps + 1, stride)
     if steps[-1] != p.n_steps:
         steps = np.append(steps, p.n_steps)

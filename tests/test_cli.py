@@ -275,9 +275,9 @@ def test_preflight_names_the_size_and_admits_the_desk_runs(tmp_path):
     with pytest.raises(ConfigError, match=r"9\.39e\+04 GiB"):
         sedes.cli._build_preset(cfg)
     # the default desk runs: ring (1001, 200, 63) plus 208 norm records of
-    # at most 2 * 501 points and their times, and the setup term
+    # at most 501 points and their times, and the setup term
     desk = load_config(None, {"preset": "eq24"})
-    expected = 8.0 * (1024 * 63 + 1001 * 200 * 63 + 209 * 1002)
+    expected = 8.0 * (1024 * 63 + 1001 * 200 * 63 + 209 * 501)
     assert _run_bytes(desk) == pytest.approx(expected, rel=1e-12)
     scan = load_config(None, {"preset": "eq16", "explosion_scan": True,
                               "as_stats": True})

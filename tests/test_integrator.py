@@ -15,12 +15,14 @@ from sedes import (
     imex_em_step,
     lambda_min,
     make_preset,
+    run_ensemble,
     sample_increment,
     simulate,
     simulate_paths,
     stopping_time_sigma_k,
     truncate_problem,
 )
+from sedes.fields import h_norm_sq_values
 
 
 def zero_problem(grid_n=31, dt=1e-3, tau=0.1, t_final=0.5, amplitude=1.0,
@@ -639,3 +641,66 @@ def test_linear_sine_mode_paths_match_the_scalar_recursion():
     off = np.abs(s1[:, m:]) * math.sqrt(math.pi / 2.0)
     assert np.max(np.abs(res.h_norms - off)
                   / np.max(off, axis=1, keepdims=True)) > 1e-6
+
+
+class SummedNoise:
+    """Brownian increments built on a fine grid: the increment over coarse
+    step k is the sum of the base model's increments over fine steps
+    k r, ..., k r + r - 1, each of length dt / r.  Runs at different dt
+    with the matching r are then driven by the same Brownian path."""
+
+    def __init__(self, base, r):
+        self.seed = base.seed
+        self.base = base
+        self.r = int(r)
+
+    def increments(self, path_ids, step_index, dt):
+        paths = np.atleast_1d(np.asarray(path_ids))
+        steps = np.atleast_1d(np.asarray(step_index, dtype=np.int64))
+        fine = (steps[:, None] * self.r + np.arange(self.r)).reshape(-1)
+        dB = self.base.increments(paths, fine, dt / self.r)
+        return dB.reshape(paths.size, steps.size, self.r).sum(axis=2)
+
+
+def test_summed_noise_is_the_base_noise_at_r_1_and_sums_fine_steps():
+    base = NoiseModel.scalar(seed=3)
+    steps = np.arange(5, 9)
+    assert np.array_equal(SummedNoise(base, 1).increments([0, 4], steps, 0.5),
+                          base.increments([0, 4], steps, 0.5))
+    coarse = SummedNoise(base, 4).increments([2], steps, 0.5)
+    fine = base.increments([2], np.arange(20, 36), 0.125)
+    assert np.allclose(coarse, fine.reshape(1, 4, 4).sum(axis=2),
+                       rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["eq24", "eq16", "eq6"])
+def test_strong_error_falls_at_least_at_a_floor_below_order_one_half(name):
+    # Euler-Maruyama for SDDEs converges strongly with order 1/2 (Buckwar,
+    # J. Comput. Appl. Math. 125, 2000).  Coarse runs at dt = 2^-4 ... 2^-8
+    # share each path's Brownian motion with a 2^-12 reference; between any
+    # two levels the RMS H-norm error at T must fall at an order of at
+    # least ORDER_FLOOR, half the theoretical value, so sampling noise in
+    # 64 paths cannot fail a correct scheme
+    ORDER_FLOOR = 0.25
+    paths, ref_level, levels = 64, 12, range(4, 9)
+
+    def final_states(level):
+        pre = make_preset(name, grid_n=15, dt=2.0 ** -level, tau=0.25,
+                          t_final=1.0)
+        p = pre.problem.replace(noise=SummedNoise(
+            pre.problem.noise, 2 ** (ref_level - level)))
+        assert p.n_steps == 2 ** level and not p.dt_adjusted
+        res = run_ensemble(p, range(paths), record_steps=(), record_v=0,
+                           snapshot_steps=(p.n_steps,))
+        assert res.statuses == ["completed"] * paths
+        return res.snapshots[p.n_steps], p.grid.dx
+
+    ref, dx = final_states(ref_level)
+    errors = []
+    for level in levels:
+        x, _ = final_states(level)
+        errors.append(math.sqrt(np.mean(h_norm_sq_values(x - ref, dx))))
+    for i in range(len(errors)):
+        for j in range(i + 1, len(errors)):
+            order = math.log2(errors[i] / errors[j]) / (j - i)
+            assert order >= ORDER_FLOOR, (name, levels[i], levels[j], order)

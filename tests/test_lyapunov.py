@@ -27,6 +27,7 @@ from sedes import (
     h_norm,
     make_preset,
     quartic,
+    truncate_problem,
     v_norm,
 )
 from sedes.fields import h_norm_sq_values
@@ -541,3 +542,73 @@ def test_checkers_reject_a_negative_sample_count():
     with pytest.raises(ValueError, match="samples"):
         check_khasminskii(pre.problem, pre.lyapunov,
                           default_sampler(pre.problem), -1)
+
+
+def _preset_coefficients():
+    """(label, problem, coefficient) for every preset drift and diffusion,
+    the sign variant and a ball-clamped wrapper included."""
+    problems = [(nm, make_preset(nm).problem)
+                for nm in ("heat", "eq16", "eq6", "eq24")]
+    problems += [
+        ("eq16 sign variant", make_preset("eq16", sign_variant=True).problem),
+        ("eq24 clamped", truncate_problem(make_preset("eq24").problem, 0.5))]
+    return [(label + " " + part, p, getattr(p, part))
+            for label, p in problems for part in ("drift", "diffusion")]
+
+
+def test_only_eq6_diffusion_depends_on_time():
+    marked = {label: coeff.time_dependent
+              for label, _, coeff in _preset_coefficients()}
+    assert [label for label, dep in marked.items() if dep] == \
+        ["eq6 diffusion"]
+
+
+def test_time_independent_coefficients_evaluate_a_block_as_its_rows():
+    # 300 samples are blocks of 128, 128 and a partial 44; a block is
+    # evaluated in one call at its first time, and each row must be the
+    # bits of that row evaluated alone at its own time
+    from sedes.lyapunov import _blocks, _coeff_rows
+    for label, p, coeff in _preset_coefficients():
+        if coeff.time_dependent:
+            continue
+        dx, sizes = p.grid.dx, []
+        for _, t, X, Y in _blocks(default_sampler(p), 300):
+            sizes.append(len(t))
+            block = _coeff_rows(coeff, t, X, Y, dx)
+            rows = np.stack([np.broadcast_to(
+                coeff.evaluate(ts, X[s], Y[s], dx), X[s].shape)
+                for s, ts in enumerate(t.tolist())])
+            assert np.array_equal(block, rows), label
+        assert sizes == [128, 128, 44]
+
+
+class _Counted:
+    """A coefficient that records the t of every evaluate() call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.time_dependent = inner.time_dependent
+        self.times = []
+
+    def evaluate(self, t, x, y, dx):
+        self.times.append(t)
+        return self.inner.evaluate(t, x, y, dx)
+
+
+def test_block_evaluation_calls_time_independent_coefficients_per_block():
+    # eq6's drift ignores t and is called once per block of 128; its
+    # v sin(t) diffusion is called once per sample, at that sample's t
+    pre = make_preset("eq6")
+    n = 300
+    p = pre.problem.replace(drift=_Counted(pre.problem.drift),
+                            diffusion=_Counted(pre.problem.diffusion))
+    p.drift.times.clear()
+    p.diffusion.times.clear()
+    s = default_sampler(p)
+    rep = check_lasalle(p, pre.lyapunov, s, n)
+    assert rep.to_dict() == check_lasalle(pre.problem, pre.lyapunov, s,
+                                          n).to_dict()
+    t_all = s.sample_block(np.arange(n))[0]
+    assert p.drift.times == [float(t_all[i]) for i in (0, 128, 256)]
+    assert len(p.drift.times) == math.ceil(n / 128)
+    assert p.diffusion.times == t_all.tolist()

@@ -408,3 +408,29 @@ def test_ms_curve_matches_the_exact_second_moment_recursion():
     off = exact(coeffs[0], coeffs[1], math.sqrt(2.0) * coeffs[2])[steps]
     z_off = (curve.mean[1:] - off[1:]) / curve.stderr[1:]
     assert np.max(np.abs(z_off)) > 2 * bound
+
+
+def test_default_record_times_keep_at_most_the_points_asked_for():
+    # eq24 to t = 1.249 has 1249 steps: a stride rounded to the nearest
+    # integer (2) recorded 626 steps where 501 were asked for
+    for t_final, n_points in ((1.249, 501), (1.001, 501), (0.75, 501),
+                              (0.2, 501), (0.017, 5), (0.013, 4),
+                              (0.101, 3)):
+        p = make_preset("eq24", t_final=t_final).problem
+        assert p.n_steps == round(t_final * 1000)
+        assert p.n_steps % (n_points - 1) != 0
+        steps = np.round(stability.default_record_times(p, n_points)
+                         / p.dt).astype(int)
+        assert steps[0] == 0 and steps[-1] == p.n_steps
+        assert len(steps) <= n_points, (t_final, n_points, len(steps))
+        # one stride throughout, and a last step no longer than it
+        gaps = np.diff(steps)
+        assert np.all(gaps[:-1] == gaps[0]) and 1 <= gaps[-1] <= gaps[0]
+    # a multiple of n_points - 1 keeps its grid of exactly n_points steps,
+    # so the desk-scale eq24 ms curve is unchanged
+    for t_final, n_points in ((10.0, 501), (1.0, 501), (0.5, 501),
+                              (0.016, 5)):
+        p = make_preset("eq24", t_final=t_final).problem
+        stride = p.n_steps // (n_points - 1)
+        assert np.array_equal(stability.default_record_times(p, n_points),
+                              np.arange(0, p.n_steps + 1, stride) * p.dt)
