@@ -602,6 +602,7 @@ def test_block_evaluation_calls_time_independent_coefficients_per_block():
     n = 300
     p = pre.problem.replace(drift=_Counted(pre.problem.drift),
                             diffusion=_Counted(pre.problem.diffusion))
+    # replace() validates the problem, which evaluates both coefficients
     p.drift.times.clear()
     p.diffusion.times.clear()
     s = default_sampler(p)
@@ -609,6 +610,6 @@ def test_block_evaluation_calls_time_independent_coefficients_per_block():
     assert rep.to_dict() == check_lasalle(pre.problem, pre.lyapunov, s,
                                           n).to_dict()
     t_all = s.sample_block(np.arange(n))[0]
-    assert p.drift.times == [float(t_all[i]) for i in (0, 128, 256)]
     assert len(p.drift.times) == math.ceil(n / 128)
+    assert p.drift.times == t_all[::128].tolist()
     assert p.diffusion.times == t_all.tolist()
