@@ -1,7 +1,7 @@
 """Command-line front end: configuration, run orchestration, artifacts.
 
-A run is described by a JSON document whose keys are exactly the
-RunConfig fields below; command-line flags override file values, and the
+A run is described by a JSON document whose keys are exactly those of
+the KEYS table below; command-line flags override file values, and the
 fully resolved configuration is echoed to <out>/config.resolved.json so
 every run can be replayed.  Enabled analyses execute in a fixed order
 (condition checks, decay solver, ensemble, statistics) and the artifacts
@@ -52,78 +52,6 @@ EXIT_CONFIG_ERROR = 4
 SCHEME = "imex_euler_maruyama"
 GAUSSIAN_METHOD = "box_muller_counter_keyed"
 
-# RunConfig fields with their defaults; None means "preset decides" or
-# "derived from other fields at run time"
-CONFIG_DEFAULTS = {
-    "preset": None,
-    "grid_n": None,
-    "dt": None,
-    "tau": None,
-    "t_final": None,
-    "n_paths": 200,
-    "seed": 0,
-    "amplitude": None,
-    # preset parameters
-    "nu": 2.0,
-    "a": 0.5,
-    "b": 1.0,
-    "c": 1.0,
-    "sign_variant": False,
-    "g_factor": 1.0,
-    "lam2": None,
-    # analysis toggles
-    "check_conditions": True,
-    "ms_ensemble": True,
-    "as_stats": False,
-    "explosion_scan": False,
-    "decay_solver": None,       # defaults to True for eq24 only
-    # thresholds and windows
-    "n_samples": 10000,
-    "sampler_seed": 0,
-    "as_threshold": 1e-2,
-    "as_window": None,          # [t_final - 5, t_final]
-    "as_pass_fraction": 0.99,
-    "u_bound": 1e6,
-    "fit_window": None,
-    "explosion_k_values": [2.0, 4.0, 8.0, 16.0],
-    "explosion_horizon": 5.0,
-    "explosion_budget": 0.01,
-    "record_points": 501,
-    "n_sample_paths": 8,
-    "allow_unstable": False,
-    "clamp": False,
-    "output_dir": "sedes-out",
-}
-
-
-# integer keys and their ranges [lo, hi); seeds are hashed as 64-bit words,
-# and a record grid has at least its two ends.  A key whose default is None
-# may also be left unset
-INT_RANGES = {
-    "grid_n": (2, None),
-    "n_paths": (1, None),
-    "n_samples": (1, None),
-    "record_points": (2, None),
-    "n_sample_paths": (0, None),
-    "seed": (0, 2 ** 64),
-    "sampler_seed": (0, 2 ** 64),
-}
-
-
-# float keys and the range each must lie in; every one must be finite
-FLOAT_RANGES = {
-    "as_threshold": ("> 0", lambda v: v > 0.0),
-    "as_pass_fraction": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "u_bound": ("> 0", lambda v: v > 0.0),
-    "explosion_horizon": ("> 0", lambda v: v > 0.0),
-    "explosion_budget": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-}
-# numbers handed to make_preset, which checks their ranges; None means the
-# preset's default
-PRESET_FLOATS = ("dt", "tau", "t_final", "amplitude", "nu", "a", "b", "c",
-                 "g_factor", "lam2")
-
-
 # the largest run the CLI starts, in bytes of its arrays as _run_bytes
 # counts them
 MAX_RUN_BYTES = 8 * 2 ** 30
@@ -144,24 +72,84 @@ def _is_number(val):
             and math.isfinite(val))
 
 
-def _check_window(key, val):
-    """None, or [lo, hi] with 0 <= lo < hi."""
-    if val is None:
-        return
-    if not (isinstance(val, list) and len(val) == 2
-            and all(_is_number(v) for v in val) and 0 <= val[0] < val[1]):
-        raise ConfigError("%s must be [lo, hi] with 0 <= lo < hi, got %r"
-                          % (key, val))
+def _int(lo, hi=None):
+    # a JSON float such as 200.0 or a bool is not an integer
+    return ("an integer >= %d%s" % (lo, "" if hi is None else " and < 2^64"),
+            lambda v: type(v) is int and lo <= v and (hi is None or v < hi))
+
+
+NUMBER = ("a finite number", _is_number)
+POSITIVE = ("a finite number > 0", lambda v: _is_number(v) and v > 0.0)
+FRACTION = ("a finite number in [0, 1]",
+            lambda v: _is_number(v) and 0.0 <= v <= 1.0)
+BOOL = ("true or false", lambda v: isinstance(v, bool))
+TEXT = ("a string", lambda v: isinstance(v, str))
+WINDOW = ("[lo, hi] with 0 <= lo < hi",
+          lambda v: isinstance(v, list) and len(v) == 2
+          and all(_is_number(x) for x in v) and 0 <= v[0] < v[1])
+K_VALUES = ("a non-empty, increasing list of positive numbers",
+            lambda v: isinstance(v, list) and len(v) > 0
+            and all(_is_number(k) and k > 0 for k in v)
+            and all(a < b for a, b in zip(v, v[1:])))
+
+# Every config key: (default, (what it must be, predicate), flag or None
+# for a key set in the config file only).  A key whose default is None
+# (preset decides, or derived at run time) may stay unset.  A number flag
+# parses as its check's kind, a true-or-false key's flag is store_true, and
+# "--[no-]x" gives both --x and --no-x.  Seeds are hashed as 64-bit words;
+# make_preset checks the preset numbers' ranges, run() the windows' ends.
+KEYS = {
+    "preset": (None, ("one of %s (custom problems run through the Python "
+                      "API)" % ", ".join(PRESET_NAMES),
+                      lambda v: v in PRESET_NAMES), "--preset"),
+    "grid_n": (None, _int(2), "--grid-n"),
+    "dt": (None, NUMBER, "--dt"),
+    "tau": (None, NUMBER, "--tau"),
+    "t_final": (None, NUMBER, "--t-final"),
+    "n_paths": (200, _int(1), "--paths"),
+    "seed": (0, _int(0, 2 ** 64), "--seed"),
+    "output_dir": ("sedes-out", TEXT, "--out-dir"),
+    "allow_unstable": (False, BOOL, "--allow-unstable"),
+    "clamp": (False, BOOL, "--clamp"),
+    "amplitude": (None, NUMBER, "--amplitude"),
+    "nu": (2.0, NUMBER, "--nu"),
+    "a": (0.5, NUMBER, "--a"),
+    "b": (1.0, NUMBER, "--b"),
+    "c": (1.0, NUMBER, "--c"),
+    "sign_variant": (False, BOOL, "--sign-variant"),
+    "g_factor": (1.0, NUMBER, "--g-factor"),
+    "lam2": (None, NUMBER, "--lam2"),
+    "n_samples": (10000, _int(1), "--n-samples"),
+    "sampler_seed": (0, _int(0, 2 ** 64), "--sampler-seed"),
+    "check_conditions": (True, BOOL, "--[no-]check-conditions"),
+    "ms_ensemble": (True, BOOL, "--[no-]ms-ensemble"),
+    "as_stats": (False, BOOL, "--[no-]as-stats"),
+    "explosion_scan": (False, BOOL, "--[no-]explosion-scan"),
+    "decay_solver": (None, BOOL, "--[no-]decay-solver"),  # True for eq24
+    "as_threshold": (1e-2, POSITIVE, None),
+    "as_window": (None, WINDOW, None),  # [t_final - 5, t_final]
+    "as_pass_fraction": (0.99, FRACTION, None),
+    "u_bound": (1e6, POSITIVE, None),
+    "fit_window": (None, WINDOW, None),
+    "explosion_k_values": ([2.0, 4.0, 8.0, 16.0], K_VALUES, None),
+    "explosion_horizon": (5.0, POSITIVE, None),
+    "explosion_budget": (0.01, FRACTION, None),
+    "record_points": (501, _int(2), None),  # at least 0 and t_final
+    "n_sample_paths": (8, _int(0), None),
+}
+# keys of config.resolved.json that run() derives; a replay drops them
+DERIVED_KEYS = ("dt_adjusted", "dt_requested", "m_delay")
 
 
 def load_config(path=None, overrides=None) -> dict:
     """Assemble the resolved run configuration.
 
-    path points at a JSON document with RunConfig keys (unknown keys are
-    an error, listed by name); overrides (flag values) win over the file.
-    Constraint violations are reported with the hypothesis they break.
+    path points at a JSON document with KEYS keys (unknown keys are an
+    error, listed by name; DERIVED_KEYS are dropped, so config.resolved.json
+    replays); overrides (flag values) win over the file.  Constraint
+    violations are reported with the hypothesis they break.
     """
-    cfg = dict(CONFIG_DEFAULTS)
+    cfg = {key: row[0] for key, row in KEYS.items()}
     if path is not None:
         try:
             with open(path) as fh:
@@ -172,11 +160,11 @@ def load_config(path=None, overrides=None) -> dict:
             raise ConfigError("config file is not valid JSON: %s" % err)
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(doc) - set(CONFIG_DEFAULTS))
+        unknown = sorted(set(doc) - set(KEYS) - set(DERIVED_KEYS))
         if unknown:
             raise ConfigError("unknown config keys: %s"
                               % ", ".join(unknown))
-        cfg.update(doc)
+        cfg.update((k, v) for k, v in doc.items() if k in KEYS)
     for key, val in (overrides or {}).items():
         if val is not None:
             cfg[key] = val
@@ -185,57 +173,20 @@ def load_config(path=None, overrides=None) -> dict:
 
     if cfg["preset"] is None:
         raise ConfigError("a preset must be chosen (--preset or config key)")
-    if cfg["preset"] == "custom":
-        raise ConfigError(
-            "preset 'custom' carries user callables and is only reachable "
-            "through the Python API; the CLI runs the named presets: %s"
-            % ", ".join(PRESET_NAMES))
-    if cfg["preset"] not in PRESET_NAMES:
-        raise ConfigError("unknown preset %r (choose from %s)"
-                          % (cfg["preset"], ", ".join(PRESET_NAMES)))
-    for key, (lo, hi) in INT_RANGES.items():
-        val = cfg[key]
-        if val is None and CONFIG_DEFAULTS[key] is None:
-            continue
-        # a JSON float such as 200.0 or a bool is rejected too
-        if type(val) is not int or val < lo or (hi is not None and val >= hi):
-            raise ConfigError("%s must be an integer >= %d%s, got %r"
-                              % (key, lo, "" if hi is None
-                                 else " and < 2^64", val))
-    for key, (text, ok) in FLOAT_RANGES.items():
-        if not (_is_number(cfg[key]) and ok(cfg[key])):
-            raise ConfigError("%s must be a finite number %s, got %r"
-                              % (key, text, cfg[key]))
-    for key in PRESET_FLOATS:
-        if cfg[key] is not None and not _is_number(cfg[key]):
-            raise ConfigError("%s must be a finite number, got %r"
-                              % (key, cfg[key]))
-    ks = cfg["explosion_k_values"]
-    if not (isinstance(ks, list) and ks
-            and all(_is_number(k) and k > 0 for k in ks)
-            and all(a < b for a, b in zip(ks, ks[1:]))):
-        raise ConfigError("explosion_k_values must be a non-empty, "
-                          "increasing list of positive numbers, got %r"
-                          % (ks,))
-    for key in ("as_window", "fit_window"):
-        _check_window(key, cfg[key])
+    for key, (default, (what, ok), _) in KEYS.items():
+        if not (ok(cfg[key]) or cfg[key] is None and default is None):
+            raise ConfigError("%s must be %s, got %r" % (key, what, cfg[key]))
     if cfg["decay_solver"] is None:
         cfg["decay_solver"] = cfg["preset"] == "eq24"
 
     if cfg["preset"] == "eq24" and not cfg["allow_unstable"]:
-        nu, a, b, c = (float(cfg["nu"]), float(cfg["a"]), float(cfg["b"]),
-                       float(cfg["c"]))
+        nu, a, b, c = (float(cfg[k]) for k in ("nu", "a", "b", "c"))
         failed = eq24_failed_requirement(nu, a, b, c)
-        if failed == "b":
-            raise ConfigError(
-                "eq24 parameters rejected: requires nu-a > b^2 > 0 "
-                "(nu=%g, a=%g, b=%g); pass --allow-unstable to run anyway"
-                % (nu, a, b))
-        if failed == "c":
-            raise ConfigError(
-                "eq24 parameters rejected: requires c^4 < 2 "
-                "(c=%g gives c^4=%g); pass --allow-unstable to run anyway"
-                % (c, c ** 4))
+        needs = {"b": "nu-a > b^2 > 0 (nu=%g, a=%g, b=%g)" % (nu, a, b),
+                 "c": "c^4 < 2 (c=%g)" % c}
+        if failed is not None:
+            raise ConfigError("eq24 parameters rejected: requires %s; pass "
+                              "--allow-unstable to run anyway" % needs[failed])
     if cfg["decay_solver"] and cfg["preset"] != "eq24":
         raise ConfigError(
             "decay_solver needs the exponential-stability constants, which "
@@ -331,20 +282,22 @@ def run(cfg) -> int:
     Returns the process exit code; the report is written even when a
     check fails or the explosion budget is blown."""
     out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError("cannot create output directory: %s" % err)
 
     preset = _build_preset(cfg)
     p = preset.problem
-    if cfg["as_window"] is not None and \
-            cfg["as_window"][1] > p.t_final + 1e-12:
-        raise ConfigError("as_window %r must sit inside [0, t_final=%g]"
-                          % (cfg["as_window"], p.t_final))
+    for key in ("as_window", "fit_window"):
+        if cfg[key] is not None and cfg[key][1] > p.t_final + 1e-12:
+            raise ConfigError("%s %r must sit inside [0, t_final=%g]"
+                              % (key, cfg[key], p.t_final))
     resolved = dict(cfg)
     resolved.update(grid_n=p.grid.n_interior, dt=p.dt, tau=p.tau,
-                    t_final=p.t_final, amplitude=preset.params["amplitude"])
-    resolved["dt_requested"] = p.dt_requested
-    resolved["dt_adjusted"] = p.dt_adjusted
-    resolved["m_delay"] = p.m_delay
+                    t_final=p.t_final, amplitude=preset.params["amplitude"],
+                    dt_requested=p.dt_requested, dt_adjusted=p.dt_adjusted,
+                    m_delay=p.m_delay)
     if p.dt_adjusted:
         print("note: dt adjusted from %g to %g so tau = %d * dt"
               % (p.dt_requested, p.dt, p.m_delay))
@@ -523,31 +476,21 @@ def build_parser():
         description="Simulate and stability-check stochastic delay "
                     "evolution equations on (0, pi).")
     ap.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    ap.add_argument("--preset", choices=PRESET_NAMES)
-    ap.add_argument("--grid-n", type=int, dest="grid_n")
-    ap.add_argument("--dt", type=float)
-    ap.add_argument("--tau", type=float)
-    ap.add_argument("--t-final", type=float, dest="t_final")
-    ap.add_argument("--paths", type=int, dest="n_paths")
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--out-dir", dest="output_dir")
-    ap.add_argument("--allow-unstable", action="store_true", default=None)
-    ap.add_argument("--clamp", action="store_true", default=None)
-    ap.add_argument("--amplitude", type=float)
-    ap.add_argument("--nu", type=float)
-    ap.add_argument("--a", type=float)
-    ap.add_argument("--b", type=float)
-    ap.add_argument("--c", type=float)
-    ap.add_argument("--sign-variant", dest="sign_variant",
-                    action="store_true", default=None)
-    ap.add_argument("--g-factor", type=float, dest="g_factor")
-    ap.add_argument("--lam2", type=float)
-    ap.add_argument("--n-samples", type=int, dest="n_samples")
-    ap.add_argument("--sampler-seed", type=int, dest="sampler_seed")
-    for toggle in ("check-conditions", "ms-ensemble", "as-stats",
-                   "explosion-scan", "decay-solver"):
-        ap.add_argument("--" + toggle, dest=toggle.replace("-", "_"),
-                        action=argparse.BooleanOptionalAction, default=None)
+    # every flag defaults to None, so an unset flag leaves the file's value
+    for key, (_, check, flag) in KEYS.items():
+        if flag is None:
+            continue
+        kw = {"dest": key}
+        if flag.startswith("--[no-]"):
+            flag = "--" + flag[len("--[no-]"):]
+            kw.update(action=argparse.BooleanOptionalAction, default=None)
+        elif check is BOOL:
+            kw.update(action="store_true", default=None)
+        elif key == "preset":
+            kw["choices"] = PRESET_NAMES
+        elif check is not TEXT:
+            kw["type"] = int if check[0].startswith("an integer") else float
+        ap.add_argument(flag, **kw)
     return ap
 
 

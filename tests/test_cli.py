@@ -237,6 +237,10 @@ SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
     (["--preset", "eq24", "--grid-n", "100000000"], None),
     ([], {"preset": "heat", "grid_n": 31.9}),
     ([], {"preset": "heat", "grid_n": "31"}),
+    ([], {"preset": "heat", "clamp": "no"}),
+    ([], dict(SMALL_EQ16, sign_variant="x")),
+    ([], dict(SMALL_EQ16, ms_ensemble=0)),
+    ([], dict(SMALL_EQ16, fit_window=[5.0, 6.0])),
 ], ids=["grid-n-1", "dt-negative", "n-paths-not-integer", "paths-0",
         "n-samples-not-integer", "n-samples-negative", "n-samples-0",
         "record-points-not-integer", "record-points-1",
@@ -248,7 +252,9 @@ SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
         "explosion-k-inside-initial-data", "eq24-nu-not-number",
         "ring-beyond-limit-dt", "ring-beyond-limit-tau",
         "traces-beyond-limit-t-final", "ring-beyond-limit-grid-n",
-        "grid-n-float", "grid-n-string"])
+        "grid-n-float", "grid-n-string", "clamp-not-bool",
+        "sign-variant-not-bool", "ms-ensemble-integer",
+        "fit-window-beyond-t-final"])
 def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
                                                         config):
     # run as a process so an escaping exception shows as a traceback
@@ -267,6 +273,103 @@ def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
     assert any(line.startswith("configuration error: ")
                for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def test_output_dir_errors_exit_4_without_traceback(tmp_path, monkeypatch):
+    monkeypatch.delenv("SEDES_OUT", raising=False)
+    for bad in (5, None):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"preset": "heat", "output_dir": bad}))
+        with pytest.raises(ConfigError, match="output_dir must be a string"):
+            load_config(str(cfgfile), {})
+    # SEDES_OUT wins over --out-dir; a regular file cannot hold a directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, SEDES_OUT=str(blocker / "out"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sedes.cli", "--preset", "heat",
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG_ERROR
+    assert proc.stderr.startswith("configuration error: cannot create "
+                                  "output directory")
+    assert "Traceback" not in proc.stderr
+
+
+def test_resolved_config_replays_byte_for_byte(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    code = run_cli(["--preset", "eq16", "--grid-n", "15", "--tau", "0.1",
+                    "--t-final", "0.5", "--dt", "0.0003", "--paths", "4",
+                    "--n-samples", "200", "--as-stats",
+                    "--out-dir", str(first)])
+    # at t = 0.5 the a.s. proxy fails, which is beside the point here
+    assert code == EXIT_CHECK_FAILURE
+    resolved = first / "config.resolved.json"
+    assert run_cli(["--config", str(resolved),
+                    "--out-dir", str(second)]) == EXIT_CHECK_FAILURE
+    for name in ("ms_curve.csv", "paths_sample.csv", "conditions.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    a = json.loads(resolved.read_text())
+    b = json.loads((second / "config.resolved.json").read_text())
+    assert a["dt_adjusted"] is True
+    assert (b["dt"], b["m_delay"]) == (a["dt"], a["m_delay"]) == \
+        (pytest.approx(0.1 / 334, rel=1e-15), 334)
+
+
+def test_key_table_keeps_the_flags_and_defaults(monkeypatch):
+    from sedes.cli import build_parser
+    monkeypatch.delenv("SEDES_OUT", raising=False)
+    ap = build_parser()
+    flags = [s for action in ap._actions for s in action.option_strings
+             if s not in ("-h", "--help")]
+    assert flags == [
+        "--config", "--preset", "--grid-n", "--dt", "--tau", "--t-final",
+        "--paths", "--seed", "--out-dir", "--allow-unstable", "--clamp",
+        "--amplitude", "--nu", "--a", "--b", "--c", "--sign-variant",
+        "--g-factor", "--lam2", "--n-samples", "--sampler-seed",
+        "--check-conditions", "--no-check-conditions", "--ms-ensemble",
+        "--no-ms-ensemble", "--as-stats", "--no-as-stats",
+        "--explosion-scan", "--no-explosion-scan", "--decay-solver",
+        "--no-decay-solver"]
+    # dests, types and actions: every flag set once
+    got = vars(ap.parse_args([
+        "--config", "c.json", "--preset", "eq24", "--grid-n", "15",
+        "--dt", "0.01", "--tau", "0.5", "--t-final", "2", "--paths", "3",
+        "--seed", "4", "--out-dir", "o", "--allow-unstable", "--clamp",
+        "--amplitude", "0.5", "--nu", "3", "--a", "0.25", "--b", "1.5",
+        "--c", "1.1", "--sign-variant", "--g-factor", "2", "--lam2", "7",
+        "--n-samples", "9", "--sampler-seed", "5", "--no-check-conditions",
+        "--ms-ensemble", "--as-stats", "--no-explosion-scan",
+        "--decay-solver"]))
+    want = {"config": "c.json", "preset": "eq24", "grid_n": 15, "dt": 0.01,
+            "tau": 0.5, "t_final": 2.0, "n_paths": 3, "seed": 4,
+            "output_dir": "o", "allow_unstable": True, "clamp": True,
+            "amplitude": 0.5, "nu": 3.0, "a": 0.25, "b": 1.5, "c": 1.1,
+            "sign_variant": True, "g_factor": 2.0, "lam2": 7.0,
+            "n_samples": 9, "sampler_seed": 5, "check_conditions": False,
+            "ms_ensemble": True, "as_stats": True, "explosion_scan": False,
+            "decay_solver": True}
+    assert {k: (type(v), v) for k, v in got.items()} == \
+        {k: (type(v), v) for k, v in want.items()}
+    assert set(vars(ap.parse_args([])).values()) == {None}
+    defaults = {
+        "preset": "heat", "grid_n": None, "dt": None, "tau": None,
+        "t_final": None, "n_paths": 200, "seed": 0, "amplitude": None,
+        "nu": 2.0, "a": 0.5, "b": 1.0, "c": 1.0, "sign_variant": False,
+        "g_factor": 1.0, "lam2": None, "check_conditions": True,
+        "ms_ensemble": True, "as_stats": False, "explosion_scan": False,
+        "decay_solver": False, "n_samples": 10000, "sampler_seed": 0,
+        "as_threshold": 0.01, "as_window": None, "as_pass_fraction": 0.99,
+        "u_bound": 1e6, "fit_window": None,
+        "explosion_k_values": [2.0, 4.0, 8.0, 16.0],
+        "explosion_horizon": 5.0, "explosion_budget": 0.01,
+        "record_points": 501, "n_sample_paths": 8, "allow_unstable": False,
+        "clamp": False, "output_dir": "sedes-out"}
+    assert load_config(None, {"preset": "heat"}) == defaults
+    # the parser's namespace, config: None included, as CI passes it
+    assert load_config(None, vars(ap.parse_args(["--preset", "heat"]))) == \
+        defaults
 
 
 def test_preflight_names_the_size_and_admits_the_desk_runs(tmp_path):
