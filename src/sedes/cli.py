@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .fields import lambda_min
 # bench/spans.py wraps simulate_paths in this namespace, so it stays
-# importable from here though run() no longer calls it
+# importable from here though no analysis calls it
 from .integrator import PATH_CHUNK, run_ensemble, simulate_paths  # noqa: F401
 from .lyapunov import (FourierSampler, check_exponential, check_khasminskii,
                        check_lasalle)
@@ -61,6 +61,10 @@ MAX_STEPS = 2 ** 63
 # check) or by one block of checker samples, whichever is larger; both
 # measure about 840
 SETUP_FLOATS_PER_POINT = 1024
+# floats per path that the explosion scan's reducers and bookkeeping hold
+# (ids, statuses and their times, peak norms, exit masks); tracemalloc
+# measures 16
+SCAN_FLOATS_PER_PATH = 16
 
 
 class ConfigError(ValueError):
@@ -212,13 +216,13 @@ def _run_bytes(cfg):
     """Bytes of the arrays a run allocates, counted in floats from the
     config numbers alone: the set-up; for the ensemble one path chunk's
     delay ring (m+1, chunk, n) and the norms its reducers keep at the record
-    points; for the explosion scan a chunk's ring and its per-step trace of
-    n_steps + 1 norms per path.  None when a number is one make_preset
-    rejects anyway."""
+    points; for the explosion scan a chunk's ring and a few floats per path,
+    whatever the horizon.  None when a number is one make_preset rejects
+    anyway."""
     nums = _grid_numbers(cfg)
     if nums is None:
         return None
-    n, m, steps, scan_steps = nums
+    n, m, steps, _ = nums
     B = float(cfg["n_paths"])
     ring = (m + 1.0) * min(float(PATH_CHUNK), B) * n
     floats = SETUP_FLOATS_PER_POINT * n
@@ -227,23 +231,27 @@ def _run_bytes(cfg):
         records = min(steps + 1.0, float(cfg["record_points"]))
         floats += ring + (B + min(cfg["n_sample_paths"], B) + 1.0) * records
     if cfg["explosion_scan"]:
-        floats += ring + (B + 1.0) * (scan_steps + 1.0)
+        floats += ring + SCAN_FLOATS_PER_PATH * B
     return 8.0 * floats
 
 
 def _build_preset(cfg):
     nums = _grid_numbers(cfg)
-    if nums is not None and nums[2] >= MAX_STEPS:
+    # the scan's size does not grow with its horizon, so only the step
+    # limit keeps a horizon such as 1e300 from starting
+    longest = None if nums is None else max(
+        nums[2], nums[3] if cfg["explosion_scan"] else 0.0)
+    if longest is not None and longest >= MAX_STEPS:
         raise ConfigError(
-            "t_final / dt gives about %.3g steps; a step index is a 64-bit "
-            "word of the noise key, so a run has fewer than 2^63 steps"
-            % nums[2])
+            "t_final or the scan's horizon over dt gives about %.3g steps; a "
+            "step index is a 64-bit word of the noise key, so a run has "
+            "fewer than 2^63 steps" % longest)
     size = _run_bytes(cfg)
     if size is not None and size > MAX_RUN_BYTES:
         raise ConfigError(
             "run needs about %.3g GiB of arrays (a path chunk's delay ring, "
             "recorded norms, set-up), above the limit of %g GiB; lower "
-            "n_paths, grid_n, tau/dt, t_final or the explosion horizon"
+            "n_paths, grid_n, tau/dt or t_final"
             % (size / 2 ** 30, MAX_RUN_BYTES / 2 ** 30))
     try:
         return make_preset(
@@ -312,7 +320,11 @@ def run(cfg) -> int:
                                  t_max=p.t_final,
                                  n_modes=min(8, p.grid.n_interior))
         for nm, fn in _CHECKERS[cfg["preset"]]:
-            rep = fn(p, preset.lyapunov, sampler, int(cfg["n_samples"]))
+            try:
+                rep = fn(p, preset.lyapunov, sampler, int(cfg["n_samples"]))
+            except ValueError as err:
+                # coefficients too large for a float on the sampled states
+                raise ConfigError("%s check: %s" % (nm, err)) from err
             reports.append(rep)
             print("condition %-12s %s (max violation %.3e over %d samples)"
                   % (nm, "PASS" if rep.passed else "FAIL",

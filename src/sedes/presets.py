@@ -64,12 +64,20 @@ _H_SQ = ArrayFunctional(h_norm_sq_values)
 _Q4 = ArrayFunctional(quartic_values)
 
 
+def _fourth_power(c):
+    """c^4, or inf where it overflows (c ** 4 raises there)."""
+    try:
+        return c ** 4
+    except OverflowError:
+        return math.inf
+
+
 def eq24_failed_requirement(nu, a, b, c):
     """The first expstab requirement (nu, a, b, c) fails: "b" for
     nu - a > b^2 > 0, "c" for c^4 < 2; None when both hold."""
     if not (nu - a > b * b > 0.0):
         return "b"
-    if not (c ** 4 < 2.0):
+    if not (_fourth_power(c) < 2.0):
         return "c"
     return None
 
@@ -175,6 +183,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
 
     # eq24: divergence-form operator with 0 < nu <= a(t,x) <= alpha
     nu, a, b, c = float(nu), float(a), float(b), float(c)
+    c4 = _fourth_power(c)
     failed = (eq24_failed_requirement(nu, a, b, c) if enforce_constraints
               else None)
     if failed == "b":
@@ -183,7 +192,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             "(nu=%g, a=%g, b=%g)" % (nu, a, b))
     if failed == "c":
         raise ValueError(
-            "expstab preset requires c^4 < 2 (c=%g, c^4=%g)" % (c, c ** 4))
+            "expstab preset requires c^4 < 2 (c=%g, c^4=%g)" % (c, c4))
     op = OperatorCoeff.divergence(
         lambda t, x: np.full_like(np.asarray(x, dtype=float), nu),
         nu=nu, alpha_upper=nu, time_dependent=False)
@@ -198,7 +207,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
     lyap = LyapunovSpec(
         u_kind="h_norm_sq", W1_fn=_Q4,
         alpha1=2.0 * (nu - a), alpha2=2.0 * b * b,
-        alpha3=1.0, alpha4=0.5 * c ** 4,
+        alpha3=1.0, alpha4=0.5 * c4,
         mu=math.inf, beta1=1.0, beta2=1.0,
         gamma_fn=lambda t: 0.0,
         enforce_constants=enforce_constraints)

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .fields import h_norm_sq_values
-from .integrator import ProblemSpec, run_ensemble, simulate_paths
+from .integrator import ProblemSpec, run_ensemble
 
 __all__ = [
     "DecaySolution",
@@ -201,7 +201,10 @@ def ms_curve_from_batch(res, p: ProblemSpec, record_times) -> MsCurve:
     n_alive = np.full(steps.size, int(alive.sum()))
     mean = h2.mean(axis=0)
     if alive.sum() > 1:
-        stderr = h2.std(axis=0, ddof=1) / math.sqrt(alive.sum())
+        # deviations about the first alive path, not the rounded mean: a
+        # column where every path is equal has a standard error of exactly 0
+        stderr = ((h2 - h2[:1]).std(axis=0, ddof=1)
+                  / math.sqrt(alive.sum()))
     else:
         stderr = np.zeros_like(mean)
     return MsCurve(steps * p.dt, mean, stderr, n_alive, res.n_paths,
@@ -375,7 +378,9 @@ def explosion_scan(p: ProblemSpec, k_values, n_paths: int,
     if np.any(ks < bound):
         raise ValueError("truncation below initial data: k=%g < psi bound %g"
                          % (ks[0], bound))
-    res = simulate_paths(q, range(n_paths), record_v=0)
+    # the exits need each path's peak norm and status only, which the
+    # reducers keep without a per-step trace
+    res = run_ensemble(q, range(n_paths), record_steps=(), record_v=0)
     phat = _exits(res, ks).sum(axis=1) / n_paths
     se = np.sqrt(phat * (1.0 - phat) / n_paths)
     return [ExplosionRow(k, ph, s, n_paths) for k, ph, s in zip(ks, phat, se)]

@@ -204,6 +204,9 @@ def test_eq6_with_conditions_and_as_stats_passes(tmp_path):
 # a run small enough that a bad key is reached within seconds
 SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
               "check_conditions": False}
+# a run small enough that only its configuration decides how it ends
+TINY = ["--grid-n", "15", "--paths", "2", "--t-final", "0.5", "--tau", "0.1",
+        "--n-samples", "20"]
 
 
 @pytest.mark.parametrize("args, config", [
@@ -241,6 +244,10 @@ SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
     ([], dict(SMALL_EQ16, sign_variant="x")),
     ([], dict(SMALL_EQ16, ms_ensemble=0)),
     ([], dict(SMALL_EQ16, fit_window=[5.0, 6.0])),
+    ([], dict(SMALL_EQ16, explosion_scan=True, explosion_horizon=1e300)),
+    (["--preset", "eq24", "--c", "1e300", *TINY], None),
+    (["--preset", "eq24", "--c", "1e300", "--allow-unstable", *TINY], None),
+    (["--preset", "eq6", "--g-factor", "1e300", *TINY], None),
 ], ids=["grid-n-1", "dt-negative", "n-paths-not-integer", "paths-0",
         "n-samples-not-integer", "n-samples-negative", "n-samples-0",
         "record-points-not-integer", "record-points-1",
@@ -254,7 +261,9 @@ SMALL_EQ16 = {"preset": "eq16", "grid_n": 15, "n_paths": 4, "t_final": 1.0,
         "traces-beyond-limit-t-final", "ring-beyond-limit-grid-n",
         "grid-n-float", "grid-n-string", "clamp-not-bool",
         "sign-variant-not-bool", "ms-ensemble-integer",
-        "fit-window-beyond-t-final"])
+        "fit-window-beyond-t-final", "scan-horizon-beyond-step-limit",
+        "eq24-c-overflows", "eq24-c-overflows-unstable",
+        "eq6-g-factor-overflows-check"])
 def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
                                                         config):
     # run as a process so an escaping exception shows as a traceback
@@ -400,6 +409,20 @@ def test_preflight_counts_one_path_chunk_and_no_per_step_trace():
     assert _build_preset(cfg).problem.n_steps == 50000
     assert _run_bytes(load_config(None, dict(wide, t_final=500.0))) == \
         _run_bytes(cfg)
+
+
+def test_preflight_scan_size_does_not_grow_with_the_horizon():
+    # the scan keeps one chunk's ring and a few floats per path, so a
+    # 10^4-path eq16 scan counts the same at any horizon; at horizon 120 a
+    # per-step trace counted 9.06 GiB and was refused
+    from sedes.cli import _build_preset, _run_bytes
+    wide = {"preset": "eq16", "n_paths": 10000, "explosion_scan": True,
+            "ms_ensemble": False, "check_conditions": False}
+    sizes = {_run_bytes(load_config(None, dict(wide, explosion_horizon=h)))
+             for h in (5.0, 50.0, 120.0)}
+    assert len(sizes) == 1 and sizes.pop() < 0.5 * 2 ** 30
+    cfg = load_config(None, dict(wide, explosion_horizon=120.0))
+    assert _build_preset(cfg).problem.n_steps == 50000
 
 
 def test_large_delay_run_ends_without_traceback(tmp_path):

@@ -295,15 +295,17 @@ def test_one_pass_scan_matches_per_k_truncated_runs(case, monkeypatch):
                          record_v=0)
     assert np.array_equal(stability._exits(res, np.array(ks)), oracle)
 
-    # the table, bit for bit, from exactly one ensemble run
+    # the table, bit for bit, from exactly one ensemble run that records
+    # no per-step norms
+    from sedes import integrator
     calls = []
 
     def counted(*args, **kw):
-        calls.append(args)
-        return simulate_paths(*args, **kw)
-    monkeypatch.setattr(stability, "simulate_paths", counted)
+        calls.append(kw)
+        return integrator.run_ensemble(*args, **kw)
+    monkeypatch.setattr(stability, "run_ensemble", counted)
     rows = explosion_scan(p, ks, n_paths, horizon)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0]["record_steps"] == ()
     for row, k, crossed in zip(rows, ks, oracle.sum(axis=1)):
         phat = int(crossed) / n_paths
         assert (row.k, row.probability, row.stderr, row.n_paths) == (
@@ -357,6 +359,26 @@ def test_ms_ensemble_memory_does_not_grow_with_the_horizon():
     assert abs(long - short) < trace, (short, long, trace)
 
 
+def test_explosion_scan_memory_does_not_grow_with_the_horizon():
+    # the scan reads each path's peak norm and status off the reducers, so
+    # four times the horizon costs no more than the shorter scan
+    import tracemalloc
+    p = make_preset("eq16", grid_n=15, tau=0.1, t_final=1.0).problem
+    ks, B = [1.0, 2.0], 64
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            explosion_scan(p, ks, B, horizon)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # numpy's and the problem's one-time set-up is left out of the count
+    explosion_scan(p, ks, B, 0.1)
+    short, long = peak(1.0), peak(4.0)
+    assert long <= short, (short, long)
+
+
 def test_ms_curve_matches_the_exact_second_moment_recursion():
     # du = (u_xx + a u + b v) dt + c v dB with psi = A sin x: every path is
     # s_n sin(x_j) (see the pathwise test in test_integrator), with
@@ -398,6 +420,8 @@ def test_ms_curve_matches_the_exact_second_moment_recursion():
     want = exact(*coeffs)[steps]
     assert curve.n_exploded == 0
     assert curve.mean[0] == pytest.approx(want[0], rel=1e-12)
+    # every path starts from the same state: no spread, not rounding noise
+    assert curve.stderr[0] == 0.0
     assert np.all(curve.stderr[1:] > 0)
     z = (curve.mean[1:] - want[1:]) / curve.stderr[1:]
     # normal tails with a Bonferroni count over the record points: a
