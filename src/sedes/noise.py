@@ -44,7 +44,9 @@ def _absorb(h, word):
 
 def keyed_words(seed, *keys):
     """64-bit hash words from (seed, keys...); keys broadcast elementwise."""
-    h = _mix64(_U64(int(seed) & 0xFFFFFFFFFFFFFFFF) + _GOLD)
+    # the wrap-around add on Python ints: a numpy scalar add warns on
+    # overflow, and every seed at or above 2^64 - _GOLD overflows
+    h = _mix64(_U64((int(seed) + int(_GOLD)) & 0xFFFFFFFFFFFFFFFF))
     for k in keys:
         h = _absorb(h, k)
     return h

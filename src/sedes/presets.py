@@ -138,7 +138,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             t_final=t_final, dt=dt)
         # zero drift and diffusion: the trivial certificate LU <= 0 works
         lyap = LyapunovSpec(
-            u_kind="h_norm_sq", W_fn=_H_SQ, lam1=1.0, lam2=1.0,
+            W_fn=_H_SQ, lam1=1.0, lam2=1.0,
             w1_fn=ArrayFunctional(
                 lambda v, dx: 2.0 * h_norm_sq_values(v, dx)),
             w2_fn=_H_SQ,
@@ -156,8 +156,8 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
         lyap = LyapunovSpec(
-            u_kind="h_norm_sq", W_fn=_Q4,
-            lam1=4.0 / 3.0, lam2=(4.0 / 3.0 if lam2 is None else float(lam2)),
+            W_fn=_Q4, lam1=4.0 / 3.0,
+            lam2=(4.0 / 3.0 if lam2 is None else float(lam2)),
             gamma_fn=lambda t: 0.0)
         params.update(sign_variant=sign_variant, lam2=lyap.lam2)
         return Preset(name, problem, lyap, params)
@@ -172,7 +172,6 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
         lyap = LyapunovSpec(
-            u_kind="h_norm_sq",
             w1_fn=ArrayFunctional(
                 lambda v, dx: 2.0 * (quartic_values(v, dx)
                                      + 2.0 * h_norm_sq_values(v, dx))),
@@ -205,7 +204,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
         tau=tau, noise=noise, initial_history=psi,
         t_final=t_final, dt=dt)
     lyap = LyapunovSpec(
-        u_kind="h_norm_sq", W1_fn=_Q4,
+        W1_fn=_Q4,
         alpha1=2.0 * (nu - a), alpha2=2.0 * b * b,
         alpha3=1.0, alpha4=0.5 * c4,
         mu=math.inf, beta1=1.0, beta2=1.0,

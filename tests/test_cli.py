@@ -10,8 +10,8 @@ import pytest
 
 import sedes
 from sedes.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR,
-                       EXIT_NUMERICAL_FAILURE, EXIT_OK, ConfigError,
-                       load_config, main)
+                       EXIT_NUMERICAL_FAILURE, EXIT_OK, FRACTION, KEYS,
+                       NUMBER, POSITIVE, ConfigError, load_config, main)
 
 
 def run_cli(args):
@@ -282,6 +282,71 @@ def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
     assert any(line.startswith("configuration error: ")
                for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["--preset", "eq6", "--g-factor", "1e300"],
+    ["--preset", "eq24", "--c", "1e300", "--allow-unstable"],
+], ids=["eq6-g-factor", "eq24-c-unstable"])
+def test_checker_overflow_exits_4_without_a_warning(tmp_path, args):
+    # the checkers report an overflow of LU as a configuration error; numpy
+    # must not also warn about it on stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SEDES_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sedes.cli", *args, *TINY,
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG_ERROR
+    assert "evaluation overflow" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+# a preset that reads each float key, and the analyses the key needs
+FLOAT_KEY_RUNS = {
+    "dt": ("heat", {}),
+    "tau": ("heat", {}),
+    "t_final": ("heat", {}),
+    "amplitude": ("eq16", {}),
+    "nu": ("eq24", {}),
+    "a": ("eq24", {}),
+    "b": ("eq24", {}),
+    "c": ("eq24", {}),
+    "g_factor": ("eq6", {}),
+    "lam2": ("eq16", {}),
+    "as_threshold": ("eq6", {"as_stats": True}),
+    "as_pass_fraction": ("eq6", {"as_stats": True}),
+    "u_bound": ("eq6", {"as_stats": True}),
+    "explosion_horizon": ("eq16", {"explosion_scan": True}),
+    "explosion_budget": ("eq16", {}),
+}
+FLOAT_KEYS = [key for key, (_, check, _) in KEYS.items()
+              if check in (NUMBER, POSITIVE, FRACTION)]
+EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 0.0]
+
+
+def test_every_float_key_has_an_extreme_value_run():
+    assert sorted(FLOAT_KEY_RUNS) == sorted(FLOAT_KEYS)
+
+
+@pytest.mark.parametrize("key, value", [(k, v) for k in FLOAT_KEYS
+                                        for v in EXTREMES],
+                         ids=lambda v: v if isinstance(v, str) else "%g" % v)
+def test_extreme_float_values_end_with_an_exit_code(tmp_path, monkeypatch,
+                                                    key, value):
+    # at TINY's sizes, every float key at +-1e300, +-1e-300 and 0 ends the
+    # run with a documented exit code, never with an exception
+    monkeypatch.delenv("SEDES_OUT", raising=False)
+    preset, extra = FLOAT_KEY_RUNS[key]
+    cfg = {"preset": preset, "grid_n": 15, "n_paths": 2, "t_final": 0.5,
+           "tau": 0.1, "n_samples": 20, **extra, key: value}
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps(cfg))
+    code = main(["--config", str(cfgfile), "--out-dir",
+                 str(tmp_path / "out")])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILURE, EXIT_NUMERICAL_FAILURE,
+                    EXIT_CONFIG_ERROR)
 
 
 def test_output_dir_errors_exit_4_without_traceback(tmp_path, monkeypatch):

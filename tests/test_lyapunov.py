@@ -41,7 +41,7 @@ def test_diffusion_operator_zero_state_is_zero():
     for name in ("eq16", "eq6", "eq24"):
         pre = make_preset(name)
         z = Field.zero(pre.problem.grid)
-        assert diffusion_operator(pre.problem, pre.lyapunov, 0.37, z, z) == 0.0
+        assert diffusion_operator(pre.problem, 0.37, z, z) == 0.0
 
 
 def test_heat_zero_diffusion_identity():
@@ -50,7 +50,7 @@ def test_heat_zero_diffusion_identity():
     rng = np.random.default_rng(2)
     for _ in range(20):
         f = Field(pre.problem.grid, rng.standard_normal(63))
-        lu = diffusion_operator(pre.problem, pre.lyapunov, 1.0, f, f)
+        lu = diffusion_operator(pre.problem, 1.0, f, f)
         assert lu == pytest.approx(-2 * v_norm(f) ** 2, rel=1e-12)
 
 
@@ -60,7 +60,7 @@ def test_eq6_certified_bound():
     s = default_sampler(pre.problem)
     for i in range(500):
         t, x, y = s.sample(i)
-        lu = diffusion_operator(pre.problem, pre.lyapunov, t, x, y)
+        lu = diffusion_operator(pre.problem, t, x, y)
         bound = (-2 * (quartic(x) + 2 * h_norm(x) ** 2) + h_norm(y) ** 2)
         assert lu <= bound + 1e-8 * (1 + abs(lu) + abs(bound))
 
@@ -70,7 +70,7 @@ def test_eq24_certified_bound():
     s = default_sampler(pre.problem)
     for i in range(500):
         t, x, y = s.sample(i)
-        lu = diffusion_operator(pre.problem, pre.lyapunov, t, x, y)
+        lu = diffusion_operator(pre.problem, t, x, y)
         bound = (-2 * (2.0 - 0.5) * h_norm(x) ** 2 + 2 * h_norm(y) ** 2
                  - quartic(x) + 0.5 * quartic(y))
         assert lu <= bound + 1e-8 * (1 + abs(lu) + abs(bound))
@@ -84,28 +84,9 @@ def test_trace_term_quadratic_in_g():
     values = {}
     for c in (0.0, 1.0, 2.0):
         q = p.replace(diffusion=lambda tt, u, v, _c=c: _c * v * math.sin(tt))
-        values[c] = diffusion_operator(q, pre.lyapunov, t, x, y)
+        values[c] = diffusion_operator(q, t, x, y)
     base = values[1.0] - values[0.0]
     assert values[2.0] - values[0.0] == pytest.approx(4.0 * base, rel=1e-12)
-
-
-def test_custom_u_matches_fast_path():
-    # U = ||x||_H^2 spelled out through the custom callbacks must agree
-    # with the dedicated fast path
-    pre = make_preset("eq24")
-    p = pre.problem
-    custom = LyapunovSpec(
-        u_kind="custom",
-        U_fn=lambda t, f: float(h_norm_sq_values(f.values, f.grid.dx)),
-        U_t_fn=lambda t, f: 0.0,
-        U_x_fn=lambda t, f: Field(f.grid, 2.0 * f.values),
-        U_xx_quadform_fn=lambda t, f, g: 2.0 * h_norm(g) ** 2)
-    s = default_sampler(p)
-    for i in range(50):
-        t, x, y = s.sample(i)
-        fast = diffusion_operator(p, pre.lyapunov, t, x, y)
-        slow = diffusion_operator(p, custom, t, x, y)
-        assert slow == pytest.approx(fast, rel=1e-11, abs=1e-11)
 
 
 def test_sampler_is_deterministic_prefix_stream():
@@ -144,8 +125,7 @@ def test_khasminskii_trivial_zero_problem_passes():
                     tau=1.0, noise=NoiseModel.scalar(),
                     initial_history=lambda th, x: 0.1 * np.sin(x),
                     t_final=10.0, dt=0.01)
-    L = LyapunovSpec(u_kind="h_norm_sq", W_fn=lambda f: 0.0,
-                     lam1=1.0, lam2=1.0)
+    L = LyapunovSpec(W_fn=lambda f: 0.0, lam1=1.0, lam2=1.0)
     rep = check_khasminskii(p, L, FourierSampler(grid, t_max=10.0), 2000)
     assert rep.passed
 
@@ -164,7 +144,7 @@ def test_khasminskii_broken_lam2_fails():
     x = Field(p.grid, np.sin(p.grid.points)
               * (6.0 / math.sqrt(math.pi / 2)))
     y = Field.zero(p.grid)
-    lu = diffusion_operator(p, L, 0.0, x, y)
+    lu = diffusion_operator(p, 0.0, x, y)
     rhs = L.lam1 * (1 + h_norm(x) ** 2) - 10.0 * quartic(x)
     assert lu > rhs
 
@@ -183,8 +163,7 @@ def test_lasalle_eq6_passes():
 
 def test_lasalle_strictness_boundary_fails():
     pre = make_preset("eq6")
-    L = LyapunovSpec(u_kind="h_norm_sq",
-                     w1_fn=lambda f: h_norm(f) ** 2,
+    L = LyapunovSpec(w1_fn=lambda f: h_norm(f) ** 2,
                      w2_fn=lambda f: h_norm(f) ** 2,
                      gamma_fn=lambda t: 0.0)
     rep = check_lasalle(pre.problem, L, default_sampler(pre.problem), 200)
@@ -204,7 +183,7 @@ def test_lasalle_amplified_noise_fails():
     p, L = pre.problem, pre.lyapunov
     x = Field.zero(p.grid)
     y = Field(p.grid, np.sin(p.grid.points) / math.sqrt(math.pi / 2))
-    lu = diffusion_operator(p, L, math.pi / 2, x, y)
+    lu = diffusion_operator(p, math.pi / 2, x, y)
     rhs = -float(L.w1_fn(x)) + float(L.w2_fn(y))
     assert lu - rhs == pytest.approx(8.0, rel=1e-6)
 
@@ -238,7 +217,7 @@ def test_exponential_gamma_integral_value():
     # gamma(t) = e^{-2 mu t}: the weighted integral tends to 1/mu
     pre = make_preset("eq24", t_final=50.0)
     mu = 1.0
-    L = LyapunovSpec(u_kind="h_norm_sq", W1_fn=quartic,
+    L = LyapunovSpec(W1_fn=quartic,
                      alpha1=3.0, alpha2=2.0, alpha3=1.0, alpha4=0.5,
                      mu=mu, beta1=1.0, beta2=1.0,
                      gamma_fn=lambda t: math.exp(-2 * mu * t))
@@ -250,7 +229,7 @@ def test_exponential_gamma_integral_value():
 def test_exponential_constants_fail_at_construction():
     # c = 1.3 gives alpha4 = c^4/2 = 1.428 > alpha3 = 1
     with pytest.raises(ValueError, match="alpha3 > alpha4"):
-        LyapunovSpec(u_kind="h_norm_sq", W1_fn=quartic,
+        LyapunovSpec(W1_fn=quartic,
                      alpha1=3.0, alpha2=2.0, alpha3=1.0,
                      alpha4=0.5 * 1.3 ** 4, mu=math.inf,
                      beta1=1.0, beta2=1.0, gamma_fn=lambda t: 0.0)
@@ -386,7 +365,7 @@ def _loop_oracle(kind, p, L, s, n):
 
     for i in range(n):
         t, x, y = s.sample(i)
-        lu = diffusion_operator(p, L, t, x, y)
+        lu = diffusion_operator(p, t, x, y)
         u, uy = L.U(t, x), L.U(max(t - p.tau, 0.0), y)
         if kind == "khasminskii":
             rhs = (L.lam1 * (1.0 + u + uy + float(L.W_fn(y)))
@@ -419,8 +398,7 @@ def _tie_spec():
     def w1(f):
         h2 = h_norm(f) ** 2
         return h2 if h2 > 1.0 else 2.0 * h2
-    return LyapunovSpec(u_kind="h_norm_sq", w1_fn=w1,
-                        w2_fn=lambda f: h_norm(f) ** 2,
+    return LyapunovSpec(w1_fn=w1, w2_fn=lambda f: h_norm(f) ** 2,
                         gamma_fn=lambda t: 0.0)
 
 
@@ -458,56 +436,24 @@ def test_plain_functionals_match_their_array_forms():
 
     n = 500
     pre = make_preset("eq16", lam2=10.0)
-    plain = LyapunovSpec(u_kind="h_norm_sq", W_fn=quartic, lam1=4.0 / 3.0,
-                         lam2=10.0, gamma_fn=lambda t: 0.0)
+    plain = LyapunovSpec(W_fn=quartic, lam1=4.0 / 3.0, lam2=10.0,
+                         gamma_fn=lambda t: 0.0)
     s = default_sampler(pre.problem)
     assert (check_khasminskii(pre.problem, plain, s, n).to_dict()
             == check_khasminskii(pre.problem, pre.lyapunov, s, n).to_dict())
     pre = make_preset("eq6")
-    plain = LyapunovSpec(u_kind="h_norm_sq",
-                         w1_fn=lambda f: 2.0 * (quartic(f) + 2.0 * h2(f)),
+    plain = LyapunovSpec(w1_fn=lambda f: 2.0 * (quartic(f) + 2.0 * h2(f)),
                          w2_fn=h2, gamma_fn=lambda t: 0.0)
     assert (check_lasalle(pre.problem, plain, s, n).to_dict()
             == check_lasalle(pre.problem, pre.lyapunov, s, n).to_dict())
     pre = make_preset("eq24")
     L = pre.lyapunov
-    plain = LyapunovSpec(u_kind="h_norm_sq", W1_fn=quartic,
+    plain = LyapunovSpec(W1_fn=quartic,
                          alpha1=L.alpha1, alpha2=L.alpha2, alpha3=L.alpha3,
                          alpha4=L.alpha4, mu=L.mu, beta1=1.0, beta2=1.0,
                          gamma_fn=lambda t: 0.0)
     assert (check_exponential(pre.problem, plain, s, n).to_dict()
             == check_exponential(pre.problem, L, s, n).to_dict())
-
-
-def _custom_h_norm_sq(**kw):
-    return LyapunovSpec(
-        u_kind="custom",
-        U_fn=lambda t, f: float(h_norm_sq_values(f.values, f.grid.dx)),
-        U_t_fn=lambda t, f: 0.0,
-        U_x_fn=lambda t, f: Field(f.grid, 2.0 * f.values),
-        U_xx_quadform_fn=lambda t, f, g: 2.0 * h_norm(g) ** 2, **kw)
-
-
-def test_custom_u_check_agrees_with_fast_path():
-    pre = make_preset("eq24")
-    L = pre.lyapunov
-    custom = _custom_h_norm_sq(W1_fn=L.W1_fn, alpha1=L.alpha1,
-                               alpha2=L.alpha2, alpha3=L.alpha3,
-                               alpha4=L.alpha4, mu=L.mu, beta1=1.0,
-                               beta2=1.0, gamma_fn=lambda t: 0.0)
-    s = default_sampler(pre.problem)
-    fast = check_exponential(pre.problem, L, s, 300)
-    slow = check_exponential(pre.problem, custom, s, 300)
-    assert slow.passed and fast.passed
-    assert slow.argmax_sample == fast.argmax_sample
-    pre = make_preset("eq16", lam2=10.0)
-    L = pre.lyapunov
-    custom = _custom_h_norm_sq(W_fn=L.W_fn, lam1=L.lam1, lam2=L.lam2)
-    fast = check_khasminskii(pre.problem, L, s, 300)
-    slow = check_khasminskii(pre.problem, custom, s, 300)
-    assert not slow.passed and not fast.passed
-    assert slow.argmax_sample == fast.argmax_sample
-    assert slow.max_violation == pytest.approx(fast.max_violation, rel=1e-12)
 
 
 def test_diffusion_operator_is_a_row_of_the_block_kernel():
@@ -522,17 +468,13 @@ def test_diffusion_operator_is_a_row_of_the_block_kernel():
         tau=1.0, noise=NoiseModel.scalar(),
         initial_history=lambda th, x: 0.1 * np.sin(x),
         t_final=10.0, dt=0.01)
-    cases = [(pre.problem, pre.lyapunov)
-             for pre in (make_preset(nm) for nm in ("eq16", "eq6", "eq24"))]
-    cases += [(varying, LyapunovSpec(u_kind="h_norm_sq")),
-              (varying, _custom_h_norm_sq()),
-              (cases[2][0], _custom_h_norm_sq())]
-    for p, L in cases:
+    problems = [make_preset(nm).problem for nm in ("eq16", "eq6", "eq24")]
+    for p in problems + [varying]:
         s = default_sampler(p)
         t, X, Y = s.sample_block(np.arange(40))
-        block = _lu_block(p, L, t, X, Y)
+        block = _lu_block(p, t, X, Y)
         for i in range(40):
-            one = diffusion_operator(p, L, t[i], Field(p.grid, X[i]),
+            one = diffusion_operator(p, t[i], Field(p.grid, X[i]),
                                      Field(p.grid, Y[i]))
             assert one == block[i]
 

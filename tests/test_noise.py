@@ -1,5 +1,7 @@
 """Statistics and determinism of the counter-based noise streams."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,32 @@ def test_step_index_must_be_a_step_or_a_1d_array():
     assert m.increments([0, 1], 4, 0.01).shape == (2, 1)
     with pytest.raises(ValueError, match="1-D"):
         m.increments([0, 1], np.zeros((2, 2), dtype=int), 0.01)
+
+
+def _splitmix64_words(seed, *keys):
+    """keyed_words on Python ints: add the golden-ratio word, then the
+    SplitMix64 finalizer, absorbing one key word at a time."""
+    mask = 2 ** 64 - 1
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    gold = 0x9E3779B97F4A7C15
+    h = mix((seed + gold) & mask)
+    for k in keys:
+        h = mix(h ^ ((k + gold) & mask))
+    return h
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+def test_keyed_words_match_splitmix64_without_warnings(seed):
+    # seeds at or above 2^64 - 0x9E3779B97F4A7C15 wrap in the first add
+    from sedes.noise import keyed_words
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert int(keyed_words(seed)) == _splitmix64_words(seed)
+        words = keyed_words(seed, np.arange(3, dtype=np.uint64), 7)
+    assert [int(w) for w in words] == [_splitmix64_words(seed, k, 7)
+                                       for k in range(3)]
