@@ -187,7 +187,7 @@ def load_config(path=None, overrides=None) -> dict:
         nu, a, b, c = (float(cfg[k]) for k in ("nu", "a", "b", "c"))
         failed = eq24_failed_requirement(nu, a, b, c)
         needs = {"b": "nu-a > b^2 > 0 (nu=%g, a=%g, b=%g)" % (nu, a, b),
-                 "c": "c^4 < 2 (c=%g)" % c}
+                 "c": "0 < c^4 < 2 (c=%g)" % c}
         if failed is not None:
             raise ConfigError("eq24 parameters rejected: requires %s; pass "
                               "--allow-unstable to run anyway" % needs[failed])

@@ -233,8 +233,12 @@ class ProblemSpec:
             raise ValueError(
                 "initial history looks discontinuous in theta "
                 "(refinement does not shrink the largest jump)")
-        self.psi_h_bound = float(
-            np.max(np.sqrt(h_norm_sq_values(fine, dx))))
+        # a finite history can still overflow its norm
+        with np.errstate(over="ignore"):
+            self.psi_h_bound = float(
+                np.max(np.sqrt(h_norm_sq_values(fine, dx))))
+        if not math.isfinite(self.psi_h_bound):
+            raise ValueError("initial history has an H norm that overflows")
 
     def history_values(self, batch: int = 1):
         """Initial ring (m+1, batch, n): psi at theta = -m dt, ..., -dt, 0.
@@ -579,7 +583,8 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
         steps, p.dt, h_norms=np.full((B, steps.size), np.nan),
         v_norms=np.full((n_v, steps.size), np.nan) if n_v else None,
         statuses=np.full(B, "completed", dtype=object),
-        status_times=np.full(B, None, dtype=object), path_ids=list(path_arr),
+        status_times=np.full(B, None, dtype=object),
+        path_ids=path_arr.tolist(),
         peak=np.full(B, np.nan), window=window,
         window_peak=None if window is None else np.full(B, np.nan),
         snapshots={s: np.empty((B, p.grid.n_interior))

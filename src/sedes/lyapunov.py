@@ -36,9 +36,9 @@ eq24 check_exponential fail by more than the 1e-8 tolerance (eq24 at
 cover the gap).  FourierSampler does not draw such states: its x and y
 mix the first modes with Gaussian weights.
 
-Limit-type hypotheses (radial unboundedness of U) are verified as finite
-ladders of doubling norms; a ladder is an honest proxy for the limit
-statement, not a proof, and is reported as such.
+U = ||x||_H^2 is radially unbounded and meets the exponential theorem's
+sandwich c1 ||x||_H^2 <= U <= c2 ||x||_H^2 with c1 = c2 = 1 by
+definition, so neither hypothesis is sampled.
 
 Functionals reach the blocks in one of two ways: an ArrayFunctional
 carries its array form (the presets' ||x||_H^2, int u^4 and their
@@ -62,7 +62,6 @@ from .fields import (
     Field,
     h_norm_sq_values,
     operator_quad_form_values,
-    v_norm_sq_values,
 )
 from .noise import keyed_gaussians, keyed_uniforms
 
@@ -132,8 +131,8 @@ class LyapunovSpec:
 
     def __init__(self, W_fn=None, w1_fn=None, w2_fn=None, W1_fn=None,
                  gamma_fn=None, lam1=None, lam2=None, alpha1=None,
-                 alpha2=None, alpha3=None, alpha4=None, mu=None, beta1=None,
-                 beta2=None, enforce_constants=True):
+                 alpha2=None, alpha3=None, alpha4=None, mu=None,
+                 enforce_constants=True):
         self.W_fn = W_fn
         self.w1_fn = w1_fn
         self.w2_fn = w2_fn
@@ -146,8 +145,6 @@ class LyapunovSpec:
         self.alpha3 = alpha3
         self.alpha4 = alpha4
         self.mu = mu
-        self.beta1 = beta1
-        self.beta2 = beta2
         if enforce_constants:
             bad = self.constant_violations()
             if bad:
@@ -176,15 +173,7 @@ class LyapunovSpec:
                     bad.append("alpha4 > 0 fails (alpha4=%g)" % a4)
         if self.mu is not None and not self.mu > 0:
             bad.append("mu > 0 fails (mu=%g)" % self.mu)
-        for nm in ("beta1", "beta2"):
-            v = getattr(self, nm)
-            if v is not None and not v > 0:
-                bad.append("%s > 0 fails (%s=%g)" % (nm, nm, v))
         return bad
-
-    def U(self, t, f: Field) -> float:
-        """U(t, x) = ||x||_H^2; it does not depend on t."""
-        return float(h_norm_sq_values(f.values, f.grid.dx))
 
 
 class ConditionReport:
@@ -376,27 +365,6 @@ def diffusion_operator(p, t, x: Field, y: Field) -> float:
                            y.values[None, :])[0])
 
 
-def _radial_ladder(p, L, worst, which="h"):
-    """Check U grows along fields of doubling norm (limit-statement proxy).
-
-    which="h": H norms 2^i on the ground mode; which="v": V norms 2^i on
-    the top grid mode (whose H norm also grows, keeping the discrete
-    statement meaningful).  Returns the ladder for the report."""
-    grid = p.grid
-    base = np.sin((1 if which == "h" else grid.n_interior) * grid.points)
-    norm_sq = h_norm_sq_values if which == "h" else v_norm_sq_values
-    scale0 = math.sqrt(float(norm_sq(base, grid.dx)))
-    ladder = [L.U(0.0, Field(grid, base * (2.0 ** i / scale0)))
-              for i in range(1, 11)]
-    for i in range(len(ladder) - 1):
-        worst.update_flagged(not ladder[i + 1] > ladder[i],
-                             (ladder[i] - ladder[i + 1])
-                             / (1.0 + abs(ladder[i]) + abs(ladder[i + 1])),
-                             "radial %s-ladder not increasing at rung %d"
-                             % (which.upper(), i + 1))
-    return ladder
-
-
 def _gamma_integral(L, t_final, mu=None):
     """Quadrature of gamma(t) (mu None) or gamma(t) e^{mu t} over [0, t_final].
 
@@ -443,7 +411,7 @@ def check_khasminskii(p, L: LyapunovSpec, sampler, n,
 
         LU(t,x,y) <= lam1 [1 + U(t,x) + U(t-tau,y) + W(y)] - lam2 W(x)
 
-    on n sampled states, plus the radial-unboundedness ladder for U."""
+    on n sampled states."""
     if L.lam1 is None or L.lam2 is None or L.W_fn is None:
         raise ValueError("check_khasminskii needs lam1, lam2 and W_fn")
     worst = _Worst(("growth bound",))
@@ -459,10 +427,8 @@ def check_khasminskii(p, L: LyapunovSpec, sampler, n,
             _margin(lhs, rhs)[:, None],
             lambda s, f: _state_desc("growth bound", start + s, t[s], X[s],
                                      Y[s], dx))
-    ladder = _radial_ladder(p, L, worst, "h")
     return ConditionReport("khasminskii", n, worst.margin, worst.where,
                            tolerance, extras={
-                               "u_radial_ladder": ladder,
                                "max_violation_by_family": worst.by_family()})
 
 
@@ -472,8 +438,8 @@ def check_lasalle(p, L: LyapunovSpec, sampler, n,
 
         LU(t,x,y) <= gamma(t) - w1(x) + w2(y),
 
-    strictness w1 > w2 away from zero (with w1(0) = w2(0) = 0), both
-    radial ladders for U, and integrability of gamma by quadrature."""
+    strictness w1 > w2 away from zero (with w1(0) = w2(0) = 0), and
+    integrability of gamma by quadrature."""
     if L.w1_fn is None or L.w2_fn is None or L.gamma_fn is None:
         raise ValueError("check_lasalle needs w1_fn, w2_fn and gamma_fn")
     worst = _Worst(("dissipation bound", "strictness"))
@@ -500,58 +466,43 @@ def check_lasalle(p, L: LyapunovSpec, sampler, n,
                     % (start + s, w1x[s], w2x[s]))
         worst.update_block(
             np.column_stack([_margin(lhs, rhs), strict]), describe)
-    ladders = {"h": _radial_ladder(p, L, worst, "h"),
-               "v": _radial_ladder(p, L, worst, "v")}
     gamma_int = _gamma_integral(L, p.t_final)
     worst.update_flagged(not math.isfinite(gamma_int), -math.inf,
                          "gamma quadrature not finite")
     return ConditionReport("lasalle", n, worst.margin, worst.where, tolerance,
-                           extras={"u_radial_ladders": ladders,
-                                   "gamma_integral": gamma_int,
+                           extras={"gamma_integral": gamma_int,
                                    "max_violation_by_family":
                                        worst.by_family()})
 
 
 def check_exponential(p, L: LyapunovSpec, sampler, n,
                       tolerance=DEFAULT_TOLERANCE) -> ConditionReport:
-    """Exponential-decay hypotheses: the sandwich
-
-        beta1 ||x||_H^2 <= U(t,x) <= beta2 ||x||_H^2,
-
-    the decay bound
+    """Exponential-decay hypotheses: the decay bound
 
         LU <= gamma(t) - alpha1 U(t,x) + alpha2 U(t-tau,y)
               - alpha3 W1(x) + alpha4 W1(y),
 
     the constants ordering, and finiteness of int gamma(t) e^{mu t} dt."""
-    need = (L.alpha1, L.alpha2, L.alpha3, L.alpha4, L.mu, L.beta1, L.beta2,
-            L.W1_fn, L.gamma_fn)
+    need = (L.alpha1, L.alpha2, L.alpha3, L.alpha4, L.mu, L.W1_fn,
+            L.gamma_fn)
     if any(v is None for v in need):
-        raise ValueError("check_exponential needs alpha1..4, mu, beta1, "
-                         "beta2, W1_fn and gamma_fn")
-    worst = _Worst(("sandwich lower", "sandwich upper", "decay bound"))
-    _constants_family(L, worst, ("alpha", "mu", "beta"))
+        raise ValueError("check_exponential needs alpha1..4, mu, W1_fn and "
+                         "gamma_fn")
+    worst = _Worst(("decay bound",))
+    _constants_family(L, worst, ("alpha", "mu"))
     grid, dx = p.grid, p.grid.dx
     for start, t, X, Y in _blocks(sampler, n):
-        u = h_norm_sq_values(X, dx)
         lhs = _lu_block(p, t, X, Y)
-        rhs = (_per_sample(L.gamma_fn, t) - L.alpha1 * u
+        rhs = (_per_sample(L.gamma_fn, t)
+               - L.alpha1 * h_norm_sq_values(X, dx)
                + L.alpha2 * h_norm_sq_values(Y, dx)
                - L.alpha3 * _rows(L.W1_fn, X, grid)
                + L.alpha4 * _rows(L.W1_fn, Y, grid))
-
-        def describe(s, f):
-            if f == 2:
-                return _state_desc("decay bound", start + s, t[s], X[s],
-                                   Y[s], dx)
-            return ("sandwich %s bound at sample %d"
-                    % (("lower", "upper")[f], start + s))
         worst.update_block(
-            np.column_stack([_margin(L.beta1 * u, u),
-                             _margin(u, L.beta2 * u),
-                             _margin(lhs, rhs)]), describe)
-    mu = L.mu
-    gamma_int = _gamma_integral(L, p.t_final, mu=mu)
+            _margin(lhs, rhs)[:, None],
+            lambda s, f: _state_desc("decay bound", start + s, t[s], X[s],
+                                     Y[s], dx))
+    gamma_int = _gamma_integral(L, p.t_final, mu=L.mu)
     worst.update_flagged(not math.isfinite(gamma_int), -math.inf,
                          "int gamma e^{mu t} dt diverges on [0, t_final]")
     return ConditionReport("exponential", n, worst.margin, worst.where,

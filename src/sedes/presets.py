@@ -27,11 +27,13 @@ by 3||x||_H^2 + (1/3) Q4(y), so the delayed-W allowance needs lam1 >= 4/3
 (with lam1 = 1 a random state stream finds genuine violations at roughly
 one sample in 50k).
 
-The expstab preset requires nu - a > b^2 > 0 and c^4 < 2, and its decay
-constants are alpha1 = 2(nu - a), alpha2 = 2 b^2, alpha3 = 1,
-alpha4 = c^4 / 2 with W1 = Q4.  gamma == 0 for every preset, so mu is
-reported as +inf and the predicted rate bound is -eps from the root
-solver alone.
+The expstab preset requires nu - a > b^2 > 0 and 0 < c^4 < 2 (so that
+alpha3 > alpha4 > 0), and its decay constants are alpha1 = 2(nu - a),
+alpha2 = 2 b^2, alpha3 = 1, alpha4 = c^4 / 2 with W1 = Q4.  U = ||x||_H^2
+meets the exponential theorem's sandwich c1 ||x||_H^2 <= U <= c2 ||x||_H^2
+with c1 = c2 = 1 by definition, so the certificate carries no sandwich
+constants.  gamma == 0 for every preset, so mu is reported as +inf and
+the predicted rate bound is -eps from the root solver alone.
 """
 
 import math
@@ -74,10 +76,10 @@ def _fourth_power(c):
 
 def eq24_failed_requirement(nu, a, b, c):
     """The first expstab requirement (nu, a, b, c) fails: "b" for
-    nu - a > b^2 > 0, "c" for c^4 < 2; None when both hold."""
+    nu - a > b^2 > 0, "c" for 0 < c^4 < 2; None when both hold."""
     if not (nu - a > b * b > 0.0):
         return "b"
-    if not (_fourth_power(c) < 2.0):
+    if not (0.0 < _fourth_power(c) < 2.0):
         return "c"
     return None
 
@@ -191,7 +193,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             "(nu=%g, a=%g, b=%g)" % (nu, a, b))
     if failed == "c":
         raise ValueError(
-            "expstab preset requires c^4 < 2 (c=%g, c^4=%g)" % (c, c4))
+            "expstab preset requires 0 < c^4 < 2 (c=%g, c^4=%g)" % (c, c4))
     op = OperatorCoeff.divergence(
         lambda t, x: np.full_like(np.asarray(x, dtype=float), nu),
         nu=nu, alpha_upper=nu, time_dependent=False)
@@ -207,7 +209,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
         W1_fn=_Q4,
         alpha1=2.0 * (nu - a), alpha2=2.0 * b * b,
         alpha3=1.0, alpha4=0.5 * c4,
-        mu=math.inf, beta1=1.0, beta2=1.0,
+        mu=math.inf,
         gamma_fn=lambda t: 0.0,
         enforce_constants=enforce_constraints)
     params.update(nu=nu, a=a, b=b, c=c)

@@ -12,6 +12,8 @@ import sedes
 from sedes.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR,
                        EXIT_NUMERICAL_FAILURE, EXIT_OK, FRACTION, KEYS,
                        NUMBER, POSITIVE, ConfigError, load_config, main)
+from sedes.integrator import run_ensemble
+from sedes.presets import make_preset
 
 
 def run_cli(args):
@@ -183,6 +185,25 @@ def test_explosion_budget_gives_numerical_failure(tmp_path):
     assert (out / "report.json").exists()
 
 
+def test_partly_exploding_ensemble_writes_its_report(tmp_path):
+    # some paths of the sign variant explode: the run ends with exit 3 and
+    # report.json lists the exploded paths as plain integers
+    out = tmp_path / "partial"
+    code = run_cli(["--preset", "eq16", "--sign-variant", "--amplitude", "1",
+                    "--paths", "20", "--t-final", "2", "--tau", "0.1",
+                    "--grid-n", "15", "--no-check-conditions",
+                    "--out-dir", str(out)])
+    assert code == EXIT_NUMERICAL_FAILURE
+    rep = json.loads((out / "report.json").read_text())
+    pre = make_preset("eq16", grid_n=15, tau=0.1, t_final=2.0,
+                      amplitude=1.0, sign_variant=True)
+    exploded = run_ensemble(pre.problem, range(20), record_steps=(),
+                            record_v=0).exploded_ids()
+    assert 0 < len(exploded) < 20
+    assert all(type(pid) is int for pid in exploded)
+    assert rep["ms_curve"]["exploded_ids"] == exploded
+
+
 def test_unknown_preset_and_custom_are_config_errors(tmp_path):
     assert run_cli(["--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
     cfgfile = tmp_path / "c.json"
@@ -282,6 +303,43 @@ def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
     assert any(line.startswith("configuration error: ")
                for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("amplitude", ["1e300", "-1e300"])
+def test_overflowing_initial_history_exits_4_without_a_warning(tmp_path,
+                                                              amplitude):
+    # a finite history whose H norm overflows is a configuration error,
+    # reported without a numpy warning
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SEDES_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "sedes.cli",
+         "--preset", "eq16", "--amplitude=" + amplitude, *TINY,
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG_ERROR
+    assert "configuration error: " in proc.stderr
+    assert "initial history" in proc.stderr
+
+
+@pytest.mark.parametrize("c", ["0", "1e-300", "-1e-300"])
+def test_eq24_vanishing_c4_is_rejected_citing_c4(tmp_path, monkeypatch,
+                                                 capsys, c):
+    monkeypatch.delenv("SEDES_OUT", raising=False)
+    code = run_cli(["--preset", "eq24", "--c=" + c, *TINY,
+                    "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "c^4" in err and "--allow-unstable" in err
+
+
+def test_eq24_vanishing_c4_runs_when_allowed(tmp_path, monkeypatch):
+    # with --allow-unstable, alpha4 = 0 fails the exponential check
+    monkeypatch.delenv("SEDES_OUT", raising=False)
+    code = run_cli(["--preset", "eq24", "--c", "0", "--allow-unstable",
+                    *TINY, "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CHECK_FAILURE
 
 
 @pytest.mark.parametrize("args", [

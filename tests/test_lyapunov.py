@@ -113,8 +113,6 @@ def test_khasminskii_eq16_passes():
     # the worst sample of the stream is pinned (seed 0, 10000 samples)
     assert rep.argmax_sample.startswith("growth bound at sample 7420:")
     assert rep.max_violation == pytest.approx(-0.14736008099113, rel=1e-9)
-    ladder = rep.extras["u_radial_ladder"]
-    assert all(b > a for a, b in zip(ladder, ladder[1:]))
 
 
 def test_khasminskii_trivial_zero_problem_passes():
@@ -157,8 +155,6 @@ def test_lasalle_eq6_passes():
     assert rep.argmax_sample.startswith("strictness w1 > w2 at sample 5722 ")
     assert rep.max_violation == pytest.approx(-2.9991126582605e-4, rel=1e-9)
     assert math.isfinite(rep.extras["gamma_integral"])
-    for ladder in rep.extras["u_radial_ladders"].values():
-        assert all(b > a for a, b in zip(ladder, ladder[1:]))
 
 
 def test_lasalle_strictness_boundary_fails():
@@ -193,24 +189,20 @@ def test_exponential_eq24_passes():
     rep = check_exponential(pre.problem, pre.lyapunov,
                             default_sampler(pre.problem), 10000)
     assert rep.passed
-    # U = ||x||_H^2 and beta1 = beta2 = 1 tie both sandwich families at 0
-    # on every sample; the first family of the first sample is reported
-    assert rep.max_violation == 0.0
-    assert rep.argmax_sample == "sandwich lower bound at sample 0"
+    # the worst sample of the stream is pinned (seed 0, 10000 samples)
+    assert rep.argmax_sample.startswith("decay bound at sample 1397:")
+    assert rep.max_violation == pytest.approx(-0.0042183942672120505,
+                                              rel=1e-9)
     assert rep.extras["gamma_exp_integral"] == 0.0
 
 
 def test_exponential_eq24_reports_each_familys_worst_margin():
-    # the tied sandwich families win the report; the decay bound, which is
-    # what the preset certifies, still shows its own worst margin
+    # the decay bound is the one sampled family, so it is the headline
     pre = make_preset("eq24")
     rep = check_exponential(pre.problem, pre.lyapunov,
                             default_sampler(pre.problem), 10000)
-    fam = rep.extras["max_violation_by_family"]
-    assert list(fam) == ["sandwich lower", "sandwich upper", "decay bound"]
-    assert fam["sandwich lower"] == fam["sandwich upper"] == 0.0
-    assert math.isfinite(fam["decay bound"]) and fam["decay bound"] < 0.0
-    assert max(fam.values()) == rep.max_violation
+    assert rep.extras["max_violation_by_family"] == {
+        "decay bound": rep.max_violation}
 
 
 def test_exponential_gamma_integral_value():
@@ -219,8 +211,7 @@ def test_exponential_gamma_integral_value():
     mu = 1.0
     L = LyapunovSpec(W1_fn=quartic,
                      alpha1=3.0, alpha2=2.0, alpha3=1.0, alpha4=0.5,
-                     mu=mu, beta1=1.0, beta2=1.0,
-                     gamma_fn=lambda t: math.exp(-2 * mu * t))
+                     mu=mu, gamma_fn=lambda t: math.exp(-2 * mu * t))
     rep = check_exponential(pre.problem, L, default_sampler(pre.problem), 100)
     assert rep.extras["gamma_exp_integral"] == pytest.approx(1.0 / mu,
                                                              rel=1e-4)
@@ -232,7 +223,7 @@ def test_exponential_constants_fail_at_construction():
         LyapunovSpec(W1_fn=quartic,
                      alpha1=3.0, alpha2=2.0, alpha3=1.0,
                      alpha4=0.5 * 1.3 ** 4, mu=math.inf,
-                     beta1=1.0, beta2=1.0, gamma_fn=lambda t: 0.0)
+                     gamma_fn=lambda t: 0.0)
     with pytest.raises(ValueError, match="c\\^4 < 2"):
         make_preset("eq24", c=1.3)
     # but a deliberately broken spec can be built and is then reported
@@ -366,7 +357,8 @@ def _loop_oracle(kind, p, L, s, n):
     for i in range(n):
         t, x, y = s.sample(i)
         lu = diffusion_operator(p, t, x, y)
-        u, uy = L.U(t, x), L.U(max(t - p.tau, 0.0), y)
+        u = float(h_norm_sq_values(x.values, x.grid.dx))
+        uy = float(h_norm_sq_values(y.values, y.grid.dx))
         if kind == "khasminskii":
             rhs = (L.lam1 * (1.0 + u + uy + float(L.W_fn(y)))
                    - L.lam2 * float(L.W_fn(x)))
@@ -380,11 +372,6 @@ def _loop_oracle(kind, p, L, s, n):
                    "strictness w1 > w2 at sample %d (w1=%g, w2=%g)"
                    % (i, w1x, w2x))
         else:
-            hx2 = float(h_norm_sq_values(x.values, x.grid.dx))
-            update(rel(L.beta1 * hx2, u),
-                   "sandwich lower bound at sample %d" % i)
-            update(rel(u, L.beta2 * hx2),
-                   "sandwich upper bound at sample %d" % i)
             rhs = (float(L.gamma_fn(t)) - L.alpha1 * u + L.alpha2 * uy
                    - L.alpha3 * float(L.W1_fn(x))
                    + L.alpha4 * float(L.W1_fn(y)))
@@ -405,8 +392,7 @@ def _tie_spec():
 def test_block_checkers_match_the_per_sample_loop(monkeypatch):
     # exact agreement: every row of a block is computed with the arithmetic
     # of a one-sample block, so only the reduction differs from the loop.
-    # eq24 ties its two sandwich families at 0 on every sample, and the
-    # tie spec ties strictness failures across samples and blocks.
+    # The tie spec ties strictness failures across samples and blocks.
     import sedes.lyapunov as lyap
     n = 400
     eq6 = make_preset("eq6")
@@ -450,8 +436,7 @@ def test_plain_functionals_match_their_array_forms():
     L = pre.lyapunov
     plain = LyapunovSpec(W1_fn=quartic,
                          alpha1=L.alpha1, alpha2=L.alpha2, alpha3=L.alpha3,
-                         alpha4=L.alpha4, mu=L.mu, beta1=1.0, beta2=1.0,
-                         gamma_fn=lambda t: 0.0)
+                         alpha4=L.alpha4, mu=L.mu, gamma_fn=lambda t: 0.0)
     assert (check_exponential(pre.problem, plain, s, n).to_dict()
             == check_exponential(pre.problem, L, s, n).to_dict())
 
