@@ -37,7 +37,6 @@ from .integrator import (
     truncate_problem,
 )
 from .lyapunov import (
-    ArrayFunctional,
     ConditionReport,
     FourierSampler,
     LyapunovSpec,

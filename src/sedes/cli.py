@@ -365,17 +365,17 @@ def run(cfg) -> int:
             record_v=int(cfg["n_sample_paths"]), clamp=cfg["clamp"],
             window=as_window(p, cfg["as_window"])[1] if cfg["as_stats"]
             else None)
+        n_exploded = len(res.exploded_ids())
+        if n_exploded / n_paths > cfg["explosion_budget"]:
+            numerical_failure = True
+            print("numerical failure: %d/%d paths exploded (budget %g)"
+                  % (n_exploded, n_paths, cfg["explosion_budget"]))
         if cfg["ms_ensemble"]:
             try:
                 curve = ms_curve_from_batch(res, p, record_times)
             except RuntimeError as err:
                 numerical_failure = True
                 print("numerical failure: %s" % err)
-            if curve is not None and \
-                    curve.explosion_fraction > cfg["explosion_budget"]:
-                numerical_failure = True
-                print("numerical failure: %d/%d paths exploded (budget %g)"
-                      % (curve.n_exploded, n_paths, cfg["explosion_budget"]))
             if curve is not None:
                 try:
                     fitted, half_width, fit_window_used = \

@@ -40,13 +40,14 @@ U = ||x||_H^2 is radially unbounded and meets the exponential theorem's
 sandwich c1 ||x||_H^2 <= U <= c2 ||x||_H^2 with c1 = c2 = 1 by
 definition, so neither hypothesis is sampled.
 
-Functionals reach the blocks in one of two ways: an ArrayFunctional
-carries its array form (the presets' ||x||_H^2, int u^4 and their
-combinations), and any other Field -> float callable is applied row by
-row.  Drift, diffusion and gamma take a scalar t.  A drift or diffusion
-whose time_dependent attribute is False (every preset coefficient that
-ignores t) is evaluated once per block on the (S, n) arrays, like the
-operator coefficient; any other, and gamma, is called once per sample.
+The functionals W, w1, w2 and W1 are functions fn(values, dx) of an
+(S, n) block of field values, and gamma is a function of the (S,) sample
+times; each is called once per block, and its result is broadcast to one
+value per row, so a constant such as lambda t: 0.0 works as written.
+Drift and diffusion take a scalar t.  A drift or diffusion whose
+time_dependent attribute is False (every preset coefficient that ignores
+t) is evaluated once per block on the (S, n) arrays, like the operator
+coefficient; any other is called once per sample.
 
 Samples are a prefix-extension stream whose rows are bitwise independent
 of the block they are drawn in: growing the sample count only appends
@@ -66,7 +67,6 @@ from .fields import (
 from .noise import keyed_gaussians, keyed_uniforms
 
 __all__ = [
-    "ArrayFunctional",
     "LyapunovSpec",
     "ConditionReport",
     "FourierSampler",
@@ -83,44 +83,24 @@ DEFAULT_TOLERANCE = 1e-8
 SAMPLE_BLOCK = 128
 
 
-class ArrayFunctional:
-    """A Field -> float functional that also has an array form.
-
-    of_values(values, dx) maps an (..., n) array of field values to the
-    (...) array of the functional, so the checkers evaluate it on a whole
-    block of samples in one call.  Called on a Field it returns a float,
-    like any plain functional.
-    """
-
-    __slots__ = ("of_values",)
-
-    def __init__(self, of_values):
-        self.of_values = of_values
-
-    def __call__(self, f: Field) -> float:
-        return float(self.of_values(f.values, f.grid.dx))
-
-
-def _rows(fn, X, grid):
-    """fn on each row of an (S, n) block: its array form when it has one,
-    otherwise one Field per row."""
-    of_values = getattr(fn, "of_values", None)
-    if of_values is not None:
-        return of_values(X, grid.dx)
-    return np.array([float(fn(Field(grid, row))) for row in X])
-
-
-def _per_sample(fn, t):
-    """fn(t_s) for each sample time, each call with a scalar t."""
-    return np.array([float(fn(ts)) for ts in t.tolist()])
+def _rows(values, S, name):
+    """A functional's or gamma's values as one per row of an S-row block: a
+    constant broadcasts, and any other shape raises ValueError."""
+    try:
+        return np.broadcast_to(np.asarray(values, dtype=float), (S,))
+    except ValueError:
+        raise ValueError("%s must give one value per row of a %d-sample "
+                         "block, got shape %s"
+                         % (name, S, np.shape(values))) from None
 
 
 class LyapunovSpec:
     """Functionals and constants entering the three stability theorems.
 
     The Lyapunov functional is U = ||x||_H^2, as in every worked example.
-    The functionals W_fn, w1_fn, w2_fn and W1_fn map a Field to a float;
-    an ArrayFunctional among them is evaluated a block at a time.
+    The functionals W_fn, w1_fn, w2_fn and W1_fn map an (S, n) block of
+    field values and the grid spacing to one value per row, fn(values, dx),
+    and gamma_fn maps the (S,) sample times to one value per sample.
 
     Constant families are validated on construction when present:
     lam1, lam2 > 0 (existence); alpha1 > alpha2 >= 0, alpha3 > alpha4 > 0,
@@ -372,16 +352,18 @@ def _gamma_integral(L, t_final, mu=None):
     including mu = inf (the convention letting the decay bound come from
     the root solver alone)."""
     ts = np.linspace(0.0, t_final, 4097)
-    g = np.asarray([float(L.gamma_fn(t)) for t in ts])
-    if mu is None:
-        w = g
-    elif not np.any(g != 0.0):
-        return 0.0
-    elif math.isinf(mu):
-        return math.inf
-    else:
-        w = g * np.exp(mu * ts)
-    return float(np.trapezoid(w, ts))
+    g = _rows(L.gamma_fn(ts), ts.size, "gamma_fn")
+    # an overflow is reported by the caller's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mu is None:
+            w = g
+        elif not np.any(g != 0.0):
+            return 0.0
+        elif math.isinf(mu):
+            return math.inf
+        else:
+            w = g * np.exp(mu * ts)
+        return float(np.trapezoid(w, ts))
 
 
 def _constants_family(L, worst, names):
@@ -416,13 +398,13 @@ def check_khasminskii(p, L: LyapunovSpec, sampler, n,
         raise ValueError("check_khasminskii needs lam1, lam2 and W_fn")
     worst = _Worst(("growth bound",))
     _constants_family(L, worst, ("lam1", "lam2"))
-    grid, dx = p.grid, p.grid.dx
+    dx = p.grid.dx
     for start, t, X, Y in _blocks(sampler, n):
         lhs = _lu_block(p, t, X, Y)
         rhs = (L.lam1 * (1.0 + h_norm_sq_values(X, dx)
                          + h_norm_sq_values(Y, dx)
-                         + _rows(L.W_fn, Y, grid))
-               - L.lam2 * _rows(L.W_fn, X, grid))
+                         + _rows(L.W_fn(Y, dx), t.size, "W_fn"))
+               - L.lam2 * _rows(L.W_fn(X, dx), t.size, "W_fn"))
         worst.update_block(
             _margin(lhs, rhs)[:, None],
             lambda s, f: _state_desc("growth bound", start + s, t[s], X[s],
@@ -443,17 +425,20 @@ def check_lasalle(p, L: LyapunovSpec, sampler, n,
     if L.w1_fn is None or L.w2_fn is None or L.gamma_fn is None:
         raise ValueError("check_lasalle needs w1_fn, w2_fn and gamma_fn")
     worst = _Worst(("dissipation bound", "strictness"))
-    zero = Field.zero(p.grid)
-    w10, w20 = float(L.w1_fn(zero)), float(L.w2_fn(zero))
+    dx = p.grid.dx
+    zero = np.zeros((1, p.grid.n_interior))
+    w10 = float(_rows(L.w1_fn(zero, dx), 1, "w1_fn")[0])
+    w20 = float(_rows(L.w2_fn(zero, dx), 1, "w2_fn")[0])
     zero_bad = w10 != 0.0 or w20 != 0.0
     worst.update_flagged(zero_bad,
                          abs(w10) + abs(w20) if zero_bad else -math.inf,
                          "w1(0)=%g, w2(0)=%g not both zero" % (w10, w20))
-    grid, dx = p.grid, p.grid.dx
     for start, t, X, Y in _blocks(sampler, n):
         lhs = _lu_block(p, t, X, Y)
-        w1x, w2x = _rows(L.w1_fn, X, grid), _rows(L.w2_fn, X, grid)
-        rhs = _per_sample(L.gamma_fn, t) - w1x + _rows(L.w2_fn, Y, grid)
+        w1x = _rows(L.w1_fn(X, dx), t.size, "w1_fn")
+        w2x = _rows(L.w2_fn(X, dx), t.size, "w2_fn")
+        rhs = (_rows(L.gamma_fn(t), t.size, "gamma_fn") - w1x
+               + _rows(L.w2_fn(Y, dx), t.size, "w2_fn"))
         strict = (w2x - w1x) / (1.0 + np.abs(w1x) + np.abs(w2x))
         # update_flagged's rule: a failure scores at least 1.0
         strict = np.where(w1x > w2x, strict, np.maximum(strict, 1.0))
@@ -490,14 +475,14 @@ def check_exponential(p, L: LyapunovSpec, sampler, n,
                          "gamma_fn")
     worst = _Worst(("decay bound",))
     _constants_family(L, worst, ("alpha", "mu"))
-    grid, dx = p.grid, p.grid.dx
+    dx = p.grid.dx
     for start, t, X, Y in _blocks(sampler, n):
         lhs = _lu_block(p, t, X, Y)
-        rhs = (_per_sample(L.gamma_fn, t)
+        rhs = (_rows(L.gamma_fn(t), t.size, "gamma_fn")
                - L.alpha1 * h_norm_sq_values(X, dx)
                + L.alpha2 * h_norm_sq_values(Y, dx)
-               - L.alpha3 * _rows(L.W1_fn, X, grid)
-               + L.alpha4 * _rows(L.W1_fn, Y, grid))
+               - L.alpha3 * _rows(L.W1_fn(X, dx), t.size, "W1_fn")
+               + L.alpha4 * _rows(L.W1_fn(Y, dx), t.size, "W1_fn"))
         worst.update_block(
             _margin(lhs, rhs)[:, None],
             lambda s, f: _state_desc("decay bound", start + s, t[s], X[s],

@@ -42,7 +42,7 @@ import numpy as np
 
 from .fields import OperatorCoeff, Grid, h_norm_sq_values, quartic_values
 from .integrator import PointwiseCoeff, ProblemSpec
-from .lyapunov import ArrayFunctional, LyapunovSpec
+from .lyapunov import LyapunovSpec
 from .noise import NoiseModel
 
 __all__ = ["PRESET_NAMES", "Preset", "eq24_failed_requirement",
@@ -58,12 +58,6 @@ DEFAULTS = {
     "eq6": dict(grid_n=63, dt=1e-3, tau=1.0, t_final=50.0, amplitude=0.1),
     "eq24": dict(grid_n=63, dt=1e-3, tau=1.0, t_final=50.0, amplitude=0.1),
 }
-
-
-# the certificates' functionals, in array form so the checkers evaluate
-# them a block of samples at a time
-_H_SQ = ArrayFunctional(h_norm_sq_values)
-_Q4 = ArrayFunctional(quartic_values)
 
 
 def _fourth_power(c):
@@ -140,10 +134,9 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             t_final=t_final, dt=dt)
         # zero drift and diffusion: the trivial certificate LU <= 0 works
         lyap = LyapunovSpec(
-            W_fn=_H_SQ, lam1=1.0, lam2=1.0,
-            w1_fn=ArrayFunctional(
-                lambda v, dx: 2.0 * h_norm_sq_values(v, dx)),
-            w2_fn=_H_SQ,
+            W_fn=h_norm_sq_values, lam1=1.0, lam2=1.0,
+            w1_fn=lambda v, dx: 2.0 * h_norm_sq_values(v, dx),
+            w2_fn=h_norm_sq_values,
             gamma_fn=lambda t: 0.0)
         return Preset(name, problem, lyap, params)
 
@@ -158,7 +151,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
         lyap = LyapunovSpec(
-            W_fn=_Q4, lam1=4.0 / 3.0,
+            W_fn=quartic_values, lam1=4.0 / 3.0,
             lam2=(4.0 / 3.0 if lam2 is None else float(lam2)),
             gamma_fn=lambda t: 0.0)
         params.update(sign_variant=sign_variant, lam2=lyap.lam2)
@@ -174,10 +167,9 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
         lyap = LyapunovSpec(
-            w1_fn=ArrayFunctional(
-                lambda v, dx: 2.0 * (quartic_values(v, dx)
-                                     + 2.0 * h_norm_sq_values(v, dx))),
-            w2_fn=_H_SQ,
+            w1_fn=lambda v, dx: 2.0 * (quartic_values(v, dx)
+                                       + 2.0 * h_norm_sq_values(v, dx)),
+            w2_fn=h_norm_sq_values,
             gamma_fn=lambda t: 0.0)
         params.update(g_factor=gf)
         return Preset(name, problem, lyap, params)
@@ -206,7 +198,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
         tau=tau, noise=noise, initial_history=psi,
         t_final=t_final, dt=dt)
     lyap = LyapunovSpec(
-        W1_fn=_Q4,
+        W1_fn=quartic_values,
         alpha1=2.0 * (nu - a), alpha2=2.0 * b * b,
         alpha3=1.0, alpha4=0.5 * c4,
         mu=math.inf,

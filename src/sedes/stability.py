@@ -158,10 +158,6 @@ class MsCurve:
     def n_exploded(self):
         return len(self.exploded_ids)
 
-    @property
-    def explosion_fraction(self):
-        return self.n_exploded / self.n_paths
-
     def to_dict(self):
         return {"times": self.times.tolist(), "mean": self.mean.tolist(),
                 "stderr": self.stderr.tolist(),
@@ -324,16 +320,14 @@ def as_stability_stats(p: ProblemSpec, n_paths: int, threshold=1e-2,
 def as_stats_from_batch(res, p: ProblemSpec, threshold=1e-2, window=None,
                         u_bound=1e6) -> ASStats:
     """Reduce an ensemble batch to ASStats (see as_stability_stats); res
-    must hold the window's maxima or the norms at every step of it."""
+    must come from run_ensemble with window = the window's steps."""
     n_paths = res.n_paths
-    window, (i0, i1) = as_window(p, window)
+    window, steps = as_window(p, window)
+    if res.window != steps:
+        raise ValueError("the batch holds maxima over steps %s, not over "
+                         "the window's steps %s" % (res.window, steps))
     exploded = _exploded(res)
-    if res.window == (i0, i1):
-        window_peak = res.window_peak[~exploded]
-    else:
-        cols = res.columns(np.arange(i0, i1 + 1))
-        window_peak = res.h_norms[~exploded][:, cols].max(axis=1)
-    ok = int(np.count_nonzero(window_peak < threshold))
+    ok = int(np.count_nonzero(res.window_peak[~exploded] < threshold))
     bounded = int(np.count_nonzero(res.peak[~exploded] ** 2 < u_bound))
     return ASStats(ok / n_paths, bounded / n_paths, threshold, window,
                    u_bound, n_paths, int(exploded.sum()))

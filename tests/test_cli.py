@@ -204,6 +204,20 @@ def test_partly_exploding_ensemble_writes_its_report(tmp_path):
     assert rep["ms_curve"]["exploded_ids"] == exploded
 
 
+def test_explosion_budget_holds_without_the_ms_curve(tmp_path):
+    # the same run with only the a.s. statistics: 5 of 20 paths explode,
+    # which blows the 1% budget whichever analysis reads the batch
+    out = tmp_path / "as-only"
+    code = run_cli(["--preset", "eq16", "--sign-variant", "--amplitude", "1",
+                    "--paths", "20", "--t-final", "2", "--tau", "0.1",
+                    "--grid-n", "15", "--no-check-conditions",
+                    "--no-ms-ensemble", "--as-stats", "--out-dir", str(out)])
+    assert code == EXIT_NUMERICAL_FAILURE
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["as_stats"]["n_exploded"] == 5
+    assert rep["exit_code"] == EXIT_NUMERICAL_FAILURE
+
+
 def test_unknown_preset_and_custom_are_config_errors(tmp_path):
     assert run_cli(["--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
     cfgfile = tmp_path / "c.json"

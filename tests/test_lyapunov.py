@@ -30,7 +30,7 @@ from sedes import (
     truncate_problem,
     v_norm,
 )
-from sedes.fields import h_norm_sq_values
+from sedes.fields import h_norm_sq_values, quartic_values
 
 
 def default_sampler(p, seed=0):
@@ -123,7 +123,7 @@ def test_khasminskii_trivial_zero_problem_passes():
                     tau=1.0, noise=NoiseModel.scalar(),
                     initial_history=lambda th, x: 0.1 * np.sin(x),
                     t_final=10.0, dt=0.01)
-    L = LyapunovSpec(W_fn=lambda f: 0.0, lam1=1.0, lam2=1.0)
+    L = LyapunovSpec(W_fn=lambda v, dx: 0.0, lam1=1.0, lam2=1.0)
     rep = check_khasminskii(p, L, FourierSampler(grid, t_max=10.0), 2000)
     assert rep.passed
 
@@ -159,8 +159,7 @@ def test_lasalle_eq6_passes():
 
 def test_lasalle_strictness_boundary_fails():
     pre = make_preset("eq6")
-    L = LyapunovSpec(w1_fn=lambda f: h_norm(f) ** 2,
-                     w2_fn=lambda f: h_norm(f) ** 2,
+    L = LyapunovSpec(w1_fn=h_norm_sq_values, w2_fn=h_norm_sq_values,
                      gamma_fn=lambda t: 0.0)
     rep = check_lasalle(pre.problem, L, default_sampler(pre.problem), 200)
     assert not rep.passed
@@ -180,7 +179,8 @@ def test_lasalle_amplified_noise_fails():
     x = Field.zero(p.grid)
     y = Field(p.grid, np.sin(p.grid.points) / math.sqrt(math.pi / 2))
     lu = diffusion_operator(p, math.pi / 2, x, y)
-    rhs = -float(L.w1_fn(x)) + float(L.w2_fn(y))
+    rhs = (-float(L.w1_fn(x.values, p.grid.dx))
+           + float(L.w2_fn(y.values, p.grid.dx)))
     assert lu - rhs == pytest.approx(8.0, rel=1e-6)
 
 
@@ -209,9 +209,9 @@ def test_exponential_gamma_integral_value():
     # gamma(t) = e^{-2 mu t}: the weighted integral tends to 1/mu
     pre = make_preset("eq24", t_final=50.0)
     mu = 1.0
-    L = LyapunovSpec(W1_fn=quartic,
+    L = LyapunovSpec(W1_fn=quartic_values,
                      alpha1=3.0, alpha2=2.0, alpha3=1.0, alpha4=0.5,
-                     mu=mu, gamma_fn=lambda t: math.exp(-2 * mu * t))
+                     mu=mu, gamma_fn=lambda t: np.exp(-2 * mu * t))
     rep = check_exponential(pre.problem, L, default_sampler(pre.problem), 100)
     assert rep.extras["gamma_exp_integral"] == pytest.approx(1.0 / mu,
                                                              rel=1e-4)
@@ -220,7 +220,7 @@ def test_exponential_gamma_integral_value():
 def test_exponential_constants_fail_at_construction():
     # c = 1.3 gives alpha4 = c^4/2 = 1.428 > alpha3 = 1
     with pytest.raises(ValueError, match="alpha3 > alpha4"):
-        LyapunovSpec(W1_fn=quartic,
+        LyapunovSpec(W1_fn=quartic_values,
                      alpha1=3.0, alpha2=2.0, alpha3=1.0,
                      alpha4=0.5 * 1.3 ** 4, mu=math.inf,
                      gamma_fn=lambda t: 0.0)
@@ -354,27 +354,34 @@ def _loop_oracle(kind, p, L, s, n):
         return ("%s at sample %d: t=%.3f, |x|_H=%.3f, |y|_H=%.3f"
                 % (what, i, t, h_norm(x), h_norm(y)))
 
+    def one(fn, f):
+        # a functional on the one-row block of f
+        return float(np.broadcast_to(fn(f.values[None, :], f.grid.dx),
+                                     (1,))[0])
+
+    def gamma(t):
+        return float(np.broadcast_to(L.gamma_fn(np.array([t])), (1,))[0])
+
     for i in range(n):
         t, x, y = s.sample(i)
         lu = diffusion_operator(p, t, x, y)
         u = float(h_norm_sq_values(x.values, x.grid.dx))
         uy = float(h_norm_sq_values(y.values, y.grid.dx))
         if kind == "khasminskii":
-            rhs = (L.lam1 * (1.0 + u + uy + float(L.W_fn(y)))
-                   - L.lam2 * float(L.W_fn(x)))
+            rhs = (L.lam1 * (1.0 + u + uy + one(L.W_fn, y))
+                   - L.lam2 * one(L.W_fn, x))
             update(rel(lu, rhs), state("growth bound", i, t, x, y))
         elif kind == "lasalle":
-            w1x, w2x = float(L.w1_fn(x)), float(L.w2_fn(x))
-            rhs = float(L.gamma_fn(t)) - w1x + float(L.w2_fn(y))
+            w1x, w2x = one(L.w1_fn, x), one(L.w2_fn, x)
+            rhs = gamma(t) - w1x + one(L.w2_fn, y)
             update(rel(lu, rhs), state("dissipation bound", i, t, x, y))
             m = (w2x - w1x) / (1.0 + abs(w1x) + abs(w2x))
             update(m if w1x > w2x else max(m, 1.0),
                    "strictness w1 > w2 at sample %d (w1=%g, w2=%g)"
                    % (i, w1x, w2x))
         else:
-            rhs = (float(L.gamma_fn(t)) - L.alpha1 * u + L.alpha2 * uy
-                   - L.alpha3 * float(L.W1_fn(x))
-                   + L.alpha4 * float(L.W1_fn(y)))
+            rhs = (gamma(t) - L.alpha1 * u + L.alpha2 * uy
+                   - L.alpha3 * one(L.W1_fn, x) + L.alpha4 * one(L.W1_fn, y))
             update(rel(lu, rhs), state("decay bound", i, t, x, y))
     return best, where
 
@@ -382,10 +389,10 @@ def _loop_oracle(kind, p, L, s, n):
 def _tie_spec():
     # strictness fails, scoring exactly 1.0, on every sample with
     # |x|_H > 1 (the first is sample 1 of the seed-0 stream)
-    def w1(f):
-        h2 = h_norm(f) ** 2
-        return h2 if h2 > 1.0 else 2.0 * h2
-    return LyapunovSpec(w1_fn=w1, w2_fn=lambda f: h_norm(f) ** 2,
+    def w1(v, dx):
+        h2 = h_norm_sq_values(v, dx)
+        return np.where(h2 > 1.0, h2, 2.0 * h2)
+    return LyapunovSpec(w1_fn=w1, w2_fn=h_norm_sq_values,
                         gamma_fn=lambda t: 0.0)
 
 
@@ -414,31 +421,53 @@ def test_block_checkers_match_the_per_sample_loop(monkeypatch):
             assert (rep.max_violation, rep.argmax_sample) == expected, kind
 
 
-def test_plain_functionals_match_their_array_forms():
-    # the row-wise adapter for Field -> float callables gives the report
-    # the presets' array functionals give
-    def h2(f):
-        return h_norm_sq_values(f.values, f.grid.dx)
-
-    n = 500
-    pre = make_preset("eq16", lam2=10.0)
-    plain = LyapunovSpec(W_fn=quartic, lam1=4.0 / 3.0, lam2=10.0,
-                         gamma_fn=lambda t: 0.0)
-    s = default_sampler(pre.problem)
-    assert (check_khasminskii(pre.problem, plain, s, n).to_dict()
-            == check_khasminskii(pre.problem, pre.lyapunov, s, n).to_dict())
-    pre = make_preset("eq6")
-    plain = LyapunovSpec(w1_fn=lambda f: 2.0 * (quartic(f) + 2.0 * h2(f)),
-                         w2_fn=h2, gamma_fn=lambda t: 0.0)
-    assert (check_lasalle(pre.problem, plain, s, n).to_dict()
-            == check_lasalle(pre.problem, pre.lyapunov, s, n).to_dict())
+def test_functionals_and_gamma_must_give_one_value_per_row():
+    # a constant (every preset's gamma) broadcasts to every row; an (S, n)
+    # array or a gamma of the wrong length is rejected
     pre = make_preset("eq24")
+    p, L, s = pre.problem, pre.lyapunov, default_sampler(pre.problem)
+    consts = dict(alpha1=L.alpha1, alpha2=L.alpha2, alpha3=L.alpha3,
+                  alpha4=L.alpha4, mu=L.mu)
+    rows = LyapunovSpec(W1_fn=lambda v, dx: v * v, gamma_fn=lambda t: 0.0,
+                        **consts)
+    with pytest.raises(ValueError, match="W1_fn must give one value per "
+                                         "row of a 10-sample block"):
+        check_exponential(p, rows, s, 10)
+    short = LyapunovSpec(W1_fn=quartic_values,
+                         gamma_fn=lambda t: np.zeros(3), **consts)
+    with pytest.raises(ValueError, match="gamma_fn must give one value"):
+        check_exponential(p, short, s, 10)
+    pre = make_preset("eq16")
+    with pytest.raises(ValueError, match="W_fn must give one value"):
+        check_khasminskii(pre.problem, LyapunovSpec(
+            W_fn=lambda v, dx: v, lam1=1.0, lam2=1.0), s, 10)
+
+
+def test_gamma_integral_overflow_is_reported_without_a_warning():
+    # e^{mu t} overflows a float at mu = 100, t = 50, and the trapezoid
+    # sums of a gamma near the largest float overflow: each check reports
+    # its integral as not finite instead of raising a RuntimeWarning
+    import warnings
+    pre = make_preset("eq24", t_final=50.0)
     L = pre.lyapunov
-    plain = LyapunovSpec(W1_fn=quartic,
-                         alpha1=L.alpha1, alpha2=L.alpha2, alpha3=L.alpha3,
-                         alpha4=L.alpha4, mu=L.mu, gamma_fn=lambda t: 0.0)
-    assert (check_exponential(pre.problem, plain, s, n).to_dict()
-            == check_exponential(pre.problem, L, s, n).to_dict())
+    spec = LyapunovSpec(W1_fn=quartic_values, alpha1=L.alpha1,
+                        alpha2=L.alpha2, alpha3=L.alpha3, alpha4=L.alpha4,
+                        mu=100.0, gamma_fn=lambda t: np.exp(-t))
+    eq6 = make_preset("eq6")
+    huge = LyapunovSpec(w1_fn=eq6.lyapunov.w1_fn, w2_fn=h_norm_sq_values,
+                        gamma_fn=lambda t: np.full_like(t, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_exponential(pre.problem, spec,
+                                default_sampler(pre.problem), 10)
+        las = check_lasalle(eq6.problem, huge, default_sampler(eq6.problem),
+                            10)
+    assert not math.isfinite(rep.extras["gamma_exp_integral"])
+    assert not rep.passed
+    assert "diverges" in rep.argmax_sample
+    assert not math.isfinite(las.extras["gamma_integral"])
+    assert not las.passed
+    assert las.argmax_sample == "gamma quadrature not finite"
 
 
 def test_diffusion_operator_is_a_row_of_the_block_kernel():

@@ -17,6 +17,7 @@ from sedes import (
     lambda_min,
     make_preset,
     ms_ensemble,
+    run_ensemble,
     simulate_paths,
     solve_decay,
     solve_eps1,
@@ -227,9 +228,10 @@ def test_as_stats_matches_per_path_loop():
     p = cubic_blowup_problem().replace(
         diffusion=lambda t, u, v: 2.0 + 0 * u,
         initial_history=lambda th, x: 1.5 * np.sin(x))
-    res = simulate_paths(p, range(32), record_v=0)
     window = (0.5, 1.0)
     i0, i1 = 100, 200
+    # every step is recorded, so the rows below are the full trace
+    res = run_ensemble(p, range(32), record_v=0, window=(i0, i1))
     kept = [row for row, s in zip(res.h_norms, res.statuses)
             if s != "exploded"]
     threshold = float(np.median([np.max(row[i0:i1 + 1]) for row in kept]))
@@ -240,6 +242,9 @@ def test_as_stats_matches_per_path_loop():
     assert 1 < len(kept) < 32 and 0 < ok < len(kept)
     assert (st.fraction, st.u_bounded_fraction, st.n_exploded) == (
         ok / 32, bounded / 32, 32 - len(kept))
+    # the batch holds maxima over one window of steps only
+    with pytest.raises(ValueError, match="window's steps"):
+        stability.as_stats_from_batch(res, p, threshold, (0.2, 1.0), u_bound)
 
 
 def test_ensemble_invariant_under_batch_grouping():
