@@ -13,7 +13,6 @@ from .fields import (
     Grid,
     OperatorCoeff,
     apply_operator,
-    h_inner,
     h_norm,
     lambda_min,
     laplacian_eigenvalue,
@@ -22,7 +21,7 @@ from .fields import (
     sine_field,
     v_norm,
 )
-from .noise import NoiseIncrement, NoiseModel, sample_increment
+from .noise import NoiseModel
 from .integrator import (
     BallClampedCoeff,
     HistoryBuffer,
@@ -49,7 +48,6 @@ from .stability import (
     ASStats,
     DecaySolution,
     MsCurve,
-    StabilityReport,
     as_stability_stats,
     explosion_scan,
     fit_decay_rate,

@@ -39,10 +39,9 @@ from .lyapunov import (FourierSampler, check_exponential, check_khasminskii,
                        check_lasalle)
 from .presets import (DEFAULTS as PRESET_DEFAULTS, PRESET_NAMES,
                       eq24_failed_requirement, make_preset)
-from .stability import (StabilityReport, as_stats_from_batch, as_window,
-                        default_record_times, explosion_scan,
-                        fit_decay_rate_adaptive, ms_curve_from_batch,
-                        record_steps, solve_decay)
+from .stability import (as_stats_from_batch, as_window, default_record_times,
+                        explosion_scan, fit_decay_rate_adaptive,
+                        ms_curve_from_batch, record_steps, solve_decay)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 2
@@ -62,8 +61,8 @@ MAX_STEPS = 2 ** 63
 # measure about 840
 SETUP_FLOATS_PER_POINT = 1024
 # floats per path that the explosion scan's reducers and bookkeeping hold
-# (ids, statuses and their times, peak norms, exit masks); tracemalloc
-# measures 16
+# (ids, explosion times, peak norms, exit masks), an upper bound:
+# tracemalloc measures under 4
 SCAN_FLOATS_PER_PATH = 16
 
 
@@ -114,7 +113,6 @@ KEYS = {
     "seed": (0, _int(0, 2 ** 64), "--seed"),
     "output_dir": ("sedes-out", TEXT, "--out-dir"),
     "allow_unstable": (False, BOOL, "--allow-unstable"),
-    "clamp": (False, BOOL, "--clamp"),
     "amplitude": (None, NUMBER, "--amplitude"),
     "nu": (2.0, NUMBER, "--nu"),
     "a": (0.5, NUMBER, "--a"),
@@ -362,7 +360,7 @@ def run(cfg) -> int:
         steps = record_steps(p, record_times)
         res = run_ensemble(
             p, range(n_paths), record_steps=steps,
-            record_v=int(cfg["n_sample_paths"]), clamp=cfg["clamp"],
+            record_v=int(cfg["n_sample_paths"]),
             window=as_window(p, cfg["as_window"])[1] if cfg["as_stats"]
             else None)
         n_exploded = len(res.exploded_ids())
@@ -442,12 +440,19 @@ def run(cfg) -> int:
                           for r in explosion_rows)
               + "  monotone: %s" % ("PASS" if monotone else "FAIL"))
 
-    report = StabilityReport(
-        ms_curve=curve, fitted_rate=fitted, rate_half_width=half_width,
-        fit_window=fit_window_used, decay=decay, as_stats=as_stats,
-        explosion_rows=explosion_rows, n_paths=cfg["n_paths"],
-        seed=int(cfg["seed"]),
-        metadata={
+    doc = {
+        "fitted_rate": fitted,
+        "rate_half_width": half_width,
+        "fit_window": list(fit_window_used) if fit_window_used else None,
+        "theoretical_bound": None if decay is None else decay.bound,
+        "decay": None if decay is None else decay.to_dict(),
+        "as_stats": None if as_stats is None else as_stats.to_dict(),
+        "explosion_scan": ([r.to_dict() for r in explosion_rows]
+                           if explosion_rows else None),
+        "ms_curve": None if curve is None else curve.to_dict(),
+        "n_paths": cfg["n_paths"],
+        "seed": int(cfg["seed"]),
+        "metadata": {
             "scheme": SCHEME,
             "gaussian": GAUSSIAN_METHOD,
             "version": __version__,
@@ -464,10 +469,10 @@ def run(cfg) -> int:
             "sampler_seed": int(cfg["sampler_seed"]),
             "explosion_limit": p.explosion_limit,
             "explosion_horizon": cfg["explosion_horizon"],
-        })
-    doc = report.to_dict()
-    doc["conditions"] = [r.to_dict() for r in reports]
-    doc["checks"] = checks
+        },
+        "conditions": [r.to_dict() for r in reports],
+        "checks": checks,
+    }
     if numerical_failure:
         code = EXIT_NUMERICAL_FAILURE
     elif checks and not all(checks.values()):
@@ -482,8 +487,16 @@ def run(cfg) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a configuration error (exit 4), as a
+    malformed config file is, not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sedes",
         description="Simulate and stability-check stochastic delay "
                     "evolution equations on (0, pi).")
@@ -507,9 +520,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items() if k != "config"}
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {k: v for k, v in vars(args).items() if k != "config"}
         cfg = load_config(args.config, overrides)
         return run(cfg)
     except ConfigError as err:

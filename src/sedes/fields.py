@@ -33,7 +33,6 @@ __all__ = [
     "OperatorCoeff",
     "h_norm",
     "v_norm",
-    "h_inner",
     "quartic",
     "apply_operator",
     "operator_quad_form",
@@ -93,10 +92,6 @@ class Field:
     def zero(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.n_interior))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, np.asarray(fn(grid.points), dtype=float))
-
     def __repr__(self):
         return "Field(n=%d, h_norm=%.6g)" % (self.grid.n_interior, h_norm(self))
 
@@ -133,10 +128,6 @@ def quartic_values(values, dx):
     return dx * np.sum(v2 * v2, axis=-1)
 
 
-def h_inner_values(a, b, dx):
-    return dx * np.sum(a * b, axis=-1)
-
-
 def apply_operator_values(a_mid, values, dx):
     """Divergence-form stencil on (..., n) arrays; a_mid has length n+1."""
     d = _wall_diffs(values)
@@ -167,12 +158,6 @@ def v_norm(f: Field) -> float:
     """Discrete H1 seminorm from forward differences including both walls."""
     _check_values(f.values)
     return float(np.sqrt(v_norm_sq_values(f.values, f.grid.dx)))
-
-
-def h_inner(f: Field, g: Field) -> float:
-    if f.grid != g.grid:
-        raise ValueError("fields on different grids")
-    return float(h_inner_values(f.values, g.values, f.grid.dx))
 
 
 def quartic(f: Field) -> float:

@@ -22,13 +22,12 @@ de-interleaved into the next level on the way down and interleaved back
 on the way up.  The ensemble engine forms the right-hand side in buffers
 allocated once per path chunk, and the solve writes the new state straight
 into the ring slot of the delayed state, the one slot no later part of the
-step reads; explosion zeroing and clamp scaling then act on that slot in
-place.
+step reads; explosion zeroing then acts on that slot in place.
 
 The ensemble engine integrates PATH_CHUNK paths at a time, each chunk with a
 ring of its own, and keeps per path only what its reducers ask for: the
-norms at the record steps, running maxima of the H norm, statuses and
-snapshots.  A run's memory therefore grows with neither its path count
+norms at the record steps, running maxima of the H norm, explosion times
+and snapshots.  A run's memory therefore grows with neither its path count
 (beyond the reducers' arrays) nor its number of steps.
 
 The delay tau is pinned to an exact multiple m * dt (the constructor
@@ -54,7 +53,7 @@ from .fields import (
     h_norm_sq_values,
     v_norm_sq_values,
 )
-from .noise import NoiseIncrement, NoiseModel
+from .noise import NoiseModel
 
 __all__ = [
     "PointwiseCoeff",
@@ -299,12 +298,6 @@ class HistoryBuffer:
         """State from m steps ago (lag exactly tau)."""
         return self._ring[(self._head + 1) % (self._m + 1)]
 
-    def at_lag(self, j: int):
-        """State stored j steps before head_time, 0 <= j <= m."""
-        if not 0 <= j <= self._m:
-            raise ValueError("lag out of the delay window")
-        return self._ring[(self._head - j) % (self._m + 1)]
-
     def push(self, values):
         self.delayed()[...] = values
         self.advance()
@@ -479,17 +472,16 @@ def _em_step(p: ProblemSpec, t: float, x, y, dB, work=None, out=None):
     return _factor_for(p, t + p.dt).solve(rhs, out, work)
 
 
-def imex_em_step(p: ProblemSpec, h: HistoryBuffer, t: float,
-                 dW: NoiseIncrement) -> Field:
-    """One IMEX Euler-Maruyama step from the state at time t in h.
+def imex_em_step(p: ProblemSpec, h: HistoryBuffer, path_id: int,
+                 step: int) -> Field:
+    """One IMEX Euler-Maruyama step of path path_id from the state at
+    t = step * dt in h, driven by the path's Brownian increment over
+    [t, t + dt).
 
-    Pure: h is not advanced (push the returned state to advance).  The
-    increment dW must carry the problem's step size.
+    Pure: h is not advanced (push the returned state to advance).
     """
-    if not math.isclose(dW.dt, p.dt, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError("noise increment dt=%g does not match problem dt=%g"
-                         % (dW.dt, p.dt))
-    out = _em_step(p, t, h.current(), h.delayed(), dW.coords)
+    dB = p.noise.increments([path_id], step, p.dt)
+    out = _em_step(p, step * p.dt, h.current(), h.delayed(), dB)
     return Field(p.grid, out[0])
 
 
@@ -501,7 +493,7 @@ class Trajectory:
         self.times = times
         self.h_norms = h_norms
         self.v_norms = v_norms
-        self.status = status            # completed | exploded | clamped
+        self.status = status            # completed | exploded
         self.status_time = status_time
         self.snapshots = snapshots or []
         self.path_id = path_id
@@ -514,24 +506,24 @@ class Trajectory:
 class BatchResult:
     """Ensemble run, as its reducers left it.
 
-    h_norms (n_paths, len(steps)) and v_norms (n_v, len(steps)) hold the
-    norms at the recorded steps (every step for simulate_paths); dead
-    entries are NaN.  peak is each path's largest H norm from step 0 to the
-    end, and window_peak its largest over steps window[0]..window[1] (None
-    without a window); both stop at a path's explosion, and window_peak is
-    NaN for a path dead before the window.  snapshots maps a step to the
-    (n_paths, n) states there."""
+    ids (int64) are the paths in row order and explosion_times each path's
+    explosion time, NaN for a path that completed.  h_norms (n_paths,
+    len(steps)) and v_norms (n_v, len(steps)) hold the norms at the
+    recorded steps (every step for simulate_paths); dead entries are NaN.
+    peak is each path's largest H norm from step 0 to the end, and
+    window_peak its largest over steps window[0]..window[1] (None without a
+    window); both stop at a path's explosion, and window_peak is NaN for a
+    path dead before the window.  snapshots maps a step to the (n_paths, n)
+    states there."""
 
-    def __init__(self, steps, dt, h_norms, v_norms, statuses, status_times,
-                 path_ids, peak, window=None, window_peak=None,
-                 snapshots=None):
+    def __init__(self, steps, dt, h_norms, v_norms, ids, explosion_times,
+                 peak, window=None, window_peak=None, snapshots=None):
         self.steps = steps
         self.times = dt * steps
         self.h_norms = h_norms
         self.v_norms = v_norms
-        self.statuses = statuses
-        self.status_times = status_times
-        self.path_ids = path_ids
+        self.ids = ids
+        self.explosion_times = explosion_times
         self.peak = peak
         self.window = window
         self.window_peak = window_peak
@@ -539,11 +531,26 @@ class BatchResult:
 
     @property
     def n_paths(self):
-        return len(self.path_ids)
+        return self.ids.size
+
+    @property
+    def path_ids(self):
+        return self.ids.tolist()
+
+    @property
+    def statuses(self):
+        """Status per path: "exploded" or "completed"."""
+        return ["completed" if math.isnan(t) else "exploded"
+                for t in self.explosion_times.tolist()]
+
+    @property
+    def status_times(self):
+        """Explosion time per path, None for a completed one."""
+        return [None if math.isnan(t) else t
+                for t in self.explosion_times.tolist()]
 
     def exploded_ids(self):
-        return [pid for pid, s in zip(self.path_ids, self.statuses)
-                if s == "exploded"]
+        return self.ids[~np.isnan(self.explosion_times)].tolist()
 
     def columns(self, steps):
         """Column of h_norms and v_norms holding each of the given steps;
@@ -558,17 +565,18 @@ class BatchResult:
 
 
 def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
-                 clamp=False, window=None, snapshot_steps=()) -> BatchResult:
+                 window=None, snapshot_steps=()) -> BatchResult:
     """Integrate paths PATH_CHUNK at a time through per-path reducers.
 
     The reducers keep the H norms at record_steps (every step when None),
     the V norms there for the first record_v paths (all when None), the
     running maxima of the H norm over the whole run and over the steps
-    window = (i0, i1), the statuses and the states at snapshot_steps.
+    window = (i0, i1), the explosion times and the states at
+    snapshot_steps.
     Each reads the very values a full per-step trace would hold, and each
     path's arithmetic is identical to a single-path run, so results do not
     depend on how paths are grouped or chunked."""
-    path_arr = np.asarray(list(path_ids), dtype=np.int64)
+    path_arr = np.fromiter(path_ids, dtype=np.int64)
     B, n_steps = path_arr.size, p.n_steps
     steps = (np.arange(n_steps + 1) if record_steps is None
              else np.unique(np.asarray(record_steps, dtype=np.int64)))
@@ -582,9 +590,7 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
     res = BatchResult(
         steps, p.dt, h_norms=np.full((B, steps.size), np.nan),
         v_norms=np.full((n_v, steps.size), np.nan) if n_v else None,
-        statuses=np.full(B, "completed", dtype=object),
-        status_times=np.full(B, None, dtype=object),
-        path_ids=path_arr.tolist(),
+        ids=path_arr, explosion_times=np.full(B, np.nan),
         peak=np.full(B, np.nan), window=window,
         window_peak=None if window is None else np.full(B, np.nan),
         snapshots={s: np.empty((B, p.grid.n_interior))
@@ -593,17 +599,14 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
     # the reducers keep squared norms: sqrt is monotone and correctly
     # rounded, so the root of the largest square is the largest root
     for lo in range(0, B, PATH_CHUNK):
-        _run_chunk(p, res, path_arr, slice(lo, min(lo + PATH_CHUNK, B)),
-                   n_v, clamp)
+        _run_chunk(p, res, path_arr, slice(lo, min(lo + PATH_CHUNK, B)), n_v)
     np.sqrt(res.peak, out=res.peak)
     if window is not None:
         np.sqrt(res.window_peak, out=res.window_peak)
-    res.statuses = res.statuses.tolist()
-    res.status_times = res.status_times.tolist()
     return res
 
 
-def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v, clamp):
+def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v):
     """Integrate the paths path_arr[rows] in one batch with a delay ring of
     their own, feeding res's reducers at those rows."""
     ids = path_arr[rows]
@@ -616,7 +619,7 @@ def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v, clamp):
     window_sq = res.window_peak[rows] if res.window is not None else None
     record = res.steps.tolist()
     snapshots = {s: snap[rows] for s, snap in res.snapshots.items()}
-    statuses, status_times = res.statuses[rows], res.status_times[rows]
+    explosion_times = res.explosion_times[rows]
 
     hist = HistoryBuffer.from_problem(p, ids.size)
     work = _Workspace(p.grid.n_interior, ids.size)
@@ -662,42 +665,26 @@ def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v, clamp):
             hn2 = h_norm_sq_values(x_new, dx)
 
             # a finite squared norm implies finite entries
-            finite = np.isfinite(hn2)
-            over = finite & (hn2 > limit_sq)
-            if clamp:
-                newly_clamped = over & alive
-                if newly_clamped.any():
-                    scale = np.where(over,
-                                     p.explosion_limit / np.sqrt(hn2), 1.0)
-                    x_new *= scale[:, None]
-                    hn2 = np.where(over, limit_sq, hn2)
-                    first = newly_clamped & (statuses == "completed")
-                    statuses[first] = "clamped"
-                    status_times[first] = step * dt
-                bad = ~finite
-            else:
-                bad = ~finite | over
+            bad = ~np.isfinite(hn2) | (hn2 > limit_sq)
             newly_bad = bad & alive
             if newly_bad.any():
-                statuses[newly_bad] = "exploded"
-                status_times[newly_bad] = step * dt
+                explosion_times[newly_bad] = step * dt
                 alive &= ~bad
                 x_new[bad] = 0.0
                 hn2 = np.where(bad, np.nan, hn2)
             col = feed(step, x_new, hn2, col)
 
 
-def simulate_paths(p: ProblemSpec, path_ids, record_v=None, clamp=False,
+def simulate_paths(p: ProblemSpec, path_ids, record_v=None,
                    snapshot_steps=()) -> BatchResult:
     """Integrate a batch of paths, recording the norms at every step; each
     path's arithmetic is identical to a single-path run, so results do not
     depend on how paths are grouped."""
-    return run_ensemble(p, path_ids, record_v=record_v, clamp=clamp,
+    return run_ensemble(p, path_ids, record_v=record_v,
                         snapshot_steps=snapshot_steps)
 
 
-def simulate(p: ProblemSpec, path_id: int, snapshot_times=(),
-             clamp=False) -> Trajectory:
+def simulate(p: ProblemSpec, path_id: int, snapshot_times=()) -> Trajectory:
     """Integrate one path; deterministic given (p.noise.seed, path_id).
 
     On explosion the trajectory is truncated at the first bad step and the
@@ -705,7 +692,7 @@ def simulate(p: ProblemSpec, path_id: int, snapshot_times=(),
     """
     snap_steps = sorted({min(p.n_steps, int(round(t / p.dt)))
                          for t in snapshot_times})
-    res = simulate_paths(p, [path_id], clamp=clamp, snapshot_steps=snap_steps)
+    res = simulate_paths(p, [path_id], snapshot_steps=snap_steps)
     status, status_time = res.statuses[0], res.status_times[0]
     # an exploded path ends at the last step before the explosion
     end = (int(round(status_time / p.dt)) if status == "exploded"

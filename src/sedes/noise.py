@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["NoiseModel", "NoiseIncrement", "sample_increment"]
+__all__ = ["NoiseModel"]
 
 _U64 = np.uint64
 _GOLD = _U64(0x9E3779B97F4A7C15)
@@ -114,24 +114,3 @@ class NoiseModel:
         # every ensemble and every reproducible artifact
         z = keyed_gaussians(self.seed, paths[:, None], steps[None, :], 0)
         return math.sqrt(dt) * z
-
-
-class NoiseIncrement:
-    """One path's Brownian increment over a step of length dt, as a
-    length-1 coords array."""
-
-    __slots__ = ("dt", "coords")
-
-    def __init__(self, dt, coords):
-        self.dt = float(dt)
-        self.coords = np.asarray(coords, dtype=float)
-
-    def __repr__(self):
-        return "NoiseIncrement(dt=%g, coords=%s)" % (self.dt, self.coords)
-
-
-def sample_increment(m: NoiseModel, path_id: int, step_index: int,
-                     dt: float) -> NoiseIncrement:
-    """Increment over [t_n, t_n + dt) for one path; pure in its arguments."""
-    coords = m.increments([int(path_id)], int(step_index), dt)[0]
-    return NoiseIncrement(dt, coords)

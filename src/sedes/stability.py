@@ -38,7 +38,6 @@ __all__ = [
     "MsCurve",
     "ASStats",
     "ExplosionRow",
-    "StabilityReport",
     "solve_eps1",
     "solve_eps2",
     "solve_decay",
@@ -183,7 +182,7 @@ def record_steps(p: ProblemSpec, record_times):
 
 
 def _exploded(res):
-    return np.asarray(res.statuses, dtype=str) == "exploded"
+    return ~np.isnan(res.explosion_times)
 
 
 def ms_curve_from_batch(res, p: ProblemSpec, record_times) -> MsCurve:
@@ -378,41 +377,3 @@ def explosion_scan(p: ProblemSpec, k_values, n_paths: int,
     phat = _exits(res, ks).sum(axis=1) / n_paths
     se = np.sqrt(phat * (1.0 - phat) / n_paths)
     return [ExplosionRow(k, ph, s, n_paths) for k, ph, s in zip(ks, phat, se)]
-
-
-class StabilityReport:
-    """Bundle of everything the stability lab measured for one problem."""
-
-    def __init__(self, ms_curve=None, fitted_rate=None, rate_half_width=None,
-                 fit_window=None, decay=None, as_stats=None,
-                 explosion_rows=None, n_paths=None, seed=None, metadata=None):
-        self.ms_curve = ms_curve
-        self.fitted_rate = fitted_rate
-        self.rate_half_width = rate_half_width
-        self.fit_window = fit_window
-        self.decay = decay
-        self.as_stats = as_stats
-        self.explosion_rows = explosion_rows
-        self.n_paths = n_paths
-        self.seed = seed
-        self.metadata = metadata or {}
-
-    @property
-    def theoretical_bound(self):
-        return None if self.decay is None else self.decay.bound
-
-    def to_dict(self):
-        return {
-            "fitted_rate": self.fitted_rate,
-            "rate_half_width": self.rate_half_width,
-            "fit_window": list(self.fit_window) if self.fit_window else None,
-            "theoretical_bound": self.theoretical_bound,
-            "decay": self.decay.to_dict() if self.decay else None,
-            "as_stats": self.as_stats.to_dict() if self.as_stats else None,
-            "explosion_scan": ([r.to_dict() for r in self.explosion_rows]
-                               if self.explosion_rows else None),
-            "ms_curve": self.ms_curve.to_dict() if self.ms_curve else None,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "metadata": self.metadata,
-        }

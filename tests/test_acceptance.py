@@ -36,7 +36,6 @@ from sedes import (
     laplacian_eigenvalue,
     make_preset,
     ms_ensemble,
-    sample_increment,
     simulate,
     solve_decay,
     solve_eps1,
@@ -107,7 +106,7 @@ def test_criterion_3_noise_statistics():
     assert 0.99 * dt <= draws.var() <= 1.01 * dt
     # bitwise determinism under reordered evaluation
     batch = m.increments(np.arange(512), 9, dt)
-    reordered = np.array([sample_increment(m, i, 9, dt).coords[0]
+    reordered = np.array([m.increments([i], 9, dt)[0, 0]
                           for i in np.random.default_rng(0).permutation(512)])
     order = np.random.default_rng(0).permutation(512)
     assert np.array_equal(batch[order, 0], reordered)

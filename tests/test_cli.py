@@ -225,6 +225,19 @@ def test_unknown_preset_and_custom_are_config_errors(tmp_path):
     assert run_cli(["--config", str(cfgfile)]) == EXIT_CONFIG_ERROR
 
 
+def test_clamp_key_is_unknown_and_help_exits_0(tmp_path, capsys):
+    # a config.resolved.json written before the state clamp was removed
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"preset": "heat", "clamp": False}))
+    assert run_cli(["--config", str(cfgfile), "--out-dir",
+                    str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert ("configuration error: unknown config keys: clamp"
+            in capsys.readouterr().err)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+
+
 def test_eq6_with_conditions_and_as_stats_passes(tmp_path):
     out = tmp_path / "eq6run"
     code = run_cli(["--preset", "eq6", "--t-final", "15", "--paths", "40",
@@ -275,7 +288,7 @@ TINY = ["--grid-n", "15", "--paths", "2", "--t-final", "0.5", "--tau", "0.1",
     (["--preset", "eq24", "--grid-n", "100000000"], None),
     ([], {"preset": "heat", "grid_n": 31.9}),
     ([], {"preset": "heat", "grid_n": "31"}),
-    ([], {"preset": "heat", "clamp": "no"}),
+    ([], {"preset": "heat", "allow_unstable": "no"}),
     ([], dict(SMALL_EQ16, sign_variant="x")),
     ([], dict(SMALL_EQ16, ms_ensemble=0)),
     ([], dict(SMALL_EQ16, fit_window=[5.0, 6.0])),
@@ -283,6 +296,9 @@ TINY = ["--grid-n", "15", "--paths", "2", "--t-final", "0.5", "--tau", "0.1",
     (["--preset", "eq24", "--c", "1e300", *TINY], None),
     (["--preset", "eq24", "--c", "1e300", "--allow-unstable", *TINY], None),
     (["--preset", "eq6", "--g-factor", "1e300", *TINY], None),
+    (["--preset", "heat", "--clamp"], None),
+    (["--preset", "heat", "--bogus"], None),
+    (["--preset", "heat", "--grid-n", "x"], None),
 ], ids=["grid-n-1", "dt-negative", "n-paths-not-integer", "paths-0",
         "n-samples-not-integer", "n-samples-negative", "n-samples-0",
         "record-points-not-integer", "record-points-1",
@@ -294,11 +310,12 @@ TINY = ["--grid-n", "15", "--paths", "2", "--t-final", "0.5", "--tau", "0.1",
         "explosion-k-inside-initial-data", "eq24-nu-not-number",
         "ring-beyond-limit-dt", "ring-beyond-limit-tau",
         "traces-beyond-limit-t-final", "ring-beyond-limit-grid-n",
-        "grid-n-float", "grid-n-string", "clamp-not-bool",
+        "grid-n-float", "grid-n-string", "allow-unstable-not-bool",
         "sign-variant-not-bool", "ms-ensemble-integer",
         "fit-window-beyond-t-final", "scan-horizon-beyond-step-limit",
         "eq24-c-overflows", "eq24-c-overflows-unstable",
-        "eq6-g-factor-overflows-check"])
+        "eq6-g-factor-overflows-check", "clamp-flag", "unknown-flag",
+        "grid-n-malformed"])
 def test_configuration_errors_exit_4_without_traceback(tmp_path, args,
                                                         config):
     # run as a process so an escaping exception shows as a traceback
@@ -471,9 +488,9 @@ def test_key_table_keeps_the_flags_and_defaults(monkeypatch):
              if s not in ("-h", "--help")]
     assert flags == [
         "--config", "--preset", "--grid-n", "--dt", "--tau", "--t-final",
-        "--paths", "--seed", "--out-dir", "--allow-unstable", "--clamp",
-        "--amplitude", "--nu", "--a", "--b", "--c", "--sign-variant",
-        "--g-factor", "--lam2", "--n-samples", "--sampler-seed",
+        "--paths", "--seed", "--out-dir", "--allow-unstable", "--amplitude",
+        "--nu", "--a", "--b", "--c", "--sign-variant", "--g-factor",
+        "--lam2", "--n-samples", "--sampler-seed",
         "--check-conditions", "--no-check-conditions", "--ms-ensemble",
         "--no-ms-ensemble", "--as-stats", "--no-as-stats",
         "--explosion-scan", "--no-explosion-scan", "--decay-solver",
@@ -482,16 +499,16 @@ def test_key_table_keeps_the_flags_and_defaults(monkeypatch):
     got = vars(ap.parse_args([
         "--config", "c.json", "--preset", "eq24", "--grid-n", "15",
         "--dt", "0.01", "--tau", "0.5", "--t-final", "2", "--paths", "3",
-        "--seed", "4", "--out-dir", "o", "--allow-unstable", "--clamp",
-        "--amplitude", "0.5", "--nu", "3", "--a", "0.25", "--b", "1.5",
-        "--c", "1.1", "--sign-variant", "--g-factor", "2", "--lam2", "7",
+        "--seed", "4", "--out-dir", "o", "--allow-unstable", "--amplitude",
+        "0.5", "--nu", "3", "--a", "0.25", "--b", "1.5", "--c", "1.1",
+        "--sign-variant", "--g-factor", "2", "--lam2", "7",
         "--n-samples", "9", "--sampler-seed", "5", "--no-check-conditions",
         "--ms-ensemble", "--as-stats", "--no-explosion-scan",
         "--decay-solver"]))
     want = {"config": "c.json", "preset": "eq24", "grid_n": 15, "dt": 0.01,
             "tau": 0.5, "t_final": 2.0, "n_paths": 3, "seed": 4,
-            "output_dir": "o", "allow_unstable": True, "clamp": True,
-            "amplitude": 0.5, "nu": 3.0, "a": 0.25, "b": 1.5, "c": 1.1,
+            "output_dir": "o", "allow_unstable": True, "amplitude": 0.5,
+            "nu": 3.0, "a": 0.25, "b": 1.5, "c": 1.1,
             "sign_variant": True, "g_factor": 2.0, "lam2": 7.0,
             "n_samples": 9, "sampler_seed": 5, "check_conditions": False,
             "ms_ensemble": True, "as_stats": True, "explosion_scan": False,
@@ -511,7 +528,7 @@ def test_key_table_keeps_the_flags_and_defaults(monkeypatch):
         "explosion_k_values": [2.0, 4.0, 8.0, 16.0],
         "explosion_horizon": 5.0, "explosion_budget": 0.01,
         "record_points": 501, "n_sample_paths": 8, "allow_unstable": False,
-        "clamp": False, "output_dir": "sedes-out"}
+        "output_dir": "sedes-out"}
     assert load_config(None, {"preset": "heat"}) == defaults
     # the parser's namespace, config: None included, as CI passes it
     assert load_config(None, vars(ap.parse_args(["--preset", "heat"]))) == \

@@ -16,7 +16,6 @@ from sedes import (
     lambda_min,
     make_preset,
     run_ensemble,
-    sample_increment,
     simulate,
     simulate_paths,
     stopping_time_sigma_k,
@@ -50,8 +49,7 @@ def test_dt_adjusted_downward_to_divide_tau():
 def test_one_step_implicit_eigen_decay():
     p = zero_problem(grid_n=63, dt=1e-3, tau=0.01)
     h = HistoryBuffer.from_problem(p)
-    dW = sample_increment(p.noise, 0, 0, p.dt)
-    x1 = imex_em_step(p, h, 0.0, dW)
+    x1 = imex_em_step(p, h, 0, 0)
     lam = lambda_min(p.grid)
     expected = np.sin(p.grid.points) / (1.0 + p.dt * lam)
     assert np.max(np.abs(x1.values - expected)) <= 1e-12
@@ -136,8 +134,6 @@ def test_history_buffer_delay_exactness():
         if i > m:
             assert np.array_equal(h.delayed(), pushed[i - 1 - m])
     assert h.head_time == pytest.approx(1.9)
-    with pytest.raises(ValueError):
-        h.at_lag(m + 1)
 
 
 def test_initial_history_validation():
@@ -238,15 +234,6 @@ def test_explosion_detected_and_truncated():
     assert traj.times[-1] < traj.status_time <= 2.0
 
 
-def test_clamp_mode_keeps_running():
-    p = zero_problem(grid_n=31, dt=1e-2, tau=0.1, t_final=0.5, amplitude=30.0,
-                     drift=lambda t, u, v: u ** 3, explosion_limit=1e3)
-    traj = simulate(p, 0, clamp=True)
-    assert traj.status == "clamped"
-    assert traj.status_time is not None
-    assert np.nanmax(traj.h_norms) <= 1e3 * (1 + 1e-9)
-
-
 def test_snapshots_at_requested_times():
     pre = make_preset("heat", grid_n=31, t_final=0.2, dt=1e-3)
     traj = simulate(pre.problem, 0, snapshot_times=(0.0, 0.1))
@@ -265,23 +252,28 @@ def test_manual_stepping_matches_simulate_bitwise():
     traj = simulate(p, 2)
     h = HistoryBuffer.from_problem(p)
     for n in range(5):
-        dW = sample_increment(p.noise, 2, n, p.dt)
-        x = imex_em_step(p, h, n * p.dt, dW)
+        x = imex_em_step(p, h, 2, n)
         h.push(x.values)
         assert h_norm(x) == traj.h_norms[n + 1]
     assert h.head_time == pytest.approx(5 * p.dt)
 
 
-def test_step_rejects_an_increment_of_another_dt():
+def test_step_draws_its_increment_at_the_problem_dt():
+    # the step draws the path's increment over p.dt itself, so no increment
+    # of another step size can reach it
+    from sedes.integrator import _em_step
+
     p = make_preset("eq16", t_final=1.0).problem
     h = HistoryBuffer.from_problem(p)
-    for dt in (2.0 * p.dt, p.dt * (1.0 + 1e-9)):
-        with pytest.raises(ValueError, match="does not match problem dt"):
-            imex_em_step(p, h, 0.0, sample_increment(p.noise, 0, 0, dt))
-    # the step is pure: a rejected call leaves the history untouched
+    ring = h._ring.copy()
+    for path_id, step in ((0, 0), (3, 0), (3, 11)):
+        dB = p.noise.increments([path_id], step, p.dt)
+        want = _em_step(p, step * p.dt, h.current(), h.delayed(), dB)[0]
+        x = imex_em_step(p, h, path_id, step)
+        assert np.array_equal(x.values, want)
+    # the step is pure: the history is left as it was
     assert h.head_time == 0.0
-    x = imex_em_step(p, h, 0.0, sample_increment(p.noise, 0, 0, p.dt))
-    assert x.values.shape == (p.grid.n_interior,)
+    assert np.array_equal(h._ring, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -347,29 +339,25 @@ def test_cyclic_reduction_matches_thomas(n, dt):
 
 
 def _block_cases():
-    yield "eq16", make_preset("eq16", t_final=0.15, seed=3).problem, False
-    yield "eq24", make_preset("eq24", t_final=0.15, seed=4).problem, False
-    # cubic feedback with multiplicative noise: some paths explode, and in
-    # clamp mode the same paths are held on the ball instead
+    yield "eq16", make_preset("eq16", t_final=0.15, seed=3).problem
+    yield "eq24", make_preset("eq24", t_final=0.15, seed=4).problem
+    # cubic feedback with multiplicative noise: some paths explode
     boom = zero_problem(grid_n=31, dt=1e-2, tau=0.1, t_final=1.5,
                         amplitude=3.0, drift=lambda t, u, v: u ** 3,
                         diffusion=lambda t, u, v: 3.0 * u,
                         explosion_limit=1e3)
-    yield "explodes", boom, False
-    yield "clamped", boom, True
+    yield "explodes", boom
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_ensembles_do_not_depend_on_the_noise_block(monkeypatch, block):
     import sedes.integrator as integ
-    ref = {name: simulate_paths(p, range(6), clamp=clamp)
-           for name, p, clamp in _block_cases()}
+    ref = {name: simulate_paths(p, range(6)) for name, p in _block_cases()}
     assert "exploded" in ref["explodes"].statuses
     assert "completed" in ref["explodes"].statuses
-    assert "clamped" in ref["clamped"].statuses
     monkeypatch.setattr(integ, "NOISE_BLOCK", block)
-    for name, p, clamp in _block_cases():
-        res = simulate_paths(p, range(6), clamp=clamp)
+    for name, p in _block_cases():
+        res = simulate_paths(p, range(6))
         assert np.array_equal(res.h_norms, ref[name].h_norms,
                               equal_nan=True), name
         assert np.array_equal(res.v_norms, ref[name].v_norms,
@@ -378,19 +366,17 @@ def test_ensembles_do_not_depend_on_the_noise_block(monkeypatch, block):
         assert res.status_times == ref[name].status_times, name
 
 
-def _chunked_run(p, clamp, n_paths):
+def _chunked_run(p, n_paths):
     """Every reducer of one ensemble, and the full trace."""
     from sedes import as_stability_stats, ms_ensemble, run_ensemble
     ids = range(n_paths)
-    trace = simulate_paths(p, ids, clamp=clamp, snapshot_steps=(0, 75, 150))
+    trace = simulate_paths(p, ids, snapshot_steps=(0, 75, 150))
     reduced = run_ensemble(p, ids, record_steps=[150, 0, 77, 5, 77],
-                           record_v=3, clamp=clamp, window=(40, 90))
-    stats = None
-    if not clamp:
-        stats = (ms_ensemble(p, n_paths).to_dict(),
-                 as_stability_stats(p, n_paths, threshold=0.5).to_dict(),
-                 as_stability_stats(p, n_paths, threshold=0.5,
-                                    window=(0.05, 0.1)).to_dict())
+                           record_v=3, window=(40, 90))
+    stats = (ms_ensemble(p, n_paths).to_dict(),
+             as_stability_stats(p, n_paths, threshold=0.5).to_dict(),
+             as_stability_stats(p, n_paths, threshold=0.5,
+                                window=(0.05, 0.1)).to_dict())
     return trace, reduced, stats
 
 
@@ -400,8 +386,7 @@ def test_ensembles_do_not_depend_on_the_path_chunk(monkeypatch, chunk):
     # two full chunks and a part one; the reference runs them in one chunk
     n_paths = 2 * chunk + 3 if chunk < 64 else chunk + 6
     assert integ.PATH_CHUNK >= n_paths
-    ref = {name: _chunked_run(p, clamp, n_paths)
-           for name, p, clamp in _block_cases()}
+    ref = {name: _chunked_run(p, n_paths) for name, p in _block_cases()}
     assert "exploded" in ref["explodes"][0].statuses
     assert "completed" in ref["explodes"][0].statuses
     # the reducers read the very values the trace holds
@@ -422,8 +407,8 @@ def test_ensembles_do_not_depend_on_the_path_chunk(monkeypatch, chunk):
             assert (res.statuses, res.status_times) == (
                 trace.statuses, trace.status_times), name
     monkeypatch.setattr(integ, "PATH_CHUNK", chunk)
-    for name, p, clamp in _block_cases():
-        trace, reduced, stats = _chunked_run(p, clamp, n_paths)
+    for name, p in _block_cases():
+        trace, reduced, stats = _chunked_run(p, n_paths)
         ref_trace, ref_reduced, ref_stats = ref[name]
         for res, want in ((trace, ref_trace), (reduced, ref_reduced)):
             for key in ("h_norms", "v_norms", "peak"):
@@ -536,8 +521,7 @@ def _stepped_by_hand(p, path_id, n_steps):
     h = HistoryBuffer.from_problem(p)
     states = [h.current()[0].copy()]
     for k in range(n_steps):
-        dW = sample_increment(p.noise, path_id, k, p.dt)
-        x = imex_em_step(p, h, k * p.dt, dW)
+        x = imex_em_step(p, h, path_id, k)
         h.push(x.values)
         states.append(x.values.copy())
     return np.array(states)
@@ -591,10 +575,10 @@ def test_time_dependent_operator_is_refactored_every_step():
     dx, worst = grid.dx, 0.0
     for k in range(p.n_steps):
         t, x, y = k * p.dt, h.current(), h.delayed()
-        dW = sample_increment(p.noise, 1, k, p.dt)
+        dB = p.noise.increments([1], k, p.dt)
         rhs = (x + p.dt * p.drift.evaluate(t, x, y, dx)
-               + p.diffusion.evaluate(t, x, y, dx) * dW.coords)[0]
-        x_next = imex_em_step(p, h, t, dW).values
+               + p.diffusion.evaluate(t, x, y, dx) * dB)[0]
+        x_next = imex_em_step(p, h, 1, k).values
         a_mid = op.midpoint_values(t + p.dt, grid)
         resid = tridiag_matrix(a_mid, p.dt, dx) @ x_next - rhs
         worst = max(worst, np.max(np.abs(resid)) / np.max(np.abs(rhs)))

@@ -5,19 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
-from sedes import NoiseModel, sample_increment
+from sedes import NoiseModel
 
 
 def test_determinism_bitwise():
     m = NoiseModel.scalar(seed=123)
-    a = sample_increment(m, 5, 17, 0.01)
-    b = sample_increment(m, 5, 17, 0.01)
-    assert np.array_equal(a.coords, b.coords)
+    a = m.increments([5], 17, 0.01)
+    b = m.increments([5], 17, 0.01)
+    assert np.array_equal(a, b)
     # different key components change the draw
-    assert not np.array_equal(a.coords,
-                              sample_increment(m, 6, 17, 0.01).coords)
-    assert not np.array_equal(a.coords,
-                              sample_increment(m, 5, 18, 0.01).coords)
+    assert not np.array_equal(a, m.increments([6], 17, 0.01))
+    assert not np.array_equal(a, m.increments([5], 18, 0.01))
 
 
 def test_batch_order_invariance():
@@ -25,7 +23,7 @@ def test_batch_order_invariance():
     # order cannot change a single value
     m = NoiseModel.scalar(seed=9)
     batch = m.increments(np.arange(64), 3, 0.01)
-    singles = np.array([sample_increment(m, i, 3, 0.01).coords
+    singles = np.array([m.increments([i], 3, 0.01)[0]
                         for i in reversed(range(64))])[::-1]
     assert np.array_equal(batch, singles)
 
@@ -53,9 +51,9 @@ def test_scaling_of_increments():
 def test_nonpositive_step_rejected():
     m = NoiseModel.scalar(seed=0)
     with pytest.raises(ValueError, match="nonpositive step"):
-        sample_increment(m, 0, 0, 0.0)
+        m.increments([0], 0, 0.0)
     with pytest.raises(ValueError, match="nonpositive step"):
-        sample_increment(m, 0, 0, -0.1)
+        m.increments([0], 0, -0.1)
 
 
 @pytest.mark.parametrize("B", [1, 3, 200])
