@@ -61,9 +61,9 @@ MAX_STEPS = 2 ** 63
 # measure about 840
 SETUP_FLOATS_PER_POINT = 1024
 # floats per path that the explosion scan's reducers and bookkeeping hold
-# (ids, explosion times, peak norms, exit masks), an upper bound:
-# tracemalloc measures under 4
-SCAN_FLOATS_PER_PATH = 16
+# (ids, explosion times, peak norms), an upper bound: tracemalloc measures
+# 3; its exit test adds two (radii, paths) boolean masks, counted apart
+SCAN_FLOATS_PER_PATH = 8
 
 
 class ConfigError(ValueError):
@@ -214,9 +214,9 @@ def _run_bytes(cfg):
     """Bytes of the arrays a run allocates, counted in floats from the
     config numbers alone: the set-up; for the ensemble one path chunk's
     delay ring (m+1, chunk, n) and the norms its reducers keep at the record
-    points; for the explosion scan a chunk's ring and a few floats per path,
-    whatever the horizon.  None when a number is one make_preset rejects
-    anyway."""
+    points; for the explosion scan a chunk's ring, a few floats per path
+    and two bytes per path and radius, whatever the horizon.  None when a
+    number is one make_preset rejects anyway."""
     nums = _grid_numbers(cfg)
     if nums is None:
         return None
@@ -229,7 +229,9 @@ def _run_bytes(cfg):
         records = min(steps + 1.0, float(cfg["record_points"]))
         floats += ring + (B + min(cfg["n_sample_paths"], B) + 1.0) * records
     if cfg["explosion_scan"]:
-        floats += ring + SCAN_FLOATS_PER_PATH * B
+        # two one-byte masks per radius, in 8-byte floats
+        masks = 2.0 * len(cfg["explosion_k_values"]) / 8.0
+        floats += ring + (SCAN_FLOATS_PER_PATH + masks) * B
     return 8.0 * floats
 
 

@@ -187,7 +187,7 @@ class ProblemSpec:
                                             rel_tol=1e-12)
         self.n_steps = int(math.ceil(self.t_final / self.dt - 1e-9))
         self._factor = None     # set by _factor_for for a static operator
-        self._psi = None        # set by history_values
+        self._psi = None        # set by history_block
 
         if validate:
             self._validate()
@@ -213,7 +213,7 @@ class ProblemSpec:
         # initial history: walls, continuity in theta, and H-norm bound
         walls = np.array([0.0, math.pi])
         thetas = np.linspace(-self.tau, 0.0, 65)
-        coarse = np.array([self.initial_history(th, pts) for th in thetas])
+        coarse = self._history_rows(thetas)
         scale = float(np.max(np.abs(coarse))) if coarse.size else 0.0
         tol = 1e-9 * (1.0 + scale)
         for th in thetas[::8]:
@@ -222,12 +222,14 @@ class ProblemSpec:
                 raise ValueError(
                     "initial history does not vanish on the walls "
                     "(psi(%g, {0, pi}) = %s)" % (th, w))
-        fine_thetas = np.linspace(-self.tau, 0.0, 257)
-        fine = np.array([self.initial_history(th, pts) for th in fine_thetas])
+        fine = self._history_rows(np.linspace(-self.tau, 0.0, 257))
         if not np.all(np.isfinite(fine)):
             raise ValueError("initial history evaluated non-finite")
         jump_coarse = float(np.max(np.abs(np.diff(coarse, axis=0))))
-        jump_fine = float(np.max(np.abs(np.diff(fine, axis=0))))
+        # one (257, n) temporary at a time beside fine
+        jumps = np.diff(fine, axis=0)
+        jump_fine = float(np.max(np.abs(jumps, out=jumps)))
+        del jumps
         if jump_fine > 0.75 * jump_coarse + tol:
             raise ValueError(
                 "initial history looks discontinuous in theta "
@@ -239,21 +241,32 @@ class ProblemSpec:
         if not math.isfinite(self.psi_h_bound):
             raise ValueError("initial history has an H norm that overflows")
 
-    def history_values(self, batch: int = 1):
-        """Initial ring (m+1, batch, n): psi at theta = -m dt, ..., -dt, 0.
+    def _history_rows(self, thetas):
+        """psi(theta, .) at the grid points, one row per theta."""
+        rows = np.empty((len(thetas), self.grid.n_interior))
+        for row, th in zip(rows, thetas):
+            row[...] = self.initial_history(th, self.grid.points)
+        return rows
 
-        psi is evaluated once per problem; each call copies those m+1
-        states to every path of the batch."""
-        m, n = self.m_delay, self.grid.n_interior
+    def history_block(self):
+        """Initial history (m+1, n): psi at theta = -m dt, ..., -dt, 0.
+
+        psi is evaluated once per problem and the same read-only array is
+        returned on every call, so reading it (to bound the initial ring's
+        norms, say) copies nothing."""
         if self._psi is None:
-            psi = np.empty((m + 1, n))
-            for j in range(m, -1, -1):
-                psi[m - j] = np.asarray(
-                    self.initial_history(-(j * self.dt), self.grid.points),
-                    dtype=float)
+            psi = self._history_rows([-(j * self.dt)
+                                      for j in range(self.m_delay, -1, -1)])
+            psi.flags.writeable = False
             self._psi = psi
-        ring = np.empty((m + 1, batch, n))
-        ring[...] = self._psi[:, None, :]
+        return self._psi
+
+    def history_values(self, batch: int = 1):
+        """Initial ring (m+1, batch, n): history_block copied to every path
+        of the batch."""
+        psi = self.history_block()
+        ring = np.empty((psi.shape[0], batch, psi.shape[1]))
+        ring[...] = psi[:, None, :]
         return ring
 
     def replace(self, **kw) -> "ProblemSpec":
@@ -578,8 +591,14 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
     depend on how paths are grouped or chunked."""
     path_arr = np.fromiter(path_ids, dtype=np.int64)
     B, n_steps = path_arr.size, p.n_steps
-    steps = (np.arange(n_steps + 1) if record_steps is None
-             else np.unique(np.asarray(record_steps, dtype=np.int64)))
+    if record_steps is None:
+        steps = np.arange(n_steps + 1)
+    else:
+        # sorted, without repeats; np.unique would import numpy.ma
+        steps = np.sort(np.asarray(record_steps, dtype=np.int64), axis=None)
+        keep = np.ones(steps.size, dtype=bool)
+        keep[1:] = steps[1:] != steps[:-1]
+        steps = steps[keep]
     if steps.size and not 0 <= steps[0] <= steps[-1] <= n_steps:
         raise ValueError("record steps must lie in [0, %d]" % n_steps)
     if window is not None:

@@ -43,7 +43,10 @@ definition, so neither hypothesis is sampled.
 The functionals W, w1, w2 and W1 are functions fn(values, dx) of an
 (S, n) block of field values, and gamma is a function of the (S,) sample
 times; each is called once per block, and its result is broadcast to one
-value per row, so a constant such as lambda t: 0.0 works as written.
+value per row, so a constant such as lambda t: 0.0 works as written.  A
+functional that reduces over the whole block by mistake (a sum missing
+axis=-1) also gives one value; each check tells it from a constant once,
+on samples 0 and 1, and raises ValueError naming it.
 Drift and diffusion take a scalar t.  A drift or diffusion whose
 time_dependent attribute is False (every preset coefficient that ignores
 t) is evaluated once per block on the (S, n) arrays, like the operator
@@ -92,6 +95,32 @@ def _rows(values, S, name):
         raise ValueError("%s must give one value per row of a %d-sample "
                          "block, got shape %s"
                          % (name, S, np.shape(values))) from None
+
+
+def _probe_rows(L, sampler, dx, names):
+    """ValueError for a functional or gamma, named by its LyapunovSpec
+    attribute, that gives one value on the block of samples 0 and 1 but
+    other values on each sample alone: it reduces over the whole block.
+    A constant passes; any other shape is left to _rows.  The probe does
+    not depend on SAMPLE_BLOCK, so neither does a report."""
+    t, X, _ = sampler.sample_block(np.arange(2))
+    for name in names:
+        fn = getattr(L, name)
+
+        def call(s):
+            return fn(t[s]) if name == "gamma_fn" else fn(X[s], dx)
+        both = np.asarray(call(slice(0, 2)), dtype=float)
+        if both.ndim:
+            continue
+        both = float(both)
+        alone = [float(_rows(call(slice(s, s + 1)), 1, name)[0])
+                 for s in (0, 1)]
+        if any(a != both and not (math.isnan(a) and math.isnan(both))
+               for a in alone):
+            raise ValueError(
+                "%s gives one value, %g, on a block of two samples and %g, "
+                "%g on each alone: it must reduce each row (axis=-1), not "
+                "the whole block" % ((name, both) + tuple(alone)))
 
 
 class LyapunovSpec:
@@ -396,9 +425,10 @@ def check_khasminskii(p, L: LyapunovSpec, sampler, n,
     on n sampled states."""
     if L.lam1 is None or L.lam2 is None or L.W_fn is None:
         raise ValueError("check_khasminskii needs lam1, lam2 and W_fn")
+    dx = p.grid.dx
+    _probe_rows(L, sampler, dx, ("W_fn",))
     worst = _Worst(("growth bound",))
     _constants_family(L, worst, ("lam1", "lam2"))
-    dx = p.grid.dx
     for start, t, X, Y in _blocks(sampler, n):
         lhs = _lu_block(p, t, X, Y)
         rhs = (L.lam1 * (1.0 + h_norm_sq_values(X, dx)
@@ -424,8 +454,9 @@ def check_lasalle(p, L: LyapunovSpec, sampler, n,
     integrability of gamma by quadrature."""
     if L.w1_fn is None or L.w2_fn is None or L.gamma_fn is None:
         raise ValueError("check_lasalle needs w1_fn, w2_fn and gamma_fn")
-    worst = _Worst(("dissipation bound", "strictness"))
     dx = p.grid.dx
+    _probe_rows(L, sampler, dx, ("w1_fn", "w2_fn", "gamma_fn"))
+    worst = _Worst(("dissipation bound", "strictness"))
     zero = np.zeros((1, p.grid.n_interior))
     w10 = float(_rows(L.w1_fn(zero, dx), 1, "w1_fn")[0])
     w20 = float(_rows(L.w2_fn(zero, dx), 1, "w2_fn")[0])
@@ -473,9 +504,10 @@ def check_exponential(p, L: LyapunovSpec, sampler, n,
     if any(v is None for v in need):
         raise ValueError("check_exponential needs alpha1..4, mu, W1_fn and "
                          "gamma_fn")
+    dx = p.grid.dx
+    _probe_rows(L, sampler, dx, ("W1_fn", "gamma_fn"))
     worst = _Worst(("decay bound",))
     _constants_family(L, worst, ("alpha", "mu"))
-    dx = p.grid.dx
     for start, t, X, Y in _blocks(sampler, n):
         lhs = _lu_block(p, t, X, Y)
         rhs = (_rows(L.gamma_fn(t), t.size, "gamma_fn")

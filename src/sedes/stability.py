@@ -366,7 +366,7 @@ def explosion_scan(p: ProblemSpec, k_values, n_paths: int,
     if np.any(ks[1:] <= ks[:-1]):
         raise ValueError("k_values must be increasing")
     q = p.replace(t_final=horizon)
-    ring_h = np.sqrt(h_norm_sq_values(q.history_values(), q.grid.dx))
+    ring_h = np.sqrt(h_norm_sq_values(q.history_block(), q.grid.dx))
     bound = max(q.psi_h_bound, float(ring_h.max()))
     if np.any(ks < bound):
         raise ValueError("truncation below initial data: k=%g < psi bound %g"

@@ -594,3 +594,68 @@ def test_large_delay_run_ends_without_traceback(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["decay"]["eps1"] == pytest.approx(
         math.log(1.5) / 1000, rel=1e-2)
+
+
+def test_ensemble_and_scan_runs_do_not_import_numpy_ma(tmp_path):
+    # np.unique on the record steps imported numpy.ma, about 0.75 MB of a
+    # scan's peak RSS that nothing reads; a fresh interpreter shows it.
+    # numpy 2.4 loads numpy.ma lazily, so the runs must not add it
+    scan = tmp_path / "scan.json"
+    scan.write_text(json.dumps(
+        {"preset": "eq16", "amplitude": 1.0, "n_paths": 8, "grid_n": 15,
+         "t_final": 0.3, "explosion_horizon": 0.3, "explosion_scan": True,
+         "check_conditions": False, "ms_ensemble": False}))
+    script = (
+        "import json, sys\n"
+        "from sedes import cli\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "codes = [cli.main(['--preset', 'eq24', '--paths', '4', '--grid-n',"
+        " '15', '--t-final', '0.5', '--n-samples', '20', '--out-dir',"
+        " sys.argv[1]]),\n"
+        "         cli.main(['--config', sys.argv[2], '--out-dir',"
+        " sys.argv[3]])]\n"
+        "print(json.dumps([codes, before, 'numpy.ma' in sys.modules]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SEDES_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "ens"), str(scan),
+         str(tmp_path / "scan")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert (tmp_path / "scan" / "report.json").exists()
+    assert after == before
+
+
+@pytest.mark.parametrize("n_radii", [4, 64])
+def test_preflight_scan_count_bounds_the_measured_bytes_per_path(n_radii):
+    # tracemalloc's peak over the scan, per added path, against the
+    # preflight's count per added path; the exit test holds two
+    # (radii, paths) boolean masks, so the count grows with the radii.
+    # Both path counts span several chunks, so the ring cancels.
+    import tracemalloc
+    from sedes.cli import _run_bytes
+    from sedes.stability import explosion_scan
+    ks = [2.0 + i for i in range(n_radii)]
+    p = make_preset("eq16", grid_n=15, tau=0.01, t_final=0.02).problem
+    cfg = {"preset": "eq16", "grid_n": 15, "tau": 0.01, "t_final": 0.02,
+           "explosion_horizon": 0.02, "explosion_k_values": ks,
+           "explosion_scan": True, "ms_ensemble": False,
+           "check_conditions": False}
+    lo, hi = 2560, 10240
+    peaks, counts = [], []
+    for n_paths in (lo, hi):
+        tracemalloc.start()
+        try:
+            explosion_scan(p, ks, n_paths, 0.02)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        counts.append(_run_bytes(load_config(None, dict(cfg,
+                                                        n_paths=n_paths))))
+    measured = (peaks[1] - peaks[0]) / (hi - lo)
+    counted = (counts[1] - counts[0]) / (hi - lo)
+    assert counted == 64 + 2 * n_radii
+    assert 16 <= measured <= counted

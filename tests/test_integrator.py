@@ -688,3 +688,29 @@ def test_strong_error_falls_at_least_at_a_floor_below_order_one_half(name):
         for j in range(i + 1, len(errors)):
             order = math.log2(errors[i] / errors[j]) / (j - i)
             assert order >= ORDER_FLOOR, (name, levels[i], levels[j], order)
+
+
+@pytest.mark.parametrize("record", [[40, 3, 40, 0, 17, 3, 50], (7, 7, 7), (),
+                                    np.array([[9, 2], [2, 50]])])
+def test_record_steps_are_sorted_without_repeats(record):
+    # the steps np.unique would give, and the norms of the full trace there
+    p = zero_problem(tau=0.01, t_final=0.05, diffusion=lambda t, u, v: v)
+    trace = simulate_paths(p, range(3))
+    res = run_ensemble(p, range(3), record_steps=record)
+    want = np.unique(np.asarray(record, dtype=np.int64))
+    assert res.steps.dtype == np.int64
+    assert np.array_equal(res.steps, want)
+    assert np.array_equal(res.h_norms, trace.h_norms[:, want])
+    assert np.array_equal(res.v_norms, trace.v_norms[:, want])
+
+
+def test_history_block_is_the_ring_of_every_path():
+    p = zero_problem(tau=0.01, t_final=0.05)
+    psi = p.history_block()
+    assert psi.shape == (p.m_delay + 1, p.grid.n_interior)
+    assert p.history_block() is psi and not psi.flags.writeable
+    assert np.array_equal(psi[-1], np.sin(p.grid.points))
+    ring = p.history_values(3)
+    assert ring.shape == (p.m_delay + 1, 3, p.grid.n_interior)
+    for path in range(3):
+        assert np.array_equal(ring[:, path], psi)

@@ -569,3 +569,36 @@ def test_block_evaluation_calls_time_independent_coefficients_per_block():
     assert len(p.drift.times) == math.ceil(n / 128)
     assert p.drift.times == t_all[::128].tolist()
     assert p.diffusion.times == t_all.tolist()
+
+
+@pytest.mark.parametrize("block", [1, 7, 128])
+def test_a_whole_block_functional_raises_at_every_block_size(monkeypatch,
+                                                             block):
+    # a sum missing axis=-1 gives one value for the whole block; broadcast
+    # to every row, it passed at block 1 and failed at block 128
+    import sedes.lyapunov as lyap
+    monkeypatch.setattr(lyap, "SAMPLE_BLOCK", block)
+    eq6, eq16, eq24 = (make_preset(nm) for nm in ("eq6", "eq16", "eq24"))
+    L6, L24 = eq6.lyapunov, eq24.lyapunov
+
+    def whole(v, dx):
+        return dx * np.sum(v * v)
+    cases = [
+        ("w2_fn", check_lasalle, eq6, LyapunovSpec(
+            w1_fn=L6.w1_fn, w2_fn=whole, gamma_fn=L6.gamma_fn)),
+        ("gamma_fn", check_lasalle, eq6, LyapunovSpec(
+            w1_fn=L6.w1_fn, w2_fn=L6.w2_fn,
+            gamma_fn=lambda t: np.exp(-np.sum(t)))),
+        ("W_fn", check_khasminskii, eq16, LyapunovSpec(
+            W_fn=whole, lam1=eq16.lyapunov.lam1,
+            lam2=eq16.lyapunov.lam2)),
+        ("W1_fn", check_exponential, eq24, LyapunovSpec(
+            W1_fn=whole, gamma_fn=L24.gamma_fn, alpha1=L24.alpha1,
+            alpha2=L24.alpha2, alpha3=L24.alpha3, alpha4=L24.alpha4,
+            mu=L24.mu))]
+    for name, checker, pre, L in cases:
+        with pytest.raises(ValueError, match=name + " gives one value"):
+            checker(pre.problem, L, default_sampler(pre.problem), 300)
+    # a constant, such as every preset's gamma lambda t: 0.0, passes
+    assert check_lasalle(eq6.problem, L6, default_sampler(eq6.problem),
+                         300).passed
