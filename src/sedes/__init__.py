@@ -25,7 +25,6 @@ from .noise import NoiseModel
 from .integrator import (
     BallClampedCoeff,
     HistoryBuffer,
-    PointwiseCoeff,
     ProblemSpec,
     Trajectory,
     imex_em_step,

@@ -215,8 +215,11 @@ def _run_bytes(cfg):
     config numbers alone: the set-up; for the ensemble one path chunk's
     delay ring (m+1, chunk, n) and the norms its reducers keep at the record
     points; for the explosion scan a chunk's ring, a few floats per path
-    and two bytes per path and radius, whatever the horizon.  None when a
-    number is one make_preset rejects anyway."""
+    and two bytes per path and radius, whatever the horizon.  The per-chunk
+    fixed arrays (step workspace, noise block, validation grids) are not
+    counted, so at small grids this undercounts: tracemalloc measures
+    815 KB for a 256-path eq16 scan at grid 15 against 479 KB counted.
+    None when a number is one make_preset rejects anyway."""
     nums = _grid_numbers(cfg)
     if nums is None:
         return None

@@ -189,8 +189,10 @@ class OperatorCoeff:
 
     Two kinds: ``constant_laplacian`` (a == 1) and ``variable_divergence``
     (user-supplied a_fn(t, x) with 0 < nu <= a <= alpha_upper, validated by
-    sampling since the callable is opaque).  time_dependent=False lets the
-    integrator factor the implicit matrix once.
+    sampling since the callable is opaque).  a_fn must broadcast over t, as
+    a drift or diffusion does: t is a float in the integrator and an (S, 1)
+    column of times in the checkers and in validate.  time_dependent=False
+    lets the integrator factor the implicit matrix once.
     """
 
     def __init__(self, kind, a_fn=None, nu=1.0, alpha_upper=1.0,
@@ -220,11 +222,14 @@ class OperatorCoeff:
                    alpha_upper=alpha_upper, time_dependent=time_dependent)
 
     def midpoint_values(self, t, grid: Grid):
-        """a(t, .) at the n+1 gap midpoints, as an (n+1,) array."""
+        """a(t, .) at the n+1 gap midpoints: an (n+1,) array for a float t,
+        an (S, n+1) array for an (S, 1) column of times.  Read-only: a value
+        that does not vary along an axis is broadcast there, not copied."""
+        shape = np.broadcast_shapes(np.shape(t), grid.midpoints.shape)
         if self.kind == "constant_laplacian":
-            return np.ones(grid.n_interior + 1)
-        a = np.asarray(self.a_fn(t, grid.midpoints), dtype=float)
-        a = np.broadcast_to(a, grid.midpoints.shape).copy()
+            return np.broadcast_to(1.0, shape)
+        a = np.broadcast_to(np.asarray(self.a_fn(t, grid.midpoints),
+                                       dtype=float), shape)
         if not np.all(np.isfinite(a)):
             raise ValueError("operator coefficient evaluated non-finite")
         return a
@@ -233,21 +238,20 @@ class OperatorCoeff:
         """Sampled check of 0 < nu <= a(t,x) <= alpha_upper on a lattice."""
         if self.kind == "constant_laplacian":
             return
-        ts = np.linspace(0.0, t_final, n_samples)
+        ts = np.linspace(0.0, t_final, n_samples)[:, None]
         xs = np.linspace(0.0, math.pi, n_samples)
-        for t in ts:
-            a = np.asarray(self.a_fn(t, xs), dtype=float)
-            a = np.broadcast_to(a, xs.shape)
-            if not np.all(np.isfinite(a)):
-                raise ValueError("operator coefficient evaluated non-finite")
-            if a.min() < self.nu - 1e-12 * max(1.0, self.nu):
-                raise ValueError(
-                    "operator coefficient drops below nu=%g (min %g sampled)"
-                    % (self.nu, a.min()))
-            if a.max() > self.alpha_upper + 1e-12 * max(1.0, self.alpha_upper):
-                raise ValueError(
-                    "operator coefficient exceeds alpha_upper=%g (max %g sampled)"
-                    % (self.alpha_upper, a.max()))
+        a = np.empty((n_samples, n_samples))
+        a[...] = self.a_fn(ts, xs)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("operator coefficient evaluated non-finite")
+        if a.min() < self.nu - 1e-12 * max(1.0, self.nu):
+            raise ValueError(
+                "operator coefficient drops below nu=%g (min %g sampled)"
+                % (self.nu, a.min()))
+        if a.max() > self.alpha_upper + 1e-12 * max(1.0, self.alpha_upper):
+            raise ValueError(
+                "operator coefficient exceeds alpha_upper=%g (max %g sampled)"
+                % (self.alpha_upper, a.max()))
 
 
 def apply_operator(c: OperatorCoeff, t: float, f: Field) -> Field:

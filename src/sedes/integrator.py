@@ -56,7 +56,6 @@ from .fields import (
 from .noise import NoiseModel
 
 __all__ = [
-    "PointwiseCoeff",
     "BallClampedCoeff",
     "ProblemSpec",
     "HistoryBuffer",
@@ -82,26 +81,6 @@ NOISE_BLOCK = 64
 PATH_CHUNK = 256
 
 
-class PointwiseCoeff:
-    """Coefficient applied entrywise: fn(t, u, v) with u current, v delayed.
-
-    fn must be numpy-vectorized: it receives arrays of grid values, one
-    state per row, and a row's result may not depend on the other rows
-    (the rule batch invariance already sets for the integrator).
-    time_dependent=False declares that fn ignores t, which lets the
-    hypothesis checkers evaluate a whole block of sampled states in one
-    call at one time, as OperatorCoeff.time_dependent does for the
-    operator.
-    """
-
-    def __init__(self, fn, time_dependent=True):
-        self.fn = fn
-        self.time_dependent = bool(time_dependent)
-
-    def evaluate(self, t, x, y, dx):
-        return self.fn(t, x, y)
-
-
 def clamp_to_ball(values, radius, dx):
     """Rescale whole fields onto the H ball of the given radius.
 
@@ -118,50 +97,45 @@ def clamp_to_ball(values, radius, dx):
 
 
 class BallClampedCoeff:
-    """Coefficient that first projects x and y onto the H ball of radius k.
+    """Coefficient that first projects x and y onto the H ball of radius k,
+    on a grid of spacing dx.
 
     The scale factor depends on the whole field, not on the value at one
     grid point, so this cannot be written as a pointwise function of
-    (u, v) and wraps the inner coefficient instead.
+    (u, v) and wraps the inner coefficient instead.  The clamp acts row by
+    row, so the wrapper broadcasts over t as its inner coefficient does.
     """
 
-    def __init__(self, inner, radius):
+    def __init__(self, inner, radius, dx):
         if radius <= 0:
             raise ValueError("truncation radius must be positive")
         self.inner = inner
         self.radius = float(radius)
-        # the clamp acts row by row, so it keeps the inner time rule
-        self.time_dependent = getattr(inner, "time_dependent", True)
+        self.dx = float(dx)
 
-    def evaluate(self, t, x, y, dx):
-        xk = clamp_to_ball(x, self.radius, dx)
-        yk = clamp_to_ball(y, self.radius, dx)
-        return self.inner.evaluate(t, xk, yk, dx)
-
-
-def _as_coeff(c):
-    if hasattr(c, "evaluate"):
-        return c
-    if callable(c):
-        return PointwiseCoeff(c)
-    raise TypeError("coefficient must be callable or provide .evaluate")
+    def __call__(self, t, x, y):
+        return self.inner(t, clamp_to_ball(x, self.radius, self.dx),
+                          clamp_to_ball(y, self.radius, self.dx))
 
 
 class ProblemSpec:
     """Discrete instance of the delay evolution equation.
 
-    drift and diffusion are pointwise (t, u, v) callables or coefficient
-    objects; initial_history is psi(theta, x) for theta in [-tau, 0],
-    vectorized in x, with psi(., 0) = psi(., pi) = 0.  Construction
-    validates the operator bounds, the boundedness of f(t,0,0) and
-    g(t,0,0) over the horizon, and (by a sampled refinement check) the
+    drift and diffusion are callables fn(t, u, v) of arrays of grid values,
+    u the current and v the delayed state, one state per row; a row's
+    result may not depend on the other rows.  fn must broadcast over t: the
+    integrator passes t as a float, the hypothesis checkers and this
+    constructor an (S, 1) column with one time per row, so write sin(t) as
+    np.sin(t), not math.sin(t).  initial_history is psi(theta, x) for theta
+    in [-tau, 0], vectorized in x, with psi(., 0) = psi(., pi) = 0.
+    Construction validates the operator bounds, the boundedness of f(t,0,0)
+    and g(t,0,0) over the horizon, and (by a sampled refinement check) the
     continuity of psi in theta.
     """
 
     def __init__(self, grid: Grid, op: OperatorCoeff, drift, diffusion,
                  tau: float, noise: NoiseModel, initial_history,
-                 t_final: float, dt: float, explosion_limit=EXPLOSION_LIMIT,
-                 validate: bool = True):
+                 t_final: float, dt: float, explosion_limit=EXPLOSION_LIMIT):
         if tau <= 0:
             raise ValueError("delay tau must be positive")
         if dt <= 0:
@@ -170,8 +144,11 @@ class ProblemSpec:
             raise ValueError("t_final must be positive")
         self.grid = grid
         self.op = op
-        self.drift = _as_coeff(drift)
-        self.diffusion = _as_coeff(diffusion)
+        if not (callable(drift) and callable(diffusion)):
+            raise TypeError("drift and diffusion must be callables "
+                            "fn(t, u, v)")
+        self.drift = drift
+        self.diffusion = diffusion
         self.tau = float(tau)
         self.noise = noise
         self.initial_history = initial_history
@@ -188,27 +165,25 @@ class ProblemSpec:
         self.n_steps = int(math.ceil(self.t_final / self.dt - 1e-9))
         self._factor = None     # set by _factor_for for a static operator
         self._psi = None        # set by history_block
-
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         self.op.validate(self.grid, self.t_final)
-        pts = self.grid.points
         dx = self.grid.dx
-        zero = np.zeros_like(pts)
+        zero = np.zeros(self.grid.n_interior)
 
-        # (B.2)-style boundedness of f(t,0,0) and g(t,0,0), sampled in t
-        sup = 0.0
-        for t in np.linspace(0.0, self.t_final, 33):
-            for coeff in (self.drift, self.diffusion):
-                out = np.asarray(coeff.evaluate(t, zero, zero, dx), dtype=float)
-                if not np.all(np.isfinite(out)):
-                    raise ValueError(
-                        "coefficient at the zero state is non-finite "
-                        "(boundedness check failed at t=%g)" % t)
-                sup = max(sup, float(np.max(np.abs(out))) if out.size else 0.0)
-        self.zero_state_bound = sup
+        # (B.2)-style boundedness of f(t,0,0) and g(t,0,0), sampled in t:
+        # one call per coefficient on a column of 33 times
+        ts = np.linspace(0.0, self.t_final, 33)[:, None]
+        finite = np.ones(ts.size, dtype=bool)
+        for coeff in (self.drift, self.diffusion):
+            out = np.asarray(coeff(ts, zero, zero), dtype=float)
+            finite &= np.isfinite(np.broadcast_to(out, (ts.size, zero.size))
+                                  ).all(axis=-1)
+        if not finite.all():
+            raise ValueError(
+                "coefficient at the zero state is non-finite "
+                "(boundedness check failed at t=%g)" % ts[np.argmin(finite), 0])
 
         # initial history: walls, continuity in theta, and H-norm bound
         walls = np.array([0.0, math.pi])
@@ -472,9 +447,8 @@ def _em_step(p: ProblemSpec, t: float, x, y, dB, work=None, out=None):
 
     x' goes into out (allocated when None).  out may be y's memory: the
     right-hand side is formed in work's buffers before the solve writes."""
-    dx = p.grid.dx
-    drift = np.asarray(p.drift.evaluate(t, x, y, dx), dtype=float)
-    diff = np.asarray(p.diffusion.evaluate(t, x, y, dx), dtype=float)
+    drift = np.asarray(p.drift(t, x, y), dtype=float)
+    diff = np.asarray(p.diffusion(t, x, y), dtype=float)
     if work is None:
         work = _Workspace(p.grid.n_interior, x.shape[0])
     rhs, noise = work.rhs, work.noise
@@ -545,10 +519,6 @@ class BatchResult:
     @property
     def n_paths(self):
         return self.ids.size
-
-    @property
-    def path_ids(self):
-        return self.ids.tolist()
 
     @property
     def statuses(self):
@@ -732,8 +702,9 @@ def truncate_problem(p: ProblemSpec, k: float) -> ProblemSpec:
         raise ValueError(
             "truncation below initial data: k=%g < psi bound %g"
             % (k, p.psi_h_bound))
-    return p.replace(drift=BallClampedCoeff(p.drift, k),
-                     diffusion=BallClampedCoeff(p.diffusion, k))
+    dx = p.grid.dx
+    return p.replace(drift=BallClampedCoeff(p.drift, k, dx),
+                     diffusion=BallClampedCoeff(p.diffusion, k, dx))
 
 
 def stopping_time_sigma_k(traj: Trajectory, k: float):

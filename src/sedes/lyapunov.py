@@ -25,7 +25,7 @@ and the relative violations
 form an (S, F) array with one column per inequality family.  The report
 keeps the first maximum in (sample, family) order, carried across
 blocks, which is the sample and family a one-sample-at-a-time loop would
-keep; it passes when no family exceeds the tolerance (default 1e-8).
+keep; it passes when no family exceeds the tolerance, 1e-8.
 The relative floor does not absorb the gap between the grid operator
 and its continuum: the presets' constants use the continuum spectral gap
 (1, or nu for eq24), while the grid Laplacian's is
@@ -47,10 +47,9 @@ value per row, so a constant such as lambda t: 0.0 works as written.  A
 functional that reduces over the whole block by mistake (a sum missing
 axis=-1) also gives one value; each check tells it from a constant once,
 on samples 0 and 1, and raises ValueError naming it.
-Drift and diffusion take a scalar t.  A drift or diffusion whose
-time_dependent attribute is False (every preset coefficient that ignores
-t) is evaluated once per block on the (S, n) arrays, like the operator
-coefficient; any other is called once per sample.
+Drift, diffusion and the operator coefficient a(t, x) broadcast over t:
+each is called once per block, with the (S, 1) column of the block's
+sample times beside the (S, n) arrays of states.
 
 Samples are a prefix-extension stream whose rows are bitwise independent
 of the block they are drawn in: growing the sample count only appends
@@ -190,16 +189,17 @@ class ConditionReport:
 
     max_violation is the worst relative margin (lhs - rhs)/(1+|lhs|+|rhs|)
     over every inequality family tested; positive means the hypothesis
-    failed by that margin, and passed is exactly max_violation <= tolerance.
+    failed by that margin, and passed is exactly max_violation <= tolerance,
+    which is DEFAULT_TOLERANCE.
     """
 
     def __init__(self, name, n_samples, max_violation, argmax_sample,
-                 tolerance, extras=None):
+                 extras=None):
         self.name = name
         self.n_samples = int(n_samples)
         self.max_violation = float(max_violation)
         self.argmax_sample = argmax_sample
-        self.tolerance = float(tolerance)
+        self.tolerance = DEFAULT_TOLERANCE
         self.passed = self.max_violation <= self.tolerance
         self.extras = extras or {}
 
@@ -333,32 +333,17 @@ class FourierSampler:
         return float(t[0]), Field(self.grid, X[0]), Field(self.grid, Y[0])
 
 
-def _coeff_rows(coeff, t, X, Y, dx):
-    """A drift or diffusion on each row of an (S, n) block, with a scalar t:
-    one call at the block's first time when the coefficient declares
-    time_dependent False, otherwise one call per sample."""
-    out = np.empty_like(X)
-    if not getattr(coeff, "time_dependent", True):
-        out[...] = coeff.evaluate(float(t[0]), X, Y, dx)
-        return out
-    for s, ts in enumerate(t.tolist()):
-        out[s] = coeff.evaluate(ts, X[s], Y[s], dx)
-    return out
-
-
 def _lu_block(p, t, X, Y):
     """LU(t_s, X_s, Y_s) = 2<A x, x> + 2<f, x> + ||g||^2 for each row of an
     (S, n) block, as an (S,) array."""
-    grid, dx = p.grid, p.grid.dx
+    dx, tc = p.grid.dx, t[:, None]
     # an overflow is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        F = _coeff_rows(p.drift, t, X, Y, dx)
-        G = _coeff_rows(p.diffusion, t, X, Y, dx)
-        if p.op.time_dependent:
-            a_mid = np.stack([p.op.midpoint_values(ts, grid)
-                              for ts in t.tolist()])
-        else:
-            a_mid = p.op.midpoint_values(float(t[0]), grid)
+        F = np.broadcast_to(np.asarray(p.drift(tc, X, Y), dtype=float),
+                            X.shape)
+        G = np.broadcast_to(np.asarray(p.diffusion(tc, X, Y), dtype=float),
+                            X.shape)
+        a_mid = p.op.midpoint_values(tc, p.grid)
         out = (2.0 * operator_quad_form_values(a_mid, X, dx)
                + 2.0 * dx * np.sum(F * X, axis=-1)
                + h_norm_sq_values(G, dx))
@@ -416,8 +401,7 @@ def _state_desc(what, i, t, x, y, dx):
             % (what, i, t, _h_of(x, dx), _h_of(y, dx)))
 
 
-def check_khasminskii(p, L: LyapunovSpec, sampler, n,
-                      tolerance=DEFAULT_TOLERANCE) -> ConditionReport:
+def check_khasminskii(p, L: LyapunovSpec, sampler, n) -> ConditionReport:
     """Existence-theorem hypotheses: the LU growth bound
 
         LU(t,x,y) <= lam1 [1 + U(t,x) + U(t-tau,y) + W(y)] - lam2 W(x)
@@ -440,12 +424,11 @@ def check_khasminskii(p, L: LyapunovSpec, sampler, n,
             lambda s, f: _state_desc("growth bound", start + s, t[s], X[s],
                                      Y[s], dx))
     return ConditionReport("khasminskii", n, worst.margin, worst.where,
-                           tolerance, extras={
-                               "max_violation_by_family": worst.by_family()})
+                           extras={"max_violation_by_family":
+                                       worst.by_family()})
 
 
-def check_lasalle(p, L: LyapunovSpec, sampler, n,
-                  tolerance=DEFAULT_TOLERANCE) -> ConditionReport:
+def check_lasalle(p, L: LyapunovSpec, sampler, n) -> ConditionReport:
     """Pathwise-stability hypotheses: the dissipation bound
 
         LU(t,x,y) <= gamma(t) - w1(x) + w2(y),
@@ -485,14 +468,13 @@ def check_lasalle(p, L: LyapunovSpec, sampler, n,
     gamma_int = _gamma_integral(L, p.t_final)
     worst.update_flagged(not math.isfinite(gamma_int), -math.inf,
                          "gamma quadrature not finite")
-    return ConditionReport("lasalle", n, worst.margin, worst.where, tolerance,
+    return ConditionReport("lasalle", n, worst.margin, worst.where,
                            extras={"gamma_integral": gamma_int,
                                    "max_violation_by_family":
                                        worst.by_family()})
 
 
-def check_exponential(p, L: LyapunovSpec, sampler, n,
-                      tolerance=DEFAULT_TOLERANCE) -> ConditionReport:
+def check_exponential(p, L: LyapunovSpec, sampler, n) -> ConditionReport:
     """Exponential-decay hypotheses: the decay bound
 
         LU <= gamma(t) - alpha1 U(t,x) + alpha2 U(t-tau,y)
@@ -523,7 +505,6 @@ def check_exponential(p, L: LyapunovSpec, sampler, n,
     worst.update_flagged(not math.isfinite(gamma_int), -math.inf,
                          "int gamma e^{mu t} dt diverges on [0, t_final]")
     return ConditionReport("exponential", n, worst.margin, worst.where,
-                           tolerance,
                            extras={"gamma_exp_integral": gamma_int,
                                    "max_violation_by_family":
                                        worst.by_family()})

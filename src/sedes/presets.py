@@ -17,9 +17,10 @@ H norm, but the quantities they actually produce are Q4 integrals; using
 (int u^2)^2 instead makes the inequalities false on single-mode states,
 so the presets pin the Q4 form.
 
-Every drift and diffusion except the lasalle preset's v sin(t) ignores t
-and is built with time_dependent=False, so the hypothesis checkers
-evaluate it on a whole block of sampled states in one call.
+Every drift and diffusion is a plain lambda (t, u, v) that broadcasts
+over t, so the hypothesis checkers evaluate it on a whole block of
+sampled states, with their column of times, in one call; the lasalle
+preset's v sin(t) is written with np.sin for that reason.
 
 For the existence preset the growth-bound derivation closes with the
 constant pair (lam1, lam2) = (4/3, 4/3): the chain bounds the cross term
@@ -41,7 +42,7 @@ import math
 import numpy as np
 
 from .fields import OperatorCoeff, Grid, h_norm_sq_values, quartic_values
-from .integrator import PointwiseCoeff, ProblemSpec
+from .integrator import ProblemSpec
 from .lyapunov import LyapunovSpec
 from .noise import NoiseModel
 
@@ -126,10 +127,8 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
     if name == "heat":
         problem = ProblemSpec(
             grid, OperatorCoeff.laplacian(),
-            drift=PointwiseCoeff(lambda t, u, v: np.zeros_like(u),
-                                 time_dependent=False),
-            diffusion=PointwiseCoeff(lambda t, u, v: np.zeros_like(u),
-                                     time_dependent=False),
+            drift=lambda t, u, v: np.zeros_like(u),
+            diffusion=lambda t, u, v: np.zeros_like(u),
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
         # zero drift and diffusion: the trivial certificate LU <= 0 works
@@ -144,10 +143,8 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
         sign = -1.0 if sign_variant else 1.0
         problem = ProblemSpec(
             grid, OperatorCoeff.laplacian(),
-            drift=PointwiseCoeff(lambda t, u, v: sign * (v * v - u * u * u),
-                                 time_dependent=False),
-            diffusion=PointwiseCoeff(lambda t, u, v: v * v,
-                                     time_dependent=False),
+            drift=lambda t, u, v: sign * (v * v - u * u * u),
+            diffusion=lambda t, u, v: v * v,
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
         lyap = LyapunovSpec(
@@ -161,9 +158,8 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
         gf = float(g_factor)
         problem = ProblemSpec(
             grid, OperatorCoeff.laplacian(),
-            drift=PointwiseCoeff(lambda t, u, v: -(u * u * u + u),
-                                 time_dependent=False),
-            diffusion=lambda t, u, v: gf * v * math.sin(t),
+            drift=lambda t, u, v: -(u * u * u + u),
+            diffusion=lambda t, u, v: gf * v * np.sin(t),
             tau=tau, noise=noise, initial_history=psi,
             t_final=t_final, dt=dt)
         lyap = LyapunovSpec(
@@ -191,10 +187,8 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
         nu=nu, alpha_upper=nu, time_dependent=False)
     problem = ProblemSpec(
         grid, op,
-        drift=PointwiseCoeff(lambda t, u, v: u * (a + b * v - u * u),
-                             time_dependent=False),
-        diffusion=PointwiseCoeff(lambda t, u, v: c * u * v,
-                                 time_dependent=False),
+        drift=lambda t, u, v: u * (a + b * v - u * u),
+        diffusion=lambda t, u, v: c * u * v,
         tau=tau, noise=noise, initial_history=psi,
         t_final=t_final, dt=dt)
     lyap = LyapunovSpec(

@@ -170,13 +170,12 @@ def test_truncation_wrapper_semantics():
     dx = p.grid.dx
     small = 0.2 * np.sin(pts)
     # inside the ball the wrapped coefficients agree bitwise
-    orig = p.drift.evaluate(0.3, small, small, dx)
-    wrapped = q.drift.evaluate(0.3, small, small, dx)
+    orig = p.drift(0.3, small, small)
+    wrapped = q.drift(0.3, small, small)
     assert np.array_equal(orig, wrapped)
     # the zero field maps to zero (0/0 convention)
     z = np.zeros_like(pts)
-    assert np.array_equal(q.drift.evaluate(0.0, z, z, dx),
-                          p.drift.evaluate(0.0, z, z, dx))
+    assert np.array_equal(q.drift(0.0, z, z), p.drift(0.0, z, z))
     # a field of H norm 2k is projected to H norm exactly k
     from sedes.integrator import clamp_to_ball
     from sedes.fields import h_norm_sq_values
@@ -576,8 +575,7 @@ def test_time_dependent_operator_is_refactored_every_step():
     for k in range(p.n_steps):
         t, x, y = k * p.dt, h.current(), h.delayed()
         dB = p.noise.increments([1], k, p.dt)
-        rhs = (x + p.dt * p.drift.evaluate(t, x, y, dx)
-               + p.diffusion.evaluate(t, x, y, dx) * dB)[0]
+        rhs = (x + p.dt * p.drift(t, x, y) + p.diffusion(t, x, y) * dB)[0]
         x_next = imex_em_step(p, h, 1, k).values
         a_mid = op.midpoint_values(t + p.dt, grid)
         resid = tridiag_matrix(a_mid, p.dt, dx) @ x_next - rhs

@@ -83,7 +83,7 @@ def test_trace_term_quadratic_in_g():
     t, x, y = s.sample(3)
     values = {}
     for c in (0.0, 1.0, 2.0):
-        q = p.replace(diffusion=lambda tt, u, v, _c=c: _c * v * math.sin(tt))
+        q = p.replace(diffusion=lambda tt, u, v, _c=c: _c * v * np.sin(tt))
         values[c] = diffusion_operator(q, t, x, y)
     base = values[1.0] - values[0.0]
     assert values[2.0] - values[0.0] == pytest.approx(4.0 * base, rel=1e-12)
@@ -472,18 +472,8 @@ def test_gamma_integral_overflow_is_reported_without_a_warning():
 
 def test_diffusion_operator_is_a_row_of_the_block_kernel():
     from sedes.lyapunov import _lu_block
-    grid = Grid(31)
-    varying = ProblemSpec(
-        grid, OperatorCoeff.divergence(
-            lambda t, x: 1.5 + 0.25 * math.sin(t) * np.cos(x),
-            nu=1.25, alpha_upper=1.75),
-        drift=lambda t, u, v: -u * u * u + 0.5 * v,
-        diffusion=lambda t, u, v: v * math.cos(t),
-        tau=1.0, noise=NoiseModel.scalar(),
-        initial_history=lambda th, x: 0.1 * np.sin(x),
-        t_final=10.0, dt=0.01)
     problems = [make_preset(nm).problem for nm in ("eq16", "eq6", "eq24")]
-    for p in problems + [varying]:
+    for p in problems + [_varying_problem()]:
         s = default_sampler(p)
         t, X, Y = s.sample_block(np.arange(40))
         block = _lu_block(p, t, X, Y)
@@ -500,75 +490,109 @@ def test_checkers_reject_a_negative_sample_count():
                           default_sampler(pre.problem), -1)
 
 
-def _preset_coefficients():
-    """(label, problem, coefficient) for every preset drift and diffusion,
-    the sign variant and a ball-clamped wrapper included."""
+def _varying_problem():
+    """A problem whose operator, drift and diffusion all depend on t."""
+    return ProblemSpec(
+        Grid(31), OperatorCoeff.divergence(
+            lambda t, x: 1.5 + 0.25 * np.sin(t) * np.cos(x),
+            nu=1.25, alpha_upper=1.75),
+        drift=lambda t, u, v: -u * u * u + 0.5 * v * np.cos(2.0 * t),
+        diffusion=lambda t, u, v: v * np.cos(t),
+        tau=1.0, noise=NoiseModel.scalar(),
+        initial_history=lambda th, x: 0.1 * np.sin(x),
+        t_final=10.0, dt=0.01)
+
+
+def _problem_coefficients():
+    """(label, problem, fn(t, X, Y)) for every preset drift and diffusion,
+    the sign variant, a ball-clamped wrapper and a time-dependent
+    operator's a(t, .) at the gap midpoints included."""
     problems = [(nm, make_preset(nm).problem)
                 for nm in ("heat", "eq16", "eq6", "eq24")]
     problems += [
         ("eq16 sign variant", make_preset("eq16", sign_variant=True).problem),
-        ("eq24 clamped", truncate_problem(make_preset("eq24").problem, 0.5))]
-    return [(label + " " + part, p, getattr(p, part))
-            for label, p in problems for part in ("drift", "diffusion")]
+        ("eq24 clamped", truncate_problem(make_preset("eq24").problem, 0.5)),
+        ("varying", _varying_problem())]
+    out = [(label + " " + part, p, getattr(p, part))
+           for label, p in problems for part in ("drift", "diffusion")]
+    for label, p in problems:
+        out.append((label + " operator", p,
+                    lambda t, X, Y, p=p: p.op.midpoint_values(t, p.grid)))
+    return out
 
 
-def test_only_eq6_diffusion_depends_on_time():
-    marked = {label: coeff.time_dependent
-              for label, _, coeff in _preset_coefficients()}
-    assert [label for label, dep in marked.items() if dep] == \
-        ["eq6 diffusion"]
-
-
-def test_time_independent_coefficients_evaluate_a_block_as_its_rows():
+def test_coefficients_evaluate_a_block_as_its_rows():
     # 300 samples are blocks of 128, 128 and a partial 44; a block is
-    # evaluated in one call at its first time, and each row must be the
-    # bits of that row evaluated alone at its own time
-    from sedes.lyapunov import _blocks, _coeff_rows
-    for label, p, coeff in _preset_coefficients():
-        if coeff.time_dependent:
-            continue
-        dx, sizes = p.grid.dx, []
+    # evaluated in one call with its (S, 1) column of times, and each row
+    # must be the bits of that row evaluated alone at its own float t, as
+    # the integrator calls it
+    from sedes.lyapunov import _blocks
+    for label, p, fn in _problem_coefficients():
+        sizes = []
         for _, t, X, Y in _blocks(default_sampler(p), 300):
             sizes.append(len(t))
-            block = _coeff_rows(coeff, t, X, Y, dx)
-            rows = np.stack([np.broadcast_to(
-                coeff.evaluate(ts, X[s], Y[s], dx), X[s].shape)
-                for s, ts in enumerate(t.tolist())])
+            block = fn(t[:, None], X, Y)
+            rows = np.stack([np.broadcast_to(fn(ts, X[s], Y[s]),
+                                             block.shape[1:])
+                             for s, ts in enumerate(t.tolist())])
+            assert block.shape == (len(t), rows.shape[1]), label
             assert np.array_equal(block, rows), label
         assert sizes == [128, 128, 44]
 
 
 class _Counted:
-    """A coefficient that records the t of every evaluate() call."""
+    """A coefficient that records the t of every call."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.time_dependent = inner.time_dependent
         self.times = []
 
-    def evaluate(self, t, x, y, dx):
-        self.times.append(t)
-        return self.inner.evaluate(t, x, y, dx)
+    def __call__(self, t, x, y):
+        self.times.append(np.array(t, dtype=float))
+        return self.inner(t, x, y)
 
 
-def test_block_evaluation_calls_time_independent_coefficients_per_block():
-    # eq6's drift ignores t and is called once per block of 128; its
-    # v sin(t) diffusion is called once per sample, at that sample's t
+def test_checkers_call_drift_and_diffusion_once_per_block():
+    # construction checks both coefficients at the zero state in one call
+    # on a column of 33 times; a check calls each once per block of 128,
+    # with the block's (S, 1) column of sample times
     pre = make_preset("eq6")
     n = 300
     p = pre.problem.replace(drift=_Counted(pre.problem.drift),
                             diffusion=_Counted(pre.problem.diffusion))
-    # replace() validates the problem, which evaluates both coefficients
-    p.drift.times.clear()
-    p.diffusion.times.clear()
+    for coeff in (p.drift, p.diffusion):
+        assert [c.shape for c in coeff.times] == [(33, 1)]
+        coeff.times.clear()
     s = default_sampler(p)
     rep = check_lasalle(p, pre.lyapunov, s, n)
     assert rep.to_dict() == check_lasalle(pre.problem, pre.lyapunov, s,
                                           n).to_dict()
     t_all = s.sample_block(np.arange(n))[0]
-    assert len(p.drift.times) == math.ceil(n / 128)
-    assert p.drift.times == t_all[::128].tolist()
-    assert p.diffusion.times == t_all.tolist()
+    for coeff in (p.drift, p.diffusion):
+        assert [c.shape for c in coeff.times] == [(128, 1), (128, 1), (44, 1)]
+        assert np.array_equal(np.concatenate(coeff.times)[:, 0], t_all)
+
+
+def test_problem_rejects_coefficients_written_for_a_scalar_t():
+    # math.sin takes one number, so a coefficient built on it cannot be
+    # evaluated on a column of times; construction says so at once
+    def make(op=OperatorCoeff.laplacian(), drift=lambda t, u, v: 0.0 * u):
+        return ProblemSpec(Grid(16), op, drift=drift,
+                           diffusion=lambda t, u, v: 0.5 * v, tau=0.5,
+                           noise=NoiseModel.scalar(),
+                           initial_history=lambda th, x: 0.1 * np.sin(x),
+                           t_final=1.0, dt=0.01)
+    with pytest.raises(TypeError):
+        make(drift=lambda t, u, v: -u * (1.0 + math.sin(t) ** 2))
+    with pytest.raises(TypeError):
+        make(op=OperatorCoeff.divergence(
+            lambda t, x: 1.5 + 0.25 * math.sin(t) * np.cos(x),
+            nu=1.25, alpha_upper=1.75))
+    # the same coefficients written with np.sin broadcast over t
+    make(drift=lambda t, u, v: -u * (1.0 + np.sin(t) ** 2),
+         op=OperatorCoeff.divergence(
+             lambda t, x: 1.5 + 0.25 * np.sin(t) * np.cos(x),
+             nu=1.25, alpha_upper=1.75))
 
 
 @pytest.mark.parametrize("block", [1, 7, 128])

@@ -38,14 +38,13 @@ def test_eq16_sign_variant_flips_the_drift():
     intro = make_preset("eq16", sign_variant=True)
     u = np.array([0.3, -0.7, 1.1])
     v = np.array([0.4, 0.2, -0.5])
-    dx = main.problem.grid.dx
-    f_main = main.problem.drift.evaluate(0.0, u, v, dx)
-    f_intro = intro.problem.drift.evaluate(0.0, u, v, dx)
+    f_main = main.problem.drift(0.0, u, v)
+    f_intro = intro.problem.drift(0.0, u, v)
     assert np.allclose(f_main, v * v - u ** 3)
     assert np.array_equal(f_intro, -f_main)
     # the diffusion is the same in both variants
-    assert np.array_equal(main.problem.diffusion.evaluate(0.0, u, v, dx),
-                          intro.problem.diffusion.evaluate(0.0, u, v, dx))
+    assert np.array_equal(main.problem.diffusion(0.0, u, v),
+                          intro.problem.diffusion(0.0, u, v))
 
 
 def test_eq24_parameter_gates():
