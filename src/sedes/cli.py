@@ -218,7 +218,8 @@ def _run_bytes(cfg):
     and two bytes per path and radius, whatever the horizon.  The per-chunk
     fixed arrays (step workspace, noise block, validation grids) are not
     counted, so at small grids this undercounts: tracemalloc measures
-    815 KB for a 256-path eq16 scan at grid 15 against 479 KB counted.
+    748 KB for a 256-path eq16 scan at grid 15 (tau 0.01, horizon 0.02,
+    four radii) against 479 KB counted.
     None when a number is one make_preset rejects anyway."""
     nums = _grid_numbers(cfg)
     if nums is None:

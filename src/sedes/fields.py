@@ -184,6 +184,20 @@ def sine_field(grid: Grid, k: int, amplitude: float = 1.0) -> Field:
     return Field(grid, amplitude * np.sin(k * grid.points))
 
 
+def call_on_times(name, fn, ts, *args):
+    """fn(ts, *args) on an (S, 1) column of times ts.  A TypeError raised
+    there is raised again naming the coefficient, with its own message
+    first and the broadcast rule as a hint: a coefficient written for a
+    scalar t (math.sin(t), say) fails that way on the column."""
+    try:
+        return fn(ts, *args)
+    except TypeError as e:
+        raise TypeError(
+            "%s raised TypeError on an (S, 1) column of times: %s; a "
+            "coefficient must broadcast over t (np.sin(t), not math.sin(t))"
+            % (name, e)) from e
+
+
 class OperatorCoeff:
     """Coefficient of the divergence-form operator A(t, u) = (a(t, x) u')'.
 
@@ -241,7 +255,7 @@ class OperatorCoeff:
         ts = np.linspace(0.0, t_final, n_samples)[:, None]
         xs = np.linspace(0.0, math.pi, n_samples)
         a = np.empty((n_samples, n_samples))
-        a[...] = self.a_fn(ts, xs)
+        a[...] = call_on_times("a_fn", self.a_fn, ts, xs)
         if not np.all(np.isfinite(a)):
             raise ValueError("operator coefficient evaluated non-finite")
         if a.min() < self.nu - 1e-12 * max(1.0, self.nu):

@@ -50,6 +50,7 @@ from .fields import (
     Field,
     Grid,
     OperatorCoeff,
+    call_on_times,
     h_norm_sq_values,
     v_norm_sq_values,
 )
@@ -164,7 +165,6 @@ class ProblemSpec:
                                             rel_tol=1e-12)
         self.n_steps = int(math.ceil(self.t_final / self.dt - 1e-9))
         self._factor = None     # set by _factor_for for a static operator
-        self._psi = None        # set by history_block
         self._validate()
 
     def _validate(self):
@@ -176,8 +176,9 @@ class ProblemSpec:
         # one call per coefficient on a column of 33 times
         ts = np.linspace(0.0, self.t_final, 33)[:, None]
         finite = np.ones(ts.size, dtype=bool)
-        for coeff in (self.drift, self.diffusion):
-            out = np.asarray(coeff(ts, zero, zero), dtype=float)
+        for name in ("drift", "diffusion"):
+            out = np.asarray(call_on_times(name, getattr(self, name), ts,
+                                           zero, zero), dtype=float)
             finite &= np.isfinite(np.broadcast_to(out, (ts.size, zero.size))
                                   ).all(axis=-1)
         if not finite.all():
@@ -226,19 +227,14 @@ class ProblemSpec:
     def history_block(self):
         """Initial history (m+1, n): psi at theta = -m dt, ..., -dt, 0.
 
-        psi is evaluated once per problem and the same read-only array is
-        returned on every call, so reading it (to bound the initial ring's
-        norms, say) copies nothing."""
-        if self._psi is None:
-            psi = self._history_rows([-(j * self.dt)
-                                      for j in range(self.m_delay, -1, -1)])
-            psi.flags.writeable = False
-            self._psi = psi
-        return self._psi
+        Evaluated on every call and held by nobody but the caller, so a run
+        keeps no (m+1, n) block beside its ring."""
+        return self._history_rows([-(j * self.dt)
+                                   for j in range(self.m_delay, -1, -1)])
 
     def history_values(self, batch: int = 1):
         """Initial ring (m+1, batch, n): history_block copied to every path
-        of the batch."""
+        of the batch; the block is dropped once the ring is filled."""
         psi = self.history_block()
         ring = np.empty((psi.shape[0], batch, psi.shape[1]))
         ring[...] = psi[:, None, :]

@@ -10,6 +10,14 @@ matter how paths are scheduled or batched.  Transcendental evaluations
 are always performed on buffers padded to a multiple of 64 entries so
 that numpy never routes a straggler through a scalar libm path; this
 keeps the stream bitwise reproducible across batch shapes.
+
+A block of draws is built in place: each absorbed key word runs the
+finalizer on the one array it creates, with one scratch array, each word
+array is freed once its uniforms exist, and Box-Muller and the sqrt(dt)
+scale overwrite the padded buffers.  Every operation is the one an
+allocating evaluation would apply, in the same order, so the bits are
+the same; the block never holds more than a few arrays of its size, and
+a reused heap block is not faulted in again on the next draw.
 """
 
 import math
@@ -30,44 +38,43 @@ _TWO53 = 2.0 ** -53
 
 
 def _mix64(z):
-    """SplitMix64 finalizer, elementwise on uint64 arrays (bijective)."""
+    """SplitMix64 finalizer (bijective), run in place on the writable uint64
+    array z with one scratch array; returns z."""
+    tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> _S30)) * _MIX1
-        z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+        for shift, mult in ((_S30, _MIX1), (_S27, _MIX2)):
+            np.bitwise_xor(z, np.right_shift(z, shift, out=tmp), out=z)
+            np.multiply(z, mult, out=z)
+    return np.bitwise_xor(z, np.right_shift(z, _S31, out=tmp), out=z)
 
 
 def _absorb(h, word):
+    """_mix64(h ^ (word + _GOLD)) on the one array this creates."""
+    w = np.asarray(word).astype(np.uint64)     # a copy: word is not touched
     with np.errstate(over="ignore"):
-        return _mix64(h ^ (np.asarray(word).astype(np.uint64) + _GOLD))
+        w += _GOLD
+    return _mix64(np.asarray(h ^ w))    # h ^ w is a scalar when both are 0-d
 
 
 def keyed_words(seed, *keys):
     """64-bit hash words from (seed, keys...); keys broadcast elementwise."""
     # the wrap-around add on Python ints: a numpy scalar add warns on
     # overflow, and every seed at or above 2^64 - _GOLD overflows
-    h = _mix64(_U64((int(seed) + int(_GOLD)) & 0xFFFFFFFFFFFFFFFF))
+    h = _mix64(np.asarray(_U64((int(seed) + int(_GOLD)) & 0xFFFFFFFFFFFFFFFF)))
     for k in keys:
         h = _absorb(h, k)
     return h
 
 
-def _uniform_from_words(words):
-    """Map uint64 words to doubles in [0, 1) using the top 53 bits."""
-    return (words >> _S11) * _TWO53
-
-
-def _padded_transform(u1, u2):
-    # Box-Muller on flat buffers padded to a multiple of 64 entries; the
-    # padding keeps every element on numpy's vector code path so results
-    # do not depend on the caller's batch shape.
-    n = u1.size
-    pad = (-n) % 64
-    if pad:
-        u1 = np.concatenate([u1, np.full(pad, 0.5)])
-        u2 = np.concatenate([u2, np.full(pad, 0.5)])
-    z = np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * math.pi) * u2)
-    return z[:n] if pad else z
+def _uniforms(words, pad=0):
+    """Doubles in [0, 1) from the top 53 bits of uint64 words, in a flat
+    buffer followed by pad entries of 0.5; words is shifted in place."""
+    n = words.size
+    u = np.empty(n + pad)
+    u[n:] = 0.5
+    np.multiply(np.right_shift(words, _S11, out=words).reshape(-1), _TWO53,
+                out=u[:n])
+    return u
 
 
 def keyed_gaussians(seed, *keys):
@@ -75,15 +82,31 @@ def keyed_gaussians(seed, *keys):
     h = keyed_words(seed, *keys)
     w1 = _absorb(h, 0x5151)
     w2 = _absorb(h, 0xA2A2)
-    shape = w1.shape
-    u1 = (_uniform_from_words(w1.reshape(-1)) + _TWO53)  # (0, 1]; log-safe
-    u2 = _uniform_from_words(w2.reshape(-1))
-    return _padded_transform(u1, u2).reshape(shape)
+    del h
+    shape, n = w1.shape, w1.size
+    # Box-Muller on flat buffers padded to a multiple of 64 entries; the
+    # padding keeps every element on numpy's vector code path so results
+    # do not depend on the caller's batch shape.  Each word array is freed
+    # once its uniforms exist, and the transform runs in place.
+    pad = (-n) % 64
+    u1 = _uniforms(w1, pad)
+    del w1
+    u1[:n] += _TWO53                            # (0, 1]; log-safe
+    u2 = _uniforms(w2, pad)
+    del w2
+    np.log(u1, out=u1)
+    np.multiply(u1, -2.0, out=u1)
+    np.sqrt(u1, out=u1)
+    np.multiply(u2, 2.0 * math.pi, out=u2)
+    np.cos(u2, out=u2)
+    np.multiply(u1, u2, out=u1)
+    return u1[:n].reshape(shape)
 
 
 def keyed_uniforms(seed, *keys):
     """Uniforms in [0, 1) keyed by (seed, keys...)."""
-    return _uniform_from_words(keyed_words(seed, *keys))
+    words = keyed_words(seed, *keys)
+    return _uniforms(words).reshape(words.shape)
 
 
 class NoiseModel:
@@ -113,4 +136,5 @@ class NoiseModel:
         # package draws: dropping it would move every path, and with it
         # every ensemble and every reproducible artifact
         z = keyed_gaussians(self.seed, paths[:, None], steps[None, :], 0)
-        return math.sqrt(dt) * z
+        z *= math.sqrt(dt)
+        return z

@@ -706,9 +706,32 @@ def test_history_block_is_the_ring_of_every_path():
     p = zero_problem(tau=0.01, t_final=0.05)
     psi = p.history_block()
     assert psi.shape == (p.m_delay + 1, p.grid.n_interior)
-    assert p.history_block() is psi and not psi.flags.writeable
+    # evaluated afresh on every call, never cached on the problem
+    assert np.array_equal(p.history_block(), psi)
     assert np.array_equal(psi[-1], np.sin(p.grid.points))
     ring = p.history_values(3)
     assert ring.shape == (p.m_delay + 1, 3, p.grid.n_interior)
     for path in range(3):
         assert np.array_equal(ring[:, path], psi)
+
+
+def test_no_problem_holds_a_history_block_after_a_run(monkeypatch):
+    # a run holds its delay ring and its reducers; the (m+1, n) history
+    # block lives only while a chunk's ring is filled or the scan bounds it
+    from sedes.stability import explosion_scan
+    made = [zero_problem(tau=0.01, t_final=0.05, diffusion=lambda t, u, v: v)]
+    real_replace = ProblemSpec.replace
+
+    def replace(self, **kw):
+        made.append(real_replace(self, **kw))
+        return made[-1]
+    monkeypatch.setattr(ProblemSpec, "replace", replace)
+    p = made[0]
+    run_ensemble(p, range(3), record_steps=(0, p.n_steps))
+    explosion_scan(p, [5.0, 6.0], 3, 0.03)
+    assert len(made) == 2
+    block = (p.m_delay + 1, p.grid.n_interior)
+    for q in made:
+        held = [name for name, val in vars(q).items()
+                if np.shape(val) == block]
+        assert held == []

@@ -575,19 +575,34 @@ def test_checkers_call_drift_and_diffusion_once_per_block():
 
 def test_problem_rejects_coefficients_written_for_a_scalar_t():
     # math.sin takes one number, so a coefficient built on it cannot be
-    # evaluated on a column of times; construction says so at once
-    def make(op=OperatorCoeff.laplacian(), drift=lambda t, u, v: 0.0 * u):
+    # evaluated on a column of times; construction says so at once, naming
+    # the coefficient and the rule
+    def make(op=OperatorCoeff.laplacian(), drift=lambda t, u, v: 0.0 * u,
+             diffusion=lambda t, u, v: 0.5 * v):
         return ProblemSpec(Grid(16), op, drift=drift,
-                           diffusion=lambda t, u, v: 0.5 * v, tau=0.5,
+                           diffusion=diffusion, tau=0.5,
                            noise=NoiseModel.scalar(),
                            initial_history=lambda th, x: 0.1 * np.sin(x),
                            t_final=1.0, dt=0.01)
-    with pytest.raises(TypeError):
+
+    def rule(name):
+        return (r"^%s raised TypeError on an \(S, 1\) column of times: .*"
+                r"must broadcast over t \(np\.sin\(t\), not math\.sin" % name)
+    with pytest.raises(TypeError, match=rule("drift")):
         make(drift=lambda t, u, v: -u * (1.0 + math.sin(t) ** 2))
-    with pytest.raises(TypeError):
-        make(op=OperatorCoeff.divergence(
-            lambda t, x: 1.5 + 0.25 * math.sin(t) * np.cos(x),
-            nu=1.25, alpha_upper=1.75))
+    with pytest.raises(TypeError, match=rule("diffusion")):
+        make(diffusion=lambda t, u, v: math.cos(t) * v)
+    scalar_a = OperatorCoeff.divergence(
+        lambda t, x: 1.5 + 0.25 * math.sin(t) * np.cos(x),
+        nu=1.25, alpha_upper=1.75)
+    with pytest.raises(TypeError, match=rule("a_fn")):
+        make(op=scalar_a)
+    with pytest.raises(TypeError, match=rule("a_fn")):
+        scalar_a.validate(Grid(16), 1.0)
+    # any other TypeError keeps its own message first
+    with pytest.raises(TypeError, match=r"^drift raised TypeError .*: .*"
+                       r"<lambda>\(\) takes 2 positional arguments"):
+        make(drift=lambda t, u: -u)
     # the same coefficients written with np.sin broadcast over t
     make(drift=lambda t, u, v: -u * (1.0 + np.sin(t) ** 2),
          op=OperatorCoeff.divergence(
