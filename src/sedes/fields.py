@@ -23,6 +23,7 @@ All operations here are pure functions of their arguments and safe to
 call concurrently.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -185,62 +186,62 @@ def sine_field(grid: Grid, k: int, amplitude: float = 1.0) -> Field:
 
 
 def call_on_times(name, fn, ts, *args):
-    """fn(ts, *args) on an (S, 1) column of times ts.  A TypeError raised
-    there is raised again naming the coefficient, with its own message
-    first and the broadcast rule as a hint: a coefficient written for a
-    scalar t (math.sin(t), say) fails that way on the column."""
+    """fn(ts, *args) on an (S, 1) column of times ts.  A TypeError or
+    ValueError raised there is raised again naming fn, its own message
+    first and the broadcast rule as a hint: a callable written for a
+    scalar t (math.sin(t), if t > 1) fails that way on the column."""
     try:
         return fn(ts, *args)
-    except TypeError as e:
-        raise TypeError(
-            "%s raised TypeError on an (S, 1) column of times: %s; a "
-            "coefficient must broadcast over t (np.sin(t), not math.sin(t))"
-            % (name, e)) from e
+    except (TypeError, ValueError) as e:
+        kind = TypeError if isinstance(e, TypeError) else ValueError
+        raise kind(
+            "%s raised %s on an (S, 1) column of times: %s; it must "
+            "broadcast over t (np.sin(t), not math.sin(t); np.where(t > 1, "
+            "a, b), not a if t > 1 else b)" % (name, kind.__name__, e)) from e
 
 
 class OperatorCoeff:
     """Coefficient of the divergence-form operator A(t, u) = (a(t, x) u')'.
 
-    Two kinds: ``constant_laplacian`` (a == 1) and ``variable_divergence``
-    (user-supplied a_fn(t, x) with 0 < nu <= a <= alpha_upper, validated by
-    sampling since the callable is opaque).  a_fn must broadcast over t, as
-    a drift or diffusion does: t is a float in the integrator and an (S, 1)
-    column of times in the checkers and in validate.  time_dependent=False
-    lets the integrator factor the implicit matrix once.
+    a_fn(t, x) is the user's a with 0 < nu <= a <= alpha_upper, validated by
+    sampling since the callable is opaque; None means a == 1.  a_fn must
+    broadcast over t, as a drift or diffusion does: t is a float in the
+    integrator and an (S, 1) column of times in the checkers and in
+    validate.  Whether A depends on t is read from that shape (see
+    time_dependent), so a static A is factored once.
     """
 
-    def __init__(self, kind, a_fn=None, nu=1.0, alpha_upper=1.0,
-                 time_dependent=None):
-        if kind not in ("constant_laplacian", "variable_divergence"):
-            raise ValueError("unknown operator kind %r" % kind)
-        if kind == "variable_divergence" and a_fn is None:
-            raise ValueError("variable_divergence needs a_fn")
+    def __init__(self, a_fn=None, nu=1.0, alpha_upper=1.0):
         if not (0.0 < nu <= alpha_upper):
             raise ValueError("operator bounds need 0 < nu <= alpha_upper")
-        self.kind = kind
         self.a_fn = a_fn
         self.nu = float(nu)
         self.alpha_upper = float(alpha_upper)
-        if time_dependent is None:
-            time_dependent = kind == "variable_divergence"
-        self.time_dependent = bool(time_dependent)
 
     @classmethod
     def laplacian(cls) -> "OperatorCoeff":
-        return cls("constant_laplacian", nu=1.0, alpha_upper=1.0,
-                   time_dependent=False)
+        return cls()
 
     @classmethod
-    def divergence(cls, a_fn, nu, alpha_upper, time_dependent=True):
-        return cls("variable_divergence", a_fn=a_fn, nu=nu,
-                   alpha_upper=alpha_upper, time_dependent=time_dependent)
+    def divergence(cls, a_fn, nu, alpha_upper):
+        return cls(a_fn, nu, alpha_upper)
+
+    @functools.cached_property
+    def time_dependent(self) -> bool:
+        """True when a_fn's value on a column of two times has one row per
+        time, False when it has no t axis (or there is no a_fn)."""
+        if self.a_fn is None:
+            return False
+        a = call_on_times("a_fn", self.a_fn, np.array([[0.0], [1.0]]),
+                          np.array([0.0, math.pi]))
+        return np.shape(a)[:-1] == (2,)
 
     def midpoint_values(self, t, grid: Grid):
         """a(t, .) at the n+1 gap midpoints: an (n+1,) array for a float t,
         an (S, n+1) array for an (S, 1) column of times.  Read-only: a value
         that does not vary along an axis is broadcast there, not copied."""
         shape = np.broadcast_shapes(np.shape(t), grid.midpoints.shape)
-        if self.kind == "constant_laplacian":
+        if self.a_fn is None:
             return np.broadcast_to(1.0, shape)
         a = np.broadcast_to(np.asarray(self.a_fn(t, grid.midpoints),
                                        dtype=float), shape)
@@ -248,13 +249,14 @@ class OperatorCoeff:
             raise ValueError("operator coefficient evaluated non-finite")
         return a
 
-    def validate(self, grid: Grid, t_final: float, n_samples: int = 64):
+    def validate(self, grid: Grid, t_final: float):
         """Sampled check of 0 < nu <= a(t,x) <= alpha_upper on a lattice."""
-        if self.kind == "constant_laplacian":
+        if self.a_fn is None:
             return
-        ts = np.linspace(0.0, t_final, n_samples)[:, None]
-        xs = np.linspace(0.0, math.pi, n_samples)
-        a = np.empty((n_samples, n_samples))
+        n = 64                  # lattice points per axis
+        ts = np.linspace(0.0, t_final, n)[:, None]
+        xs = np.linspace(0.0, math.pi, n)
+        a = np.empty((n, n))
         a[...] = call_on_times("a_fn", self.a_fn, ts, xs)
         if not np.all(np.isfinite(a)):
             raise ValueError("operator coefficient evaluated non-finite")

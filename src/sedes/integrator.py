@@ -128,10 +128,11 @@ class ProblemSpec:
     integrator passes t as a float, the hypothesis checkers and this
     constructor an (S, 1) column with one time per row, so write sin(t) as
     np.sin(t), not math.sin(t).  initial_history is psi(theta, x) for theta
-    in [-tau, 0], vectorized in x, with psi(., 0) = psi(., pi) = 0.
-    Construction validates the operator bounds, the boundedness of f(t,0,0)
-    and g(t,0,0) over the horizon, and (by a sampled refinement check) the
-    continuity of psi in theta.
+    in [-tau, 0], with psi(., 0) = psi(., pi) = 0, called on a (K, 1) column
+    of thetas beside the points, so it broadcasts over theta as fn does
+    over t.  Construction validates the operator bounds, the boundedness of
+    f(t,0,0) and g(t,0,0) over the horizon, and (by a sampled refinement
+    check) the continuity of psi in theta.
     """
 
     def __init__(self, grid: Grid, op: OperatorCoeff, drift, diffusion,
@@ -169,7 +170,6 @@ class ProblemSpec:
 
     def _validate(self):
         self.op.validate(self.grid, self.t_final)
-        dx = self.grid.dx
         zero = np.zeros(self.grid.n_interior)
 
         # (B.2)-style boundedness of f(t,0,0) and g(t,0,0), sampled in t:
@@ -187,18 +187,15 @@ class ProblemSpec:
                 "(boundedness check failed at t=%g)" % ts[np.argmin(finite), 0])
 
         # initial history: walls, continuity in theta, and H-norm bound
-        walls = np.array([0.0, math.pi])
         thetas = np.linspace(-self.tau, 0.0, 65)
-        coarse = self._history_rows(thetas)
-        scale = float(np.max(np.abs(coarse))) if coarse.size else 0.0
-        tol = 1e-9 * (1.0 + scale)
-        for th in thetas[::8]:
-            w = np.asarray(self.initial_history(th, walls), dtype=float)
-            if np.any(np.abs(w) > tol):
-                raise ValueError(
-                    "initial history does not vanish on the walls "
-                    "(psi(%g, {0, pi}) = %s)" % (th, w))
-        fine = self._history_rows(np.linspace(-self.tau, 0.0, 257))
+        coarse = self._psi(thetas, self.grid.points)
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(coarse))))
+        walls = np.abs(self._psi(thetas[::8], np.array([0.0, math.pi])))
+        if np.any(walls > tol):
+            raise ValueError("initial history does not vanish on the walls "
+                             "(|psi| up to %g there)" % walls.max())
+        fine = self._psi(np.linspace(-self.tau, 0.0, 257),
+                         self.grid.points)
         if not np.all(np.isfinite(fine)):
             raise ValueError("initial history evaluated non-finite")
         jump_coarse = float(np.max(np.abs(np.diff(coarse, axis=0))))
@@ -213,24 +210,29 @@ class ProblemSpec:
         # a finite history can still overflow its norm
         with np.errstate(over="ignore"):
             self.psi_h_bound = float(
-                np.max(np.sqrt(h_norm_sq_values(fine, dx))))
+                np.max(np.sqrt(h_norm_sq_values(fine, self.grid.dx))))
         if not math.isfinite(self.psi_h_bound):
             raise ValueError("initial history has an H norm that overflows")
 
-    def _history_rows(self, thetas):
-        """psi(theta, .) at the grid points, one row per theta."""
-        rows = np.empty((len(thetas), self.grid.n_interior))
-        for row, th in zip(rows, thetas):
-            row[...] = self.initial_history(th, self.grid.points)
-        return rows
+    def _psi(self, thetas, xs):
+        """psi(theta, xs) from one call on the (K, 1) column of thetas, as a
+        read-only (K, len(xs)): one broadcast row if psi ignores theta."""
+        shape = (thetas.size, xs.size)
+        psi = np.asarray(call_on_times("initial_history", self.initial_history,
+                                       thetas[:, None], xs), dtype=float)
+        try:
+            return np.broadcast_to(psi, shape)
+        except ValueError:
+            raise ValueError("initial_history gives shape %s on a column of "
+                             "%d thetas, not one that broadcasts to %s"
+                             % (psi.shape, shape[0], shape)) from None
 
     def history_block(self):
-        """Initial history (m+1, n): psi at theta = -m dt, ..., -dt, 0.
-
-        Evaluated on every call and held by nobody but the caller, so a run
-        keeps no (m+1, n) block beside its ring."""
-        return self._history_rows([-(j * self.dt)
-                                   for j in range(self.m_delay, -1, -1)])
+        """Initial history (m+1, n): psi at theta = -m dt, ..., -dt, 0 (see
+        _psi).  Evaluated on every call and held by nobody but the caller,
+        so a run keeps no block beside its ring."""
+        return self._psi(-(np.arange(self.m_delay, -1, -1) * self.dt),
+                         self.grid.points)
 
     def history_values(self, batch: int = 1):
         """Initial ring (m+1, batch, n): history_block copied to every path
@@ -239,6 +241,15 @@ class ProblemSpec:
         ring = np.empty((psi.shape[0], batch, psi.shape[1]))
         ring[...] = psi[:, None, :]
         return ring
+
+    def check_radius(self, k: float):
+        """ValueError for a truncation radius k below the initial data: the
+        larger of psi_h_bound (257 thetas) and the ring's own norms."""
+        ring_sq = h_norm_sq_values(self.history_block(), self.grid.dx)
+        bound = max(self.psi_h_bound, float(np.sqrt(ring_sq.max())))
+        if k < bound:
+            raise ValueError("truncation below initial data: k=%g < psi "
+                             "bound %g" % (k, bound))
 
     def replace(self, **kw) -> "ProblemSpec":
         args = dict(grid=self.grid, op=self.op, drift=self.drift,
@@ -258,11 +269,8 @@ class HistoryBuffer:
     """
 
     def __init__(self, ring, dt, head_time=0.0):
-        ring = np.asarray(ring, dtype=float)
-        if ring.ndim == 2:
-            ring = ring[:, None, :]
-        self._ring = ring
-        self._m = ring.shape[0] - 1
+        self._ring = np.asarray(ring, dtype=float)
+        self._m = self._ring.shape[0] - 1
         self._head = self._m
         self.dt = float(dt)
         self.head_time = float(head_time)
@@ -270,10 +278,6 @@ class HistoryBuffer:
     @classmethod
     def from_problem(cls, p: ProblemSpec, batch: int = 1) -> "HistoryBuffer":
         return cls(p.history_values(batch), p.dt, head_time=0.0)
-
-    @property
-    def m(self) -> int:
-        return self._m
 
     def current(self):
         return self._ring[self._head]
@@ -694,10 +698,7 @@ def truncate_problem(p: ProblemSpec, k: float) -> ProblemSpec:
     """Problem with drift/diffusion composed with radial projection onto
     the H ball of radius k (the device reducing local-Lipschitz existence
     to the globally Lipschitz case).  k must dominate the initial data."""
-    if k < p.psi_h_bound:
-        raise ValueError(
-            "truncation below initial data: k=%g < psi bound %g"
-            % (k, p.psi_h_bound))
+    p.check_radius(k)
     dx = p.grid.dx
     return p.replace(drift=BallClampedCoeff(p.drift, k, dx),
                      diffusion=BallClampedCoeff(p.diffusion, k, dx))

@@ -184,7 +184,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             "expstab preset requires 0 < c^4 < 2 (c=%g, c^4=%g)" % (c, c4))
     op = OperatorCoeff.divergence(
         lambda t, x: np.full_like(np.asarray(x, dtype=float), nu),
-        nu=nu, alpha_upper=nu, time_dependent=False)
+        nu=nu, alpha_upper=nu)
     problem = ProblemSpec(
         grid, op,
         drift=lambda t, u, v: u * (a + b * v - u * u),

@@ -30,7 +30,6 @@ import math
 
 import numpy as np
 
-from .fields import h_norm_sq_values
 from .integrator import ProblemSpec, run_ensemble
 
 __all__ = [
@@ -363,14 +362,10 @@ def explosion_scan(p: ProblemSpec, k_values, n_paths: int,
     provided the initial ring lies in the ball (checked).  The theorem
     predicts the table is nonincreasing in k and heads to 0."""
     ks = np.array([float(k) for k in k_values])
-    if np.any(ks[1:] <= ks[:-1]):
-        raise ValueError("k_values must be increasing")
+    if not ks.size or np.any(ks[1:] <= ks[:-1]):
+        raise ValueError("k_values must be non-empty and increasing")
     q = p.replace(t_final=horizon)
-    ring_h = np.sqrt(h_norm_sq_values(q.history_block(), q.grid.dx))
-    bound = max(q.psi_h_bound, float(ring_h.max()))
-    if np.any(ks < bound):
-        raise ValueError("truncation below initial data: k=%g < psi bound %g"
-                         % (ks[0], bound))
+    q.check_radius(ks[0])
     # the exits need each path's peak norm and status only, which the
     # reducers keep without a per-step trace
     res = run_ensemble(q, range(n_paths), record_steps=(), record_v=0)

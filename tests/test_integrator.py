@@ -146,8 +146,13 @@ def test_initial_history_validation():
     with pytest.raises(ValueError, match="walls"):
         mk(lambda th, x: np.cos(x))           # cos(0) = 1 at the wall
     with pytest.raises(ValueError, match="discontinuous"):
-        mk(lambda th, x: np.sin(x) * (1.0 if th > -0.25 else 2.0))
+        mk(lambda th, x: np.sin(x) * np.where(th > -0.25, 1.0, 2.0))
     mk(lambda th, x: (1 + th) * np.sin(x))    # smooth in theta: accepted
+    # a value that does not broadcast to one row per theta is refused
+    with pytest.raises(ValueError, match="^initial_history gives shape "
+                       r"\(17,\) on a column of 65 thetas, not one that "
+                       r"broadcasts to \(65, 16\)"):
+        mk(lambda th, x: np.append(0.0, np.sin(x)))
 
 
 def test_zero_state_boundedness_check():
@@ -735,3 +740,102 @@ def test_no_problem_holds_a_history_block_after_a_run(monkeypatch):
         held = [name for name, val in vars(q).items()
                 if np.shape(val) == block]
         assert held == []
+
+
+def _loop_history_block(p):
+    """The per-theta loop history_block replaced: one call of psi per
+    theta, on a float theta, at -(j * dt) for j = m, ..., 0."""
+    rows = np.empty((p.m_delay + 1, p.grid.n_interior))
+    thetas = [-(j * p.dt) for j in range(p.m_delay, -1, -1)]
+    for row, th in zip(rows, thetas):
+        row[...] = p.initial_history(th, p.grid.points)
+    return rows
+
+
+@pytest.mark.parametrize("m", [1, 3, 100])
+def test_history_block_equals_the_per_theta_loop(m):
+    # theta is a stored step -37 dt at m = 100, the ring state the spike of
+    # test_stability's psi sits on
+    theta0 = -(37 * 1e-3)
+    psis = [
+        lambda th, x: (1.0 + th) * np.sin(x),
+        lambda th, x: np.exp(3.0 * th) * np.sin(2.0 * x) + th * th * np.sin(x),
+        lambda th, x: (0.5 + 20.0 * np.exp(-((th - theta0) / 1e-6) ** 2))
+        * np.sin(x),
+        lambda th, x: np.sin(x) * np.cos(5.0 * th + x),
+        lambda th, x: 0.1 * np.sin(x),
+    ]
+    for psi in psis:
+        p = ProblemSpec(Grid(31), OperatorCoeff.laplacian(),
+                        drift=lambda t, u, v: np.zeros_like(u),
+                        diffusion=lambda t, u, v: np.zeros_like(u),
+                        tau=0.1, noise=NoiseModel.scalar(),
+                        initial_history=psi, t_final=0.05, dt=0.1 / m)
+        assert p.m_delay == m
+        block = p.history_block()
+        assert block.shape == (m + 1, 31) and not block.flags.writeable
+        assert np.array_equal(block, _loop_history_block(p))
+        assert np.array_equal(p.history_values(2)[:, 1], block)
+
+
+def test_a_theta_independent_history_block_is_one_row():
+    p = zero_problem(tau=1.0, dt=1e-3)
+    block = p.history_block()
+    assert block.shape == (1001, 31) and block.strides[0] == 0
+    assert np.array_equal(block, _loop_history_block(p))
+
+
+@pytest.mark.parametrize("m", [1, 10, 1000])
+def test_psi_is_called_once_per_ring_whatever_m(monkeypatch, m):
+    calls = []
+
+    def psi(th, x):
+        calls.append(np.shape(th))
+        return (1.0 + th) * np.sin(x)
+    p = ProblemSpec(Grid(15), OperatorCoeff.laplacian(),
+                    drift=lambda t, u, v: -u,
+                    diffusion=lambda t, u, v: np.zeros_like(u),
+                    tau=1.0, noise=NoiseModel.scalar(), initial_history=psi,
+                    t_final=2e-3, dt=1.0 / m)
+    assert p.m_delay == m
+    # the coarse and fine continuity grids and the walls
+    assert calls == [(65, 1), (9, 1), (257, 1)]
+    del calls[:]
+    p.history_values(4)
+    assert calls == [(m + 1, 1)]
+    del calls[:]
+    from sedes import integrator
+    monkeypatch.setattr(integrator, "PATH_CHUNK", 2)
+    run_ensemble(p, range(5), record_steps=())
+    assert calls == [(m + 1, 1)] * 3          # one ring per chunk of 2
+
+
+@pytest.mark.parametrize("a_fn, per_step", [
+    (None, False),
+    (lambda t, x: 1.0 + 0.5 * np.sin(x) ** 2, False),
+    (lambda t, x: np.full_like(np.asarray(x, dtype=float), 1.5), False),
+    (lambda t, x: 1.0 + 0.5 * np.sin(3.0 * t + x) ** 2, True),
+    (lambda t, x: 1.25 + 0.0 * t, True),      # a t axis, if a constant one
+    (lambda t, x: 1.0 + 0.5 * np.sin(t) ** 2 + 0.0 * x, True),
+])
+def test_the_operator_is_factored_once_unless_a_has_a_t_axis(monkeypatch,
+                                                              a_fn, per_step):
+    from sedes import integrator
+    made = []
+
+    class Counted(integrator._TridiagFactor):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(integrator, "_TridiagFactor", Counted)
+    op = (OperatorCoeff.laplacian() if a_fn is None
+          else OperatorCoeff.divergence(a_fn, nu=1.0, alpha_upper=1.5))
+    p = ProblemSpec(Grid(15), op, drift=lambda t, u, v: -u,
+                    diffusion=lambda t, u, v: 0.5 * v, tau=0.02,
+                    noise=NoiseModel.scalar(seed=1),
+                    initial_history=lambda th, x: np.sin(x),
+                    t_final=0.1, dt=1e-2)
+    assert op.time_dependent == per_step
+    run_ensemble(p, range(3))
+    run_ensemble(p, range(2))
+    assert len(made) == (2 * p.n_steps if per_step else 1)

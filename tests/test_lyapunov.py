@@ -610,6 +610,41 @@ def test_problem_rejects_coefficients_written_for_a_scalar_t():
              nu=1.25, alpha_upper=1.75))
 
 
+def test_problem_names_a_callable_that_branches_on_a_scalar_t():
+    # an if on t or theta asks numpy for the truth value of a column, whose
+    # bare ValueError names nothing; construction names the callable, keeps
+    # numpy's message and gives the broadcast rule
+    def make(op=OperatorCoeff.laplacian(), drift=lambda t, u, v: 0.0 * u,
+             diffusion=lambda t, u, v: 0.5 * v,
+             psi=lambda th, x: 0.1 * np.sin(x)):
+        return ProblemSpec(Grid(16), op, drift=drift, diffusion=diffusion,
+                           tau=0.5, noise=NoiseModel.scalar(),
+                           initial_history=psi, t_final=1.0, dt=0.01)
+
+    def rule(name):
+        return (r"^%s raised ValueError on an \(S, 1\) column of times: "
+                r"The truth value of an array .* is ambiguous.*; it must "
+                r"broadcast over t .*np\.where\(t > 1, a, b\), not a if "
+                r"t > 1 else b" % name)
+    with pytest.raises(ValueError, match=rule("drift")):
+        make(drift=lambda t, u, v: -u if t > 0.5 else -2.0 * u)
+    with pytest.raises(ValueError, match=rule("diffusion")):
+        make(diffusion=lambda t, u, v: v if t > 0.5 else 0.0 * v)
+    with pytest.raises(ValueError, match=rule("a_fn")):
+        make(op=OperatorCoeff.divergence(
+            lambda t, x: 1.5 + (0.25 if t > 0.5 else 0.0) * np.cos(x),
+            nu=1.25, alpha_upper=1.75))
+    with pytest.raises(ValueError, match=rule("initial_history")):
+        make(psi=lambda th, x: np.sin(x) * (1.0 if th > -0.25 else 2.0))
+    # the same callables written with np.where broadcast
+    make(drift=lambda t, u, v: -u * np.where(t > 0.5, 1.0, 2.0),
+         diffusion=lambda t, u, v: v * np.where(t > 0.5, 1.0, 0.0),
+         op=OperatorCoeff.divergence(
+             lambda t, x: 1.5 + np.where(t > 0.5, 0.25, 0.0) * np.cos(x),
+             nu=1.25, alpha_upper=1.75),
+         psi=lambda th, x: np.sin(x) * (1.5 + 0.5 * np.cos(th)))
+
+
 @pytest.mark.parametrize("block", [1, 7, 128])
 def test_a_whole_block_functional_raises_at_every_block_size(monkeypatch,
                                                              block):

@@ -64,7 +64,6 @@ def test_eq24_parameter_gates():
 def test_eq24_operator_is_divergence_form_with_nu():
     pre = make_preset("eq24", nu=2.0)
     op = pre.problem.op
-    assert op.kind == "variable_divergence"
     assert not op.time_dependent
     mids = op.midpoint_values(0.0, pre.problem.grid)
     assert np.all(mids == 2.0)

@@ -25,6 +25,7 @@ from sedes import (
     truncate_problem,
 )
 from sedes import stability
+from sedes.fields import h_norm_sq_values
 
 # roots of eps + a2 e^{eps tau} = a1, frozen from a 40-digit mpmath solve
 EPS1_2_1_1 = 0.44285440100238858
@@ -332,9 +333,11 @@ def test_explosion_scan_checks_the_initial_ring_itself():
                     t_final=0.05, dt=1e-3)
     assert p.dt == 1e-3
     ring_max = float(np.max(np.sqrt(
-        stability.h_norm_sq_values(p.history_values(), p.grid.dx))))
+        h_norm_sq_values(p.history_values(), p.grid.dx))))
     assert p.psi_h_bound < 1.0 < 20.0 < ring_max
-    truncate_problem(p, 2.0)        # the theta-grid bound lets k = 2 pass
+    # truncate_problem and the scan share the bound: neither lets k = 2 pass
+    with pytest.raises(ValueError, match="truncation below initial data"):
+        truncate_problem(p, 2.0)
     with pytest.raises(ValueError, match="truncation below initial data"):
         explosion_scan(p, [2.0, 4.0], 4, horizon=0.05)
     rows = explosion_scan(p, [2 * ring_max, 4 * ring_max], 4, horizon=0.05)
