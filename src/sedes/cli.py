@@ -58,7 +58,7 @@ MAX_RUN_BYTES = 8 * 2 ** 30
 MAX_STEPS = 2 ** 63
 # floats per grid point held by the problem's set-up (the initial-history
 # check) or by one block of checker samples, whichever is larger;
-# tracemalloc measures 330 and 840 at grid 255, 540 and 1050 at grid 63
+# tracemalloc measures 835 and 845 at grid 31, 570 and 795 at grid 63
 SETUP_FLOATS_PER_POINT = 1024
 # floats per path that the explosion scan's reducers and bookkeeping hold
 # (ids, explosion times, peak norms), an upper bound: tracemalloc measures
@@ -327,7 +327,7 @@ def run(cfg) -> int:
             try:
                 rep = fn(p, preset.lyapunov, sampler, int(cfg["n_samples"]))
             except ValueError as err:
-                # coefficients too large for a float on the sampled states
+                # LU too large for a float, or a NaN margin, on a sample
                 raise ConfigError("%s check: %s" % (nm, err)) from err
             reports.append(rep)
             print("condition %-12s %s (max violation %.3e over %d samples)"

@@ -15,17 +15,21 @@ with <A x, x>_H evaluated through the summation-by-parts identity so the
 coercive term is exact at the discrete level.  That is the one U the
 checkers evaluate.
 
-The three checkers draw (t, x, y) samples in blocks of SAMPLE_BLOCK and
-evaluate each block on (S, n) arrays with the kernels of fields.py: LU
-and both sides of every inequality become a few numpy calls per block,
-and the relative violations
+One engine runs the three checks: check_khasminskii, check_lasalle and
+check_exponential declare their theorem's constants, functionals and
+families and the right-hand side of its bound on LU.  The engine draws
+(t, x, y) samples in blocks of SAMPLE_BLOCK, evaluates each block on
+(S, n) arrays with the kernels of fields.py, and the relative violations
 
     (lhs - rhs) / (1 + |lhs| + |rhs|)
 
 form an (S, F) array with one column per inequality family.  The report
 keeps the first maximum in (sample, family) order, carried across
 blocks, which is the sample and family a one-sample-at-a-time loop would
-keep; it passes when no family exceeds the tolerance, 1e-8.
+keep; it passes when no family exceeds the tolerance, 1e-8.  A check
+never passes on what it cannot evaluate: a non-finite LU, or a NaN
+margin (a functional or gamma NaN on a sample, or an infinite
+right-hand side), raises ValueError naming the sample.
 The relative floor does not absorb the gap between the grid operator
 and its continuum: the presets' constants use the continuum spectral gap
 (1, or nu for eq24), while the grid Laplacian's is
@@ -96,23 +100,21 @@ def _rows(values, S, name):
                          % (name, S, np.shape(values))) from None
 
 
-def _probe_rows(L, sampler, dx, names):
+def _probe_rows(sampler, names, call):
     """ValueError for a functional or gamma, named by its LyapunovSpec
-    attribute, that gives one value on the block of samples 0 and 1 but
-    other values on each sample alone: it reduces over the whole block.
-    A constant passes; any other shape is left to _rows.  The probe does
-    not depend on SAMPLE_BLOCK, so neither does a report."""
+    attribute and evaluated by call(name, block), that gives one value on
+    the block of samples 0 and 1 but other values on each sample alone: it
+    reduces over the whole block.  A constant passes; any other shape is
+    left to _rows.  The probe does not depend on SAMPLE_BLOCK, so neither
+    does a report."""
     t, X, _ = sampler.sample_block(np.arange(2))
     for name in names:
-        fn = getattr(L, name)
-
-        def call(s):
-            return fn(t[s]) if name == "gamma_fn" else fn(X[s], dx)
-        both = np.asarray(call(slice(0, 2)), dtype=float)
+        V = t if name == "gamma_fn" else X
+        both = np.asarray(call(name, V[0:2]), dtype=float)
         if both.ndim:
             continue
         both = float(both)
-        alone = [float(_rows(call(slice(s, s + 1)), 1, name)[0])
+        alone = [float(_rows(call(name, V[s:s + 1]), 1, name)[0])
                  for s in (0, 1)]
         if any(a != both and not (math.isnan(a) and math.isnan(both))
                for a in alone):
@@ -236,14 +238,13 @@ class _Worst:
 
     def update_flagged(self, failed, margin, desc):
         # for strict or boolean hypotheses, where a tie must register as a
-        # failure: a failing sample scores at least 1.0, a passing one
-        # scores its genuine (nonpositive) margin
+        # failure: a failing sample scores at least 1.0 (1.0 when its
+        # margin is NaN), a passing one its genuine (nonpositive) margin
         if failed:
-            margin = max(margin, 1.0)
+            margin = max(1.0, margin)
         if margin > self.margin:
             self.margin = margin
             self.where = desc
-        return margin
 
     def update_block(self, margins, describe):
         """Fold in an (S, F) array of margins, one column per family.
@@ -337,16 +338,18 @@ def _lu_block(p, t, X, Y):
     """LU(t_s, X_s, Y_s) = 2<A x, x> + 2<f, x> + ||g||^2 for each row of an
     (S, n) block, as an (S,) array."""
     dx, tc = p.grid.dx, t[:, None]
-    # an overflow is reported by the finiteness check below
+
+    def coeff(fn):
+        return np.broadcast_to(np.asarray(fn(tc, X, Y), dtype=float),
+                               X.shape)
+    # an overflow is reported by the finiteness check below; each term is
+    # summed in before the next coefficient is evaluated, so the block's
+    # drift is freed before its diffusion is formed
     with np.errstate(over="ignore", invalid="ignore"):
-        F = np.broadcast_to(np.asarray(p.drift(tc, X, Y), dtype=float),
-                            X.shape)
-        G = np.broadcast_to(np.asarray(p.diffusion(tc, X, Y), dtype=float),
-                            X.shape)
         a_mid = p.op.midpoint_values(tc, p.grid)
-        out = (2.0 * operator_quad_form_values(a_mid, X, dx)
-               + 2.0 * dx * np.sum(F * X, axis=-1)
-               + h_norm_sq_values(G, dx))
+        out = 2.0 * operator_quad_form_values(a_mid, X, dx)
+        out = out + 2.0 * dx * np.sum(coeff(p.drift) * X, axis=-1)
+        out = out + h_norm_sq_values(coeff(p.diffusion), dx)
     if not np.all(np.isfinite(out)):
         raise ValueError("evaluation overflow")
     return out
@@ -369,21 +372,13 @@ def _gamma_integral(L, t_final, mu=None):
     g = _rows(L.gamma_fn(ts), ts.size, "gamma_fn")
     # an overflow is reported by the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        if mu is None:
-            w = g
-        elif not np.any(g != 0.0):
-            return 0.0
-        elif math.isinf(mu):
-            return math.inf
-        else:
-            w = g * np.exp(mu * ts)
-        return float(np.trapezoid(w, ts))
-
-
-def _constants_family(L, worst, names):
-    for msg in L.constant_violations():
-        if any(msg.startswith(nm) for nm in names):
-            worst.update_flagged(True, 1.0, "constants: " + msg)
+        if mu is not None:
+            if not np.any(g != 0.0):
+                return 0.0
+            if math.isinf(mu):
+                return math.inf
+            g = g * np.exp(mu * ts)
+        return float(np.trapezoid(g, ts))
 
 
 def _blocks(sampler, n):
@@ -396,9 +391,66 @@ def _blocks(sampler, n):
         yield start, t, X, Y
 
 
-def _state_desc(what, i, t, x, y, dx):
-    return ("%s at sample %d: t=%.3f, |x|_H=%.3f, |y|_H=%.3f"
-            % (what, i, t, _h_of(x, dx), _h_of(y, dx)))
+def _check(name, p, L, sampler, n, constants, functionals, families, rows,
+           zero=(), gamma=None):
+    """One theorem's sampled check, as its check_* function declares it:
+    the LyapunovSpec constants and functionals it needs; its families, the
+    bound LU <= rhs first; rows(t, X, Y, dx, fn), giving rhs on a block
+    and (margins, describe(sample, row)) for each further family, with
+    fn(name, V) the named functional on states V (gamma on times), one
+    value per row; the functionals vanishing at x = 0; and gamma's
+    (extras key, message, mu), weighted by e^{mu t} unless mu is None.
+    Constants and the zero check enter first, gamma's quadrature last."""
+    missing = [nm for nm in constants + functionals if getattr(L, nm) is None]
+    if missing:
+        raise ValueError("check_%s needs %s set in its LyapunovSpec"
+                         % (name, ", ".join(missing)))
+    dx = p.grid.dx
+
+    def call(nm, V):
+        # gamma maps the sample times, every other functional states
+        f = getattr(L, nm)
+        return f(V) if nm == "gamma_fn" else f(V, dx)
+
+    def fn(nm, V):
+        return _rows(call(nm, V), V.shape[0], nm)
+    _probe_rows(sampler, functionals, call)
+    worst = _Worst(families)
+    named = {nm: getattr(L, nm) for nm in constants}
+    for msg in LyapunovSpec(enforce_constants=False,
+                            **named).constant_violations():
+        worst.update_flagged(True, 1.0, "constants: " + msg)
+    if zero:
+        at0 = [float(fn(nm, np.zeros((1, p.grid.n_interior)))[0])
+               for nm in zero]
+        bad = any(v != 0.0 for v in at0)
+        worst.update_flagged(bad, sum(map(abs, at0)) if bad else -math.inf,
+                             ", ".join("%s(0)=%g" % (nm[:-3], v) for nm, v
+                                       in zip(zero, at0)) + " not both zero")
+    for start, t, X, Y in _blocks(sampler, n):
+        lhs = _lu_block(p, t, X, Y)
+        rhs, further = rows(t, X, Y, dx, fn)
+        margins = np.column_stack([_margin(lhs, rhs)]
+                                  + [m for m, _ in further])
+        nan = np.isnan(margins)
+        if nan.any():
+            s, f = divmod(int(np.argmax(nan)), nan.shape[1])
+            raise ValueError("check_%s: the %s margin is NaN at sample %d (a "
+                             "functional or gamma is NaN there, or the "
+                             "right-hand side infinite)"
+                             % (name, families[f], start + s))
+        describe = [lambda i, s: "%s at sample %d: t=%.3f, |x|_H=%.3f, "
+                    "|y|_H=%.3f" % (families[0], i, t[s], _h_of(X[s], dx),
+                                    _h_of(Y[s], dx))]
+        describe += [d for _, d in further]
+        worst.update_block(margins, lambda s, f: describe[f](start + s, s))
+    extras = {}
+    if gamma is not None:
+        key, msg, mu = gamma
+        extras[key] = _gamma_integral(L, p.t_final, mu)
+        worst.update_flagged(not math.isfinite(extras[key]), -math.inf, msg)
+    extras["max_violation_by_family"] = worst.by_family()
+    return ConditionReport(name, n, worst.margin, worst.where, extras=extras)
 
 
 def check_khasminskii(p, L: LyapunovSpec, sampler, n) -> ConditionReport:
@@ -406,26 +458,13 @@ def check_khasminskii(p, L: LyapunovSpec, sampler, n) -> ConditionReport:
 
         LU(t,x,y) <= lam1 [1 + U(t,x) + U(t-tau,y) + W(y)] - lam2 W(x)
 
-    on n sampled states."""
-    if L.lam1 is None or L.lam2 is None or L.W_fn is None:
-        raise ValueError("check_khasminskii needs lam1, lam2 and W_fn")
-    dx = p.grid.dx
-    _probe_rows(L, sampler, dx, ("W_fn",))
-    worst = _Worst(("growth bound",))
-    _constants_family(L, worst, ("lam1", "lam2"))
-    for start, t, X, Y in _blocks(sampler, n):
-        lhs = _lu_block(p, t, X, Y)
-        rhs = (L.lam1 * (1.0 + h_norm_sq_values(X, dx)
-                         + h_norm_sq_values(Y, dx)
-                         + _rows(L.W_fn(Y, dx), t.size, "W_fn"))
-               - L.lam2 * _rows(L.W_fn(X, dx), t.size, "W_fn"))
-        worst.update_block(
-            _margin(lhs, rhs)[:, None],
-            lambda s, f: _state_desc("growth bound", start + s, t[s], X[s],
-                                     Y[s], dx))
-    return ConditionReport("khasminskii", n, worst.margin, worst.where,
-                           extras={"max_violation_by_family":
-                                       worst.by_family()})
+    on n sampled states, and lam1, lam2 > 0."""
+    def rows(t, X, Y, dx, fn):
+        return (L.lam1 * (1.0 + h_norm_sq_values(X, dx)
+                          + h_norm_sq_values(Y, dx) + fn("W_fn", Y))
+                - L.lam2 * fn("W_fn", X)), ()
+    return _check("khasminskii", p, L, sampler, n, ("lam1", "lam2"),
+                  ("W_fn",), ("growth bound",), rows)
 
 
 def check_lasalle(p, L: LyapunovSpec, sampler, n) -> ConditionReport:
@@ -435,43 +474,20 @@ def check_lasalle(p, L: LyapunovSpec, sampler, n) -> ConditionReport:
 
     strictness w1 > w2 away from zero (with w1(0) = w2(0) = 0), and
     integrability of gamma by quadrature."""
-    if L.w1_fn is None or L.w2_fn is None or L.gamma_fn is None:
-        raise ValueError("check_lasalle needs w1_fn, w2_fn and gamma_fn")
-    dx = p.grid.dx
-    _probe_rows(L, sampler, dx, ("w1_fn", "w2_fn", "gamma_fn"))
-    worst = _Worst(("dissipation bound", "strictness"))
-    zero = np.zeros((1, p.grid.n_interior))
-    w10 = float(_rows(L.w1_fn(zero, dx), 1, "w1_fn")[0])
-    w20 = float(_rows(L.w2_fn(zero, dx), 1, "w2_fn")[0])
-    zero_bad = w10 != 0.0 or w20 != 0.0
-    worst.update_flagged(zero_bad,
-                         abs(w10) + abs(w20) if zero_bad else -math.inf,
-                         "w1(0)=%g, w2(0)=%g not both zero" % (w10, w20))
-    for start, t, X, Y in _blocks(sampler, n):
-        lhs = _lu_block(p, t, X, Y)
-        w1x = _rows(L.w1_fn(X, dx), t.size, "w1_fn")
-        w2x = _rows(L.w2_fn(X, dx), t.size, "w2_fn")
-        rhs = (_rows(L.gamma_fn(t), t.size, "gamma_fn") - w1x
-               + _rows(L.w2_fn(Y, dx), t.size, "w2_fn"))
+    def rows(t, X, Y, dx, fn):
+        w1x, w2x = fn("w1_fn", X), fn("w2_fn", X)
+        rhs = fn("gamma_fn", t) - w1x + fn("w2_fn", Y)
         strict = (w2x - w1x) / (1.0 + np.abs(w1x) + np.abs(w2x))
         # update_flagged's rule: a failure scores at least 1.0
         strict = np.where(w1x > w2x, strict, np.maximum(strict, 1.0))
-
-        def describe(s, f):
-            if f == 0:
-                return _state_desc("dissipation bound", start + s, t[s],
-                                   X[s], Y[s], dx)
-            return ("strictness w1 > w2 at sample %d (w1=%g, w2=%g)"
-                    % (start + s, w1x[s], w2x[s]))
-        worst.update_block(
-            np.column_stack([_margin(lhs, rhs), strict]), describe)
-    gamma_int = _gamma_integral(L, p.t_final)
-    worst.update_flagged(not math.isfinite(gamma_int), -math.inf,
-                         "gamma quadrature not finite")
-    return ConditionReport("lasalle", n, worst.margin, worst.where,
-                           extras={"gamma_integral": gamma_int,
-                                   "max_violation_by_family":
-                                       worst.by_family()})
+        return rhs, ((strict, lambda i, s: "strictness w1 > w2 at sample %d"
+                      " (w1=%g, w2=%g)" % (i, w1x[s], w2x[s])),)
+    return _check("lasalle", p, L, sampler, n, (),
+                  ("w1_fn", "w2_fn", "gamma_fn"),
+                  ("dissipation bound", "strictness"), rows,
+                  zero=("w1_fn", "w2_fn"),
+                  gamma=("gamma_integral", "gamma quadrature not finite",
+                         None))
 
 
 def check_exponential(p, L: LyapunovSpec, sampler, n) -> ConditionReport:
@@ -481,30 +497,13 @@ def check_exponential(p, L: LyapunovSpec, sampler, n) -> ConditionReport:
               - alpha3 W1(x) + alpha4 W1(y),
 
     the constants ordering, and finiteness of int gamma(t) e^{mu t} dt."""
-    need = (L.alpha1, L.alpha2, L.alpha3, L.alpha4, L.mu, L.W1_fn,
-            L.gamma_fn)
-    if any(v is None for v in need):
-        raise ValueError("check_exponential needs alpha1..4, mu, W1_fn and "
-                         "gamma_fn")
-    dx = p.grid.dx
-    _probe_rows(L, sampler, dx, ("W1_fn", "gamma_fn"))
-    worst = _Worst(("decay bound",))
-    _constants_family(L, worst, ("alpha", "mu"))
-    for start, t, X, Y in _blocks(sampler, n):
-        lhs = _lu_block(p, t, X, Y)
-        rhs = (_rows(L.gamma_fn(t), t.size, "gamma_fn")
-               - L.alpha1 * h_norm_sq_values(X, dx)
-               + L.alpha2 * h_norm_sq_values(Y, dx)
-               - L.alpha3 * _rows(L.W1_fn(X, dx), t.size, "W1_fn")
-               + L.alpha4 * _rows(L.W1_fn(Y, dx), t.size, "W1_fn"))
-        worst.update_block(
-            _margin(lhs, rhs)[:, None],
-            lambda s, f: _state_desc("decay bound", start + s, t[s], X[s],
-                                     Y[s], dx))
-    gamma_int = _gamma_integral(L, p.t_final, mu=L.mu)
-    worst.update_flagged(not math.isfinite(gamma_int), -math.inf,
-                         "int gamma e^{mu t} dt diverges on [0, t_final]")
-    return ConditionReport("exponential", n, worst.margin, worst.where,
-                           extras={"gamma_exp_integral": gamma_int,
-                                   "max_violation_by_family":
-                                       worst.by_family()})
+    def rows(t, X, Y, dx, fn):
+        return (fn("gamma_fn", t) - L.alpha1 * h_norm_sq_values(X, dx)
+                + L.alpha2 * h_norm_sq_values(Y, dx)
+                - L.alpha3 * fn("W1_fn", X) + L.alpha4 * fn("W1_fn", Y)), ()
+    return _check("exponential", p, L, sampler, n,
+                  ("alpha1", "alpha2", "alpha3", "alpha4", "mu"),
+                  ("W1_fn", "gamma_fn"), ("decay bound",), rows,
+                  gamma=("gamma_exp_integral",
+                         "int gamma e^{mu t} dt diverges on [0, t_final]",
+                         L.mu))

@@ -553,6 +553,33 @@ def test_preflight_names_the_size_and_admits_the_desk_runs(tmp_path):
         is None
 
 
+@pytest.mark.parametrize("grid_n", [31, 63])
+def test_setup_floats_cover_one_block_of_each_check(grid_n):
+    # _run_bytes counts SETUP_FLOATS_PER_POINT floats per grid point for
+    # one block of checker samples; tracemalloc's peak over a one-block
+    # check (after a warm-up call) stays within it for every preset: about
+    # 845 at grid 31 and 795 at grid 63, so two more (128, n) temporaries
+    # per block would not
+    import tracemalloc
+    from sedes import FourierSampler
+    from sedes.cli import _CHECKERS, SETUP_FLOATS_PER_POINT
+    from sedes.lyapunov import SAMPLE_BLOCK
+    for preset, checks in _CHECKERS.items():
+        pre = make_preset(preset, grid_n=grid_n)
+        p = pre.problem
+        s = FourierSampler(p.grid, t_max=p.t_final)
+        for name, check in checks:
+            check(p, pre.lyapunov, s, SAMPLE_BLOCK)
+            tracemalloc.start()
+            try:
+                check(p, pre.lyapunov, s, SAMPLE_BLOCK)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            floats = peak / 8.0 / grid_n
+            assert floats <= SETUP_FLOATS_PER_POINT, (preset, name, floats)
+
+
 def test_preflight_counts_one_path_chunk_and_no_per_step_trace():
     # the ensemble holds one chunk's ring and its record-time norms, so a
     # 10^4-path eq24 run fits, and its size does not grow with t_final

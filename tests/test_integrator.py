@@ -238,6 +238,25 @@ def test_explosion_detected_and_truncated():
     assert traj.times[-1] < traj.status_time <= 2.0
 
 
+def test_a_squared_norm_at_the_explosion_limit_is_not_an_explosion():
+    # a path explodes when its squared H norm is beyond explosion_limit**2;
+    # path 0 of this eq16 run peaks with a squared norm whose float root
+    # squares back to it bitwise, so that root is a limit the path reaches
+    # exactly
+    p = make_preset("eq16", amplitude=1.0, grid_n=15, tau=0.1,
+                    t_final=0.5).problem
+    step = int(np.argmax(run_ensemble(p, [0], record_v=0).h_norms[0]))
+    x = run_ensemble(p, [0], record_steps=(), record_v=0,
+                     snapshot_steps=[step]).snapshots[step]
+    hn2 = float(h_norm_sq_values(x, p.grid.dx)[0])
+    limit = math.sqrt(hn2)
+    assert step > 0 and limit * limit == hn2
+    res = run_ensemble(p.replace(explosion_limit=limit), [0],
+                       record_steps=(), record_v=0)
+    assert res.statuses[0] == "completed"
+    assert res.peak[0] == limit
+
+
 def test_snapshots_at_requested_times():
     pre = make_preset("heat", grid_n=31, t_final=0.2, dt=1e-3)
     traj = simulate(pre.problem, 0, snapshot_times=(0.0, 0.1))

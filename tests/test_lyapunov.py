@@ -676,3 +676,62 @@ def test_a_whole_block_functional_raises_at_every_block_size(monkeypatch,
     # a constant, such as every preset's gamma lambda t: 0.0, passes
     assert check_lasalle(eq6.problem, L6, default_sampler(eq6.problem),
                          300).passed
+
+
+# ---------------------------------------------------------------------------
+# A check never passes on what it cannot evaluate: a functional or gamma
+# that is NaN on a sample makes that sample's margin NaN, and the check
+# raises, naming itself, the family and the first such sample.
+
+def _nan(v, dx):
+    return np.full(v.shape[0], np.nan)
+
+
+def test_khasminskii_raises_on_a_nan_functional():
+    pre = make_preset("eq16")
+    L = LyapunovSpec(W_fn=_nan, lam1=pre.lyapunov.lam1,
+                     lam2=pre.lyapunov.lam2)
+    with pytest.raises(ValueError, match="check_khasminskii: the growth "
+                                         "bound margin is NaN at sample 0 "):
+        check_khasminskii(pre.problem, L, default_sampler(pre.problem), 2000)
+
+
+def test_exponential_raises_on_a_nan_functional():
+    pre = make_preset("eq24")
+    L = pre.lyapunov
+    spec = LyapunovSpec(W1_fn=_nan, gamma_fn=L.gamma_fn, alpha1=L.alpha1,
+                        alpha2=L.alpha2, alpha3=L.alpha3, alpha4=L.alpha4,
+                        mu=L.mu)
+    with pytest.raises(ValueError, match="check_exponential: the decay "
+                                         "bound margin is NaN at sample 0 "):
+        check_exponential(pre.problem, spec, default_sampler(pre.problem),
+                          2000)
+
+
+def test_lasalle_raises_on_the_first_sample_a_functional_is_nan():
+    # w1 is NaN wherever |x|_H^2 > 1, first at sample 1 of the seed-0
+    # stream; the dissipation bound is the first family of that sample
+    def w1(v, dx):
+        h2 = h_norm_sq_values(v, dx)
+        return np.where(h2 > 1.0, np.nan, 2.0 * h2)
+    pre = make_preset("eq6")
+    L = LyapunovSpec(w1_fn=w1, w2_fn=h_norm_sq_values,
+                     gamma_fn=lambda t: 0.0)
+    with pytest.raises(ValueError, match="check_lasalle: the dissipation "
+                                         "bound margin is NaN at sample 1 "):
+        check_lasalle(pre.problem, L, default_sampler(pre.problem), 2000)
+
+
+def test_lasalle_zero_check_fails_on_a_nan_at_zero():
+    # w1(0) = NaN is not zero: the flagged failure scores 1.0, as any other
+    pre = make_preset("eq6")
+    L6 = pre.lyapunov
+
+    def w1(v, dx):
+        return np.where(h_norm_sq_values(v, dx) > 0.0, L6.w1_fn(v, dx),
+                        np.nan)
+    L = LyapunovSpec(w1_fn=w1, w2_fn=L6.w2_fn, gamma_fn=L6.gamma_fn)
+    rep = check_lasalle(pre.problem, L, default_sampler(pre.problem), 200)
+    assert not rep.passed
+    assert rep.max_violation == 1.0
+    assert rep.argmax_sample == "w1(0)=nan, w2(0)=0 not both zero"

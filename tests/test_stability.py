@@ -18,10 +18,12 @@ from sedes import (
     make_preset,
     ms_ensemble,
     run_ensemble,
+    simulate,
     simulate_paths,
     solve_decay,
     solve_eps1,
     solve_eps2,
+    stopping_time_sigma_k,
     truncate_problem,
 )
 from sedes import stability
@@ -192,6 +194,19 @@ def test_explosion_scan_heat_never_crosses():
         explosion_scan(pre.problem, [4.0, 2.0], 4, horizon=1.0)
     with pytest.raises(ValueError, match="truncation below initial data"):
         explosion_scan(pre.problem, [0.5, 2.0], 4, horizon=1.0)
+
+
+def test_a_path_whose_peak_equals_k_exits_in_the_scan_and_in_sigma_k():
+    # k is path 0's peak H norm to the bit, and reaching k means >= in the
+    # one-pass scan as in stopping_time_sigma_k; path 1 peaks above k,
+    # paths 2 and 3 below
+    p = make_preset("eq16", amplitude=1.0, grid_n=15, tau=0.1,
+                    t_final=0.5).problem
+    k = float(run_ensemble(p, range(4), record_steps=(), record_v=0).peak[0])
+    exits = [stopping_time_sigma_k(simulate(p, i), k) is not None
+             for i in range(4)]
+    assert exits == [True, True, False, False]
+    assert explosion_scan(p, [k], 4, horizon=0.5)[0].probability == 0.5
 
 
 def test_exploded_paths_are_counted_not_dropped():
