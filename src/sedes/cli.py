@@ -57,8 +57,8 @@ MAX_RUN_BYTES = 8 * 2 ** 30
 # the step index is a 64-bit word of the noise key
 MAX_STEPS = 2 ** 63
 # floats per grid point held by the problem's set-up (the initial-history
-# check) or by one block of checker samples, whichever is larger;
-# tracemalloc measures 835 and 845 at grid 31, 570 and 795 at grid 63
+# check) or by a check, one block of samples at a time, whichever is
+# larger; tracemalloc measures 835 and 915 at grid 31, 570 and 815 at 63
 SETUP_FLOATS_PER_POINT = 1024
 # floats per path that the explosion scan's reducers and bookkeeping hold
 # (ids, explosion times, peak norms), an upper bound: tracemalloc measures

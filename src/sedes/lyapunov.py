@@ -26,10 +26,11 @@ families and the right-hand side of its bound on LU.  The engine draws
 form an (S, F) array with one column per inequality family.  The report
 keeps the first maximum in (sample, family) order, carried across
 blocks, which is the sample and family a one-sample-at-a-time loop would
-keep; it passes when no family exceeds the tolerance, 1e-8.  A check
-never passes on what it cannot evaluate: a non-finite LU, or a NaN
-margin (a functional or gamma NaN on a sample, or an infinite
-right-hand side), raises ValueError naming the sample.
+keep; it passes when no family exceeds the tolerance, 1e-8.  An infinite
+right-hand side takes the margin's limit, +1 at -inf and -1 at +inf.  A
+check never passes on what it cannot evaluate: a non-finite LU, or a NaN
+margin (a NaN functional or gamma, or a right-hand side inf - inf),
+raises ValueError naming the sample.
 The relative floor does not absorb the gap between the grid operator
 and its continuum: the presets' constants use the continuum spectral gap
 (1, or nu for eq24), while the grid Laplacian's is
@@ -55,10 +56,10 @@ Drift, diffusion and the operator coefficient a(t, x) broadcast over t:
 each is called once per block, with the (S, 1) column of the block's
 sample times beside the (S, n) arrays of states.
 
-Samples are a prefix-extension stream whose rows are bitwise independent
-of the block they are drawn in: growing the sample count only appends
-samples, so a failed report can never turn into a pass with the same
-seed, and the block size never changes a report.
+Samples are FourierSampler's keyed streams, each row bitwise independent
+of its block, and a check holds one block at a time.  Growing the sample
+count only appends samples, so a failed report can never turn into a
+pass with the same seed, and the block size never changes a report.
 """
 
 import math
@@ -267,11 +268,10 @@ class _Worst:
 
 
 def _margin(lhs, rhs):
-    return (lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
-
-
-def _h_of(values, dx) -> float:
-    return math.sqrt(float(h_norm_sq_values(values, dx)))
+    # inf/inf at an infinite rhs (lhs is finite) is the limit, -sign(rhs)
+    with np.errstate(invalid="ignore"):
+        m = (lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+    return np.where(rhs == -np.inf, 1.0, np.where(rhs == np.inf, -1.0, m))
 
 
 class FourierSampler:
@@ -279,11 +279,14 @@ class FourierSampler:
 
     Each sample i yields (t, x, y) with x = sum_{k<=n_modes} c_k sin(k x_j),
     Gaussian coefficients rescaled so the H norm hits a log-uniform target
-    in [norm_lo, norm_hi], and t uniform in [0, t_max].  The stream is
-    keyed by (seed, i): samples are a prefix-extension family, and two
-    checkers with the same seed see the same states.  Samples are drawn
-    in blocks (sample_block); each row of a block is bitwise the same
-    whatever block it is drawn in, and sample(i) is a block of one.
+    in [norm_lo, norm_hi], and t uniform in [0, t_max].  Each draw is keyed
+    (seed, stream, i, ...): uniforms (10, i, 0) for t and (21, i, 0),
+    (31, i, 0) for the targets of x and y; Gaussians (20, i, k), (30, i, k)
+    for the weights of mode k + 1 in x and y.  A block (sample_block) draws
+    its uniforms in one call and its Gaussians in another and forms x and y
+    as one (2, S, n) array.  Each row is bitwise the same whatever block it
+    is drawn in, so samples are a prefix-extension family, two checkers
+    with the same seed see the same states, and sample(i) is a block of one.
     """
 
     def __init__(self, grid, seed=0, t_max=50.0, n_modes=8,
@@ -300,33 +303,32 @@ class FourierSampler:
         self.norm_hi = float(norm_hi)
         k = np.arange(1, self.n_modes + 1)
         self._sines = np.sin(k[:, None] * grid.points[None, :])
-        self._ground_norm = _h_of(self._sines[0], grid.dx)
         self._log_lo = math.log(norm_lo)
         self._log_span = math.log(norm_hi) - math.log(norm_lo)
-
-    def _fields(self, stream, idx):
-        c = keyed_gaussians(self.seed, stream, idx[:, None],
-                            np.arange(self.n_modes)[None, :])
-        # the mode sum in a fixed order, elementwise: a matrix product
-        # would let BLAS blocking tie a row's bits to the block's shape
-        vals = c[:, :1] * self._sines[0]
-        for k in range(1, self.n_modes):
-            vals = vals + c[:, k:k + 1] * self._sines[k]
-        u = keyed_uniforms(self.seed, stream + 1, idx, 0)
-        target = np.array([math.exp(self._log_lo + self._log_span * v)
-                           for v in u.tolist()])
-        hn = np.sqrt(h_norm_sq_values(vals, self.grid.dx))
-        zero = hn == 0.0  # measure-zero draw; fall back to the ground mode
-        vals = np.where(zero[:, None], self._sines[0], vals)
-        hn = np.where(zero, self._ground_norm, hn)
-        return vals * (target / hn)[:, None]
 
     def sample_block(self, indices):
         """(t, X, Y) for a block of sample indices: t has shape (S,), X and
         Y shape (S, n); row s is pure in (seed, indices[s])."""
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        t = self.t_max * keyed_uniforms(self.seed, 10, idx, 0)
-        return t, self._fields(20, idx), self._fields(30, idx)
+        u = keyed_uniforms(self.seed, np.array([[10], [21], [31]]), idx, 0)
+        c = keyed_gaussians(self.seed, np.array([[[20]], [[30]]]),
+                            idx[:, None], np.arange(self.n_modes))
+        # the mode sum in a fixed order, elementwise (BLAS blocking would
+        # tie a row's bits to the block's shape), each product in place
+        XY = np.empty(c.shape[:2] + self._sines.shape[1:])
+        term = np.empty_like(XY)
+        np.copyto(XY, self._sines[0])
+        XY *= c[..., :1]
+        for k in range(1, self.n_modes):
+            np.copyto(term, self._sines[k])
+            term *= c[..., k:k + 1]
+            XY += term
+        del term
+        target = np.array([math.exp(self._log_lo + self._log_span * v)
+                           for v in u[1:].reshape(-1).tolist()])
+        XY *= (target.reshape(2, -1)
+               / np.sqrt(h_norm_sq_values(XY, self.grid.dx)))[..., None]
+        return self.t_max * u[0], XY[0], XY[1]
 
     def sample(self, i):
         """(t, x, y) for sample index i; pure in (seed, i)."""
@@ -386,9 +388,9 @@ def _blocks(sampler, n):
     if n < 0:
         raise ValueError("number of samples must be >= 0, got %d" % n)
     for start in range(0, n, SAMPLE_BLOCK):
-        idx = np.arange(start, min(start + SAMPLE_BLOCK, n))
-        t, X, Y = sampler.sample_block(idx)
-        yield start, t, X, Y
+        # yielded unbound: the generator holds no block while drawing one
+        yield (start,) + sampler.sample_block(
+            np.arange(start, min(start + SAMPLE_BLOCK, n)))
 
 
 def _check(name, p, L, sampler, n, constants, functionals, families, rows,
@@ -429,21 +431,23 @@ def _check(name, p, L, sampler, n, constants, functionals, families, rows,
                                        in zip(zero, at0)) + " not both zero")
     for start, t, X, Y in _blocks(sampler, n):
         lhs = _lu_block(p, t, X, Y)
-        rhs, further = rows(t, X, Y, dx, fn)
+        # an infinite right-hand side is judged by _margin's limit
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs, further = rows(t, X, Y, dx, fn)
         margins = np.column_stack([_margin(lhs, rhs)]
                                   + [m for m, _ in further])
         nan = np.isnan(margins)
         if nan.any():
             s, f = divmod(int(np.argmax(nan)), nan.shape[1])
             raise ValueError("check_%s: the %s margin is NaN at sample %d (a "
-                             "functional or gamma is NaN there, or the "
-                             "right-hand side infinite)"
+                             "NaN functional or gamma, or rhs inf - inf)"
                              % (name, families[f], start + s))
         describe = [lambda i, s: "%s at sample %d: t=%.3f, |x|_H=%.3f, "
-                    "|y|_H=%.3f" % (families[0], i, t[s], _h_of(X[s], dx),
-                                    _h_of(Y[s], dx))]
+                    "|y|_H=%.3f" % (families[0], i, t[s], *np.sqrt(
+                        h_norm_sq_values(np.stack([X[s], Y[s]]), dx)))]
         describe += [d for _, d in further]
         worst.update_block(margins, lambda s, f: describe[f](start + s, s))
+        del t, X, Y     # the block is freed before the next one is drawn
     extras = {}
     if gamma is not None:
         key, msg, mu = gamma

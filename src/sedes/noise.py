@@ -11,13 +11,13 @@ are always performed on buffers padded to a multiple of 64 entries so
 that numpy never routes a straggler through a scalar libm path; this
 keeps the stream bitwise reproducible across batch shapes.
 
-A block of draws is built in place: each absorbed key word runs the
-finalizer on the one array it creates, with one scratch array, each word
-array is freed once its uniforms exist, and Box-Muller and the sqrt(dt)
-scale overwrite the padded buffers.  Every operation is the one an
-allocating evaluation would apply, in the same order, so the bits are
-the same; the block never holds more than a few arrays of its size, and
-a reused heap block is not faulted in again on the next draw.
+Integer operations on uint64 arrays, 0-d ones included, wrap modulo 2^64
+silently; a numpy scalar add warns, so the seed's first add is done on
+Python ints.  A block of draws is built in place (one scratch array per
+hash, each word array freed once its uniforms exist, Box-Muller and the
+sqrt(dt) scale on the padded buffers) by the operations of an allocating
+evaluation, in the same order, so the bits are the same; it holds a few
+arrays of its size at most.
 """
 
 import math
@@ -41,25 +41,21 @@ def _mix64(z):
     """SplitMix64 finalizer (bijective), run in place on the writable uint64
     array z with one scratch array; returns z."""
     tmp = np.empty_like(z)
-    with np.errstate(over="ignore"):
-        for shift, mult in ((_S30, _MIX1), (_S27, _MIX2)):
-            np.bitwise_xor(z, np.right_shift(z, shift, out=tmp), out=z)
-            np.multiply(z, mult, out=z)
+    for shift, mult in ((_S30, _MIX1), (_S27, _MIX2)):
+        np.bitwise_xor(z, np.right_shift(z, shift, out=tmp), out=z)
+        np.multiply(z, mult, out=z)
     return np.bitwise_xor(z, np.right_shift(z, _S31, out=tmp), out=z)
 
 
 def _absorb(h, word):
     """_mix64(h ^ (word + _GOLD)) on the one array this creates."""
     w = np.asarray(word).astype(np.uint64)     # a copy: word is not touched
-    with np.errstate(over="ignore"):
-        w += _GOLD
+    w += _GOLD
     return _mix64(np.asarray(h ^ w))    # h ^ w is a scalar when both are 0-d
 
 
 def keyed_words(seed, *keys):
     """64-bit hash words from (seed, keys...); keys broadcast elementwise."""
-    # the wrap-around add on Python ints: a numpy scalar add warns on
-    # overflow, and every seed at or above 2^64 - _GOLD overflows
     h = _mix64(np.asarray(_U64((int(seed) + int(_GOLD)) & 0xFFFFFFFFFFFFFFFF)))
     for k in keys:
         h = _absorb(h, k)

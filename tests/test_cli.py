@@ -392,6 +392,23 @@ def test_checker_overflow_exits_4_without_a_warning(tmp_path, args):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_an_infinite_growth_bound_fails_the_check_without_a_warning(
+        tmp_path):
+    # lam2 W(x) overflows to a growth bound of -inf on some samples: the
+    # hypothesis fails there (exit 2), and numpy does not warn about it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SEDES_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sedes.cli", "--preset", "eq16", "--lam2",
+         "1e308", "--grid-n", "15", "--n-samples", "200",
+         "--no-ms-ensemble", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CHECK_FAILURE
+    assert "khasminskii  FAIL (max violation 1.000e+00" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+
+
 # a preset that reads each float key, and the analyses the key needs
 FLOAT_KEY_RUNS = {
     "dt": ("heat", {}),
@@ -553,31 +570,49 @@ def test_preflight_names_the_size_and_admits_the_desk_runs(tmp_path):
         is None
 
 
-@pytest.mark.parametrize("grid_n", [31, 63])
-def test_setup_floats_cover_one_block_of_each_check(grid_n):
-    # _run_bytes counts SETUP_FLOATS_PER_POINT floats per grid point for
-    # one block of checker samples; tracemalloc's peak over a one-block
-    # check (after a warm-up call) stays within it for every preset: about
-    # 845 at grid 31 and 795 at grid 63, so two more (128, n) temporaries
-    # per block would not
+def _check_peaks(grid_n, n):
+    """(preset, check, floats per grid point) for tracemalloc's peak over
+    each preset's check of n samples, after a warm-up call."""
     import tracemalloc
     from sedes import FourierSampler
-    from sedes.cli import _CHECKERS, SETUP_FLOATS_PER_POINT
-    from sedes.lyapunov import SAMPLE_BLOCK
+    from sedes.cli import _CHECKERS
     for preset, checks in _CHECKERS.items():
         pre = make_preset(preset, grid_n=grid_n)
         p = pre.problem
         s = FourierSampler(p.grid, t_max=p.t_final)
         for name, check in checks:
-            check(p, pre.lyapunov, s, SAMPLE_BLOCK)
+            check(p, pre.lyapunov, s, n)
             tracemalloc.start()
             try:
-                check(p, pre.lyapunov, s, SAMPLE_BLOCK)
+                check(p, pre.lyapunov, s, n)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            floats = peak / 8.0 / grid_n
-            assert floats <= SETUP_FLOATS_PER_POINT, (preset, name, floats)
+            yield preset, name, peak / 8.0 / grid_n
+
+
+@pytest.mark.parametrize("grid_n", [31, 63])
+def test_setup_floats_cover_one_block_of_each_check(grid_n):
+    # _run_bytes counts SETUP_FLOATS_PER_POINT floats per grid point for
+    # one block of checker samples; tracemalloc's peak over a one-block
+    # check stays within it for every preset: about 865 at grid 31 and
+    # 795 at grid 63, so two more (128, n) temporaries per block would not
+    from sedes.cli import SETUP_FLOATS_PER_POINT
+    from sedes.lyapunov import SAMPLE_BLOCK
+    for preset, name, floats in _check_peaks(grid_n, SAMPLE_BLOCK):
+        assert floats <= SETUP_FLOATS_PER_POINT, (preset, name, floats)
+
+
+@pytest.mark.parametrize("grid_n", [31, 63])
+def test_setup_floats_cover_a_multi_block_check(grid_n):
+    # a check holds one block at a time: neither the block generator nor
+    # the check's loop keeps the last block while the next one is drawn,
+    # so four blocks peak at about 915 floats per point at grid 31 and 815
+    # at grid 63; either reference kept reads about 1155 at grid 31
+    from sedes.cli import SETUP_FLOATS_PER_POINT
+    from sedes.lyapunov import SAMPLE_BLOCK
+    for preset, name, floats in _check_peaks(grid_n, 3 * SAMPLE_BLOCK + 5):
+        assert floats <= SETUP_FLOATS_PER_POINT, (preset, name, floats)
 
 
 def test_preflight_counts_one_path_chunk_and_no_per_step_trace():

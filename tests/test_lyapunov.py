@@ -147,6 +147,23 @@ def test_khasminskii_broken_lam2_fails():
     assert lu > rhs
 
 
+def test_khasminskii_fails_where_the_growth_bound_is_minus_infinity():
+    # lam2 W(x) overflows on the larger samples: a bound of -inf fails by
+    # the margin's limit, 1.0, without a warning and without a NaN
+    import warnings
+    from sedes.lyapunov import _margin
+    pre = make_preset("eq16", lam2=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_khasminskii(pre.problem, pre.lyapunov,
+                                default_sampler(pre.problem), 200)
+        m = _margin(np.full(3, 2.0), np.array([-math.inf, math.inf, np.nan]))
+    assert not rep.passed
+    assert rep.max_violation == 1.0
+    assert rep.argmax_sample.startswith("growth bound at sample ")
+    assert m[:2].tolist() == [1.0, -1.0] and math.isnan(m[2])
+
+
 def test_lasalle_eq6_passes():
     pre = make_preset("eq6")
     rep = check_lasalle(pre.problem, pre.lyapunov,
@@ -296,6 +313,48 @@ def test_sample_is_a_row_of_any_block():
         assert t == whole[0][i]
         assert np.array_equal(x.values, whole[1][i])
         assert np.array_equal(y.values, whole[2][i])
+
+
+def _five_draw_block(s, indices):
+    """FourierSampler.sample_block as the package wrote it with one keyed
+    draw per stream (t, then x's weights and norm, then y's) and a
+    ground-mode fallback for a zero norm: the bitwise reference for the
+    sampler that draws every stream of a block in two calls."""
+    from sedes.noise import keyed_gaussians, keyed_uniforms
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    dx = s.grid.dx
+
+    def fields(stream):
+        c = keyed_gaussians(s.seed, stream, idx[:, None],
+                            np.arange(s.n_modes)[None, :])
+        vals = c[:, :1] * s._sines[0]
+        for k in range(1, s.n_modes):
+            vals = vals + c[:, k:k + 1] * s._sines[k]
+        u = keyed_uniforms(s.seed, stream + 1, idx, 0)
+        target = np.array([math.exp(s._log_lo + s._log_span * v)
+                           for v in u.tolist()])
+        hn = np.sqrt(h_norm_sq_values(vals, dx))
+        zero = hn == 0.0
+        vals = np.where(zero[:, None], s._sines[0], vals)
+        hn = np.where(zero, math.sqrt(h_norm_sq_values(s._sines[0], dx)), hn)
+        return vals * (target / hn)[:, None]
+
+    t = s.t_max * keyed_uniforms(s.seed, 10, idx, 0)
+    return t, fields(20), fields(30)
+
+
+@pytest.mark.parametrize("grid_n", [2, 15, 31, 63])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_sample_block_equals_the_five_draw_reference(seed, grid_n):
+    s = FourierSampler(Grid(grid_n), seed=seed, t_max=20.0,
+                       n_modes=min(8, grid_n))
+    for idx in (np.arange(128), np.arange(5000, 5044), [7], [0, 1],
+                np.arange(300)):
+        got = s.sample_block(idx)
+        want = _five_draw_block(s, idx)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 def test_block_reduction_keeps_the_loops_first_maximum():

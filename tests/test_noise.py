@@ -173,13 +173,14 @@ def test_in_place_gaussians_equal_the_allocating_reference(seed, B, K):
 
 
 def test_sampler_gaussians_equal_the_allocating_reference():
-    # the checkers' sampler draws (128, n_modes) mode coefficients per block
+    # the checkers' sampler draws the (2, 128, n_modes) mode coefficients
+    # of x (stream 20) and y (stream 30) of a block in one call
     from sedes.lyapunov import SAMPLE_BLOCK
     from sedes.noise import keyed_gaussians
-    keys = (20, np.arange(SAMPLE_BLOCK, 2 * SAMPLE_BLOCK)[:, None],
-            np.arange(8)[None, :])
+    keys = (np.array([[[20]], [[30]]]),
+            np.arange(SAMPLE_BLOCK, 2 * SAMPLE_BLOCK)[:, None], np.arange(8))
     got = keyed_gaussians(7, *keys)
-    assert got.shape == (128, 8)
+    assert got.shape == (2, 128, 8)
     assert got.tobytes() == _allocating_gaussians(7, *keys).tobytes()
 
 
