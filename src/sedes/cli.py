@@ -327,8 +327,9 @@ def run(cfg) -> int:
             try:
                 rep = fn(p, preset.lyapunov, sampler, int(cfg["n_samples"]))
             except ValueError as err:
-                # LU too large for a float, or a NaN margin, on a sample
-                raise ConfigError("%s check: %s" % (nm, err)) from err
+                # LU overflow, a NaN margin or a bad shape, named once
+                msg = str(err).removeprefix("check_%s: " % nm)
+                raise ConfigError("check_%s: %s" % (nm, msg)) from err
             reports.append(rep)
             print("condition %-12s %s (max violation %.3e over %d samples)"
                   % (nm, "PASS" if rep.passed else "FAIL",

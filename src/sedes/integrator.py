@@ -22,7 +22,7 @@ de-interleaved into the next level on the way down and interleaved back
 on the way up.  The ensemble engine forms the right-hand side in buffers
 allocated once per path chunk, and the solve writes the new state straight
 into the ring slot of the delayed state, the one slot no later part of the
-step reads; explosion zeroing then acts on that slot in place.
+step reads.
 
 The ensemble engine integrates PATH_CHUNK paths at a time, each chunk with a
 ring of its own, and keeps per path only what its reducers ask for: the
@@ -39,7 +39,8 @@ counter-based, and the batched ensemble driver performs exactly the same
 elementwise arithmetic per path as a single-path run, so batching is a
 speed knob, not a semantics knob.  Blow-up is reported, never masked: a
 non-finite state or an H norm beyond the explosion limit truncates the
-trajectory with status "exploded".
+trajectory with status "exploded", and the path's state is NaN from that
+step on, so its norms and snapshots are too; no state is invented for it.
 """
 
 import math
@@ -133,6 +134,11 @@ class ProblemSpec:
     over t.  Construction validates the operator bounds, the boundedness of
     f(t,0,0) and g(t,0,0) over the horizon, and (by a sampled refinement
     check) the continuity of psi in theta.
+
+    A path explodes at its first state, step 0's included, that is not
+    finite or has an H norm beyond explosion_limit, and is NaN from then
+    on: drift and diffusion see NaN rows of dead paths, inside the
+    integrator's np.errstate, and must not raise on them.
     """
 
     def __init__(self, grid: Grid, op: OperatorCoeff, drift, diffusion,
@@ -144,6 +150,8 @@ class ProblemSpec:
             raise ValueError("dt must be positive")
         if t_final <= 0:
             raise ValueError("t_final must be positive")
+        if not explosion_limit > 0:
+            raise ValueError("explosion_limit must be positive")
         self.grid = grid
         self.op = op
         if not (callable(drift) and callable(diffusion)):
@@ -487,7 +495,7 @@ class Trajectory:
 
     def __repr__(self):
         return ("Trajectory(path_id=%d, steps=%d, status=%s)"
-                % (self.path_id, len(self.times) - 1, self.status))
+                % (self.path_id, max(len(self.times) - 1, 0), self.status))
 
 
 class BatchResult:
@@ -501,7 +509,8 @@ class BatchResult:
     window_peak its largest over steps window[0]..window[1] (None without a
     window); both stop at a path's explosion, and window_peak is NaN for a
     path dead before the window.  snapshots maps a step to the (n_paths, n)
-    states there."""
+    states there; an exploded path's row is NaN at and after its
+    explosion step."""
 
     def __init__(self, steps, dt, h_norms, v_norms, ids, explosion_times,
                  peak, window=None, window_peak=None, snapshots=None):
@@ -612,56 +621,45 @@ def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v):
 
     hist = HistoryBuffer.from_problem(p, ids.size)
     work = _Workspace(p.grid.n_interior, ids.size)
-    alive = np.ones(ids.size, dtype=bool)
-    limit_sq = p.explosion_limit * p.explosion_limit
-
-    def feed(step, x, hn2, col):
-        """Feed the reducers the state at step; returns the next record
-        column."""
-        np.fmax(peak_sq, hn2, out=peak_sq, where=alive)
-        if w0 <= step <= w1:
-            np.fmax(window_sq, hn2, out=window_sq, where=alive)
-        if col < len(record) and record[col] == step:
-            h_rec[:, col] = np.where(alive, np.sqrt(hn2), np.nan)
-            if nv:
-                vn2 = v_norm_sq_values(x[:nv], dx)
-                v_rec[:, col] = np.where(alive[:nv], np.sqrt(vn2), np.nan)
-            col += 1
-        if step in snapshots:
-            snapshots[step][...] = x
-        return col
-
-    x0 = hist.current()
-    col = feed(0, x0, h_norm_sq_values(x0, dx), 0)
+    # capped, so a non-finite state explodes even at an infinite limit
+    limit_sq = min(p.explosion_limit * p.explosion_limit,
+                   np.finfo(float).max)
+    x, col = hist.current(), 0
 
     # a path heading for blow-up may overflow inside the coefficients, the
-    # solve or the norms; that is detected and reported below, not warned
-    # about
+    # solve or the norms, and a dead path's NaN row runs through all of
+    # them; that is reported through explosion_times, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(1, n_steps + 1):
-            k = (step - 1) % NOISE_BLOCK
+        for step in range(n_steps + 1):
+            hn2 = h_norm_sq_values(x, dx)
+            # NaN, inf and norms beyond the limit fail one comparison; a NaN
+            # row enters the next right-hand side additively, so stays NaN
+            new = ~(hn2 <= limit_sq) & np.isnan(explosion_times)
+            if new.any():
+                explosion_times[new] = step * dt
+                x[new] = np.nan
+                hn2[new] = np.nan
+            np.fmax(peak_sq, hn2, out=peak_sq)
+            if w0 <= step <= w1:
+                np.fmax(window_sq, hn2, out=window_sq)
+            if col < len(record) and record[col] == step:
+                h_rec[:, col] = np.sqrt(hn2)
+                if nv:
+                    v_rec[:, col] = np.sqrt(v_norm_sq_values(x[:nv], dx))
+                col += 1
+            if step in snapshots:
+                snapshots[step][...] = x
+            if step == n_steps:
+                break
+            k = step % NOISE_BLOCK
             if k == 0:
                 dBs = p.noise.increments(
-                    ids,
-                    np.arange(step - 1, min(step - 1 + NOISE_BLOCK, n_steps)),
-                    dt)
+                    ids, np.arange(step, min(step + NOISE_BLOCK, n_steps)), dt)
             # the delayed state is last read while the right-hand side is
             # formed, so the solve writes the new state over it, in the ring
-            x_new = _em_step(p, (step - 1) * dt, hist.current(),
-                             hist.delayed(), dBs[:, k:k + 1], work,
-                             out=hist.delayed())
+            x = _em_step(p, step * dt, hist.current(), hist.delayed(),
+                         dBs[:, k:k + 1], work, out=hist.delayed())
             hist.advance()
-            hn2 = h_norm_sq_values(x_new, dx)
-
-            # a finite squared norm implies finite entries
-            bad = ~np.isfinite(hn2) | (hn2 > limit_sq)
-            newly_bad = bad & alive
-            if newly_bad.any():
-                explosion_times[newly_bad] = step * dt
-                alive &= ~bad
-                x_new[bad] = 0.0
-                hn2 = np.where(bad, np.nan, hn2)
-            col = feed(step, x_new, hn2, col)
 
 
 def simulate_paths(p: ProblemSpec, path_ids, record_v=None,
@@ -676,8 +674,8 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None,
 def simulate(p: ProblemSpec, path_id: int, snapshot_times=()) -> Trajectory:
     """Integrate one path; deterministic given (p.noise.seed, path_id).
 
-    On explosion the trajectory is truncated at the first bad step and the
-    status records when it happened.
+    On explosion the trajectory and its snapshots end before the first bad
+    step, and the status records when it happened.
     """
     snap_steps = sorted({min(p.n_steps, int(round(t / p.dt)))
                          for t in snapshot_times})

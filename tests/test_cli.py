@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sedes
@@ -389,7 +390,34 @@ def test_checker_overflow_exits_4_without_a_warning(tmp_path, args):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == EXIT_CONFIG_ERROR
     assert "evaluation overflow" in proc.stderr
+    assert proc.stderr.count("check_") == 1
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("W_fn, message", [
+    (lambda v, dx: np.full(v.shape[0], np.nan),
+     "check_khasminskii: the growth bound margin is NaN at sample 0 "),
+    (lambda v, dx: np.zeros(3),
+     "check_khasminskii: W_fn must give one value per row"),
+], ids=["nan-margin", "functional-shape"])
+def test_a_check_error_names_the_check_once(tmp_path, monkeypatch, capsys,
+                                            W_fn, message):
+    # no preset flag makes these; a W_fn swapped into eq16's certificate
+    # does, and the configuration error names the check once
+    from sedes import cli
+
+    def eq16_with_W(*args, **kw):
+        pre = make_preset(*args, **kw)
+        pre.lyapunov.W_fn = W_fn
+        return pre
+    monkeypatch.setattr(cli, "make_preset", eq16_with_W)
+    monkeypatch.delenv("SEDES_OUT", raising=False)
+    code = run_cli(["--preset", "eq16", *TINY, "--no-ms-ensemble",
+                    "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " + message)
+    assert err.count("check_khasminskii") == 1
 
 
 def test_an_infinite_growth_bound_fails_the_check_without_a_warning(

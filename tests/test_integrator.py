@@ -257,6 +257,70 @@ def test_a_squared_norm_at_the_explosion_limit_is_not_an_explosion():
     assert res.peak[0] == limit
 
 
+def test_an_exploded_path_is_nan_from_its_explosion_step_on():
+    # against the same problem at an infinite limit, a path agrees bitwise
+    # up to its first step whose squared H norm is beyond limit * limit or
+    # not finite; that step is its explosion step, every later norm and
+    # snapshot row is NaN, and its peak is the largest norm before it
+    p = dict(_block_cases())["explodes"]
+    ids, every, dx = range(6), range(p.n_steps + 1), p.grid.dx
+    res = simulate_paths(p, ids, snapshot_steps=every)
+    ref = simulate_paths(p.replace(explosion_limit=math.inf), ids,
+                         snapshot_steps=every)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hn2 = np.stack([h_norm_sq_values(ref.snapshots[s], dx)
+                        for s in every], axis=1)
+    limit = p.explosion_limit
+    beyond = ~np.isfinite(hn2) | (hn2 > limit * limit)
+    exploded = beyond.any(axis=1)
+    assert exploded.any() and not exploded.all()
+    for i in ids:
+        end = int(np.argmax(beyond[i])) if exploded[i] else p.n_steps + 1
+        for key in ("h_norms", "v_norms"):
+            got, want = getattr(res, key)[i], getattr(ref, key)[i]
+            assert np.array_equal(got[:end], want[:end]), (i, key)
+            assert np.all(np.isnan(got[end:])), (i, key)
+        for s in every:
+            row = res.snapshots[s][i]
+            if s < end:
+                assert np.array_equal(row, ref.snapshots[s][i]), (i, s)
+            else:
+                assert np.all(np.isnan(row)), (i, s)
+        assert res.peak[i] == np.max(ref.h_norms[i, :end]), i
+        if exploded[i]:
+            assert res.explosion_times[i] == end * p.dt, i
+        else:
+            assert math.isnan(res.explosion_times[i]), i
+    # simulate returns no snapshot at or after the explosion
+    times = (0.0, 0.5, 1.0, 1.5)
+    for i in np.nonzero(exploded)[0].tolist():
+        traj = simulate(p, i, snapshot_times=times)
+        assert traj.status == "exploded"
+        kept = [t for t in times if t < traj.status_time]
+        assert [t for t, _ in traj.snapshots] == kept, i
+        for t, field in traj.snapshots:
+            assert np.array_equal(
+                field.values, ref.snapshots[int(round(t / p.dt))][i]), i
+
+
+def test_a_history_beyond_the_limit_explodes_at_step_0():
+    # the initial state is judged as every later one; a limit that is not
+    # positive is refused
+    p = zero_problem(t_final=0.05, tau=0.01)
+    q = p.replace(explosion_limit=0.5)
+    res = simulate_paths(q, [0, 1], snapshot_steps=[0, 3])
+    assert res.status_times == [0.0, 0.0]
+    assert np.all(np.isnan(res.h_norms)) and np.all(np.isnan(res.peak))
+    assert all(np.all(np.isnan(x)) for x in res.snapshots.values())
+    traj = simulate(q, 0, snapshot_times=[0.0])
+    assert (traj.times.size, traj.snapshots, traj.status_time) == (0, [], 0.0)
+    assert repr(traj) == "Trajectory(path_id=0, steps=0, status=exploded)"
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="explosion_limit must be "
+                           "positive"):
+            p.replace(explosion_limit=bad)
+
+
 def test_snapshots_at_requested_times():
     pre = make_preset("heat", grid_n=31, t_final=0.2, dt=1e-3)
     traj = simulate(pre.problem, 0, snapshot_times=(0.0, 0.1))
@@ -443,7 +507,9 @@ def test_ensembles_do_not_depend_on_the_path_chunk(monkeypatch, chunk):
                               equal_nan=True), name
         assert trace.snapshots.keys() == ref_trace.snapshots.keys()
         for step, states in trace.snapshots.items():
-            assert np.array_equal(states, ref_trace.snapshots[step]), name
+            # an exploded path's row is NaN in both runs
+            assert np.array_equal(states, ref_trace.snapshots[step],
+                                  equal_nan=True), name
         assert stats == ref_stats, name
 
 
