@@ -216,7 +216,7 @@ def _run_bytes(cfg):
     delay ring (m+1, chunk, n) and the norms its reducers keep at the record
     points; for the explosion scan a chunk's ring, a few floats per path
     and two bytes per path and radius, whatever the horizon.  The per-chunk
-    fixed arrays (step workspace, noise block, validation grids) are not
+    fixed arrays (step solver, noise block, validation grids) are not
     counted, so at small grids this undercounts: tracemalloc measures
     748 KB for a 256-path eq16 scan at grid 15 (tau 0.01, horizon 0.02,
     four radii) against 479 KB counted.

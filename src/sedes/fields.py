@@ -208,7 +208,8 @@ class OperatorCoeff:
     broadcast over t, as a drift or diffusion does: t is a float in the
     integrator and an (S, 1) column of times in the checkers and in
     validate.  Whether A depends on t is read from that shape (see
-    time_dependent), so a static A is factored once.
+    time_dependent), so a static A is factored once per path chunk and a
+    time-dependent one at every step.
     """
 
     def __init__(self, a_fn=None, nu=1.0, alpha_upper=1.0):

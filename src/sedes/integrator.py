@@ -14,15 +14,17 @@ nonlinearity and the noise so the scheme stays Ito-consistent.  The
 tridiagonal solve is cyclic reduction (Hockney 1965) without pivoting: the
 matrix is strictly diagonally dominant for any positive diffusion
 coefficient, every reduction level stays so, and breakdown cannot occur.
-Each level's multipliers are computed once per factor, and the solve runs
+One solver per path chunk holds every level's blocks and every level's
+multipliers as (k, B) arrays.  A static A is factored once per chunk; a
+time-dependent one is refactored in place at every step.  The solve runs
 on all paths at once with elementwise arithmetic only.  It stores every
 level as two contiguous (k, B) blocks, [evens | odds], so each of its
 ufunc calls is one flat loop over k * B numbers; the odd rows are
 de-interleaved into the next level on the way down and interleaved back
-on the way up.  The ensemble engine forms the right-hand side in buffers
-allocated once per path chunk, and the solve writes the new state straight
-into the ring slot of the delayed state, the one slot no later part of the
-step reads.
+on the way up.  The step forms the right-hand side in the ring slot of
+the delayed state, the one slot no later part of the step reads, and
+the solve overwrites it with the new state; the noise term is formed in
+the solver's level-0 block, which holds nothing until the solve starts.
 
 The ensemble engine integrates PATH_CHUNK paths at a time, each chunk with a
 ring of its own, and keeps per path only what its reducers ask for: the
@@ -44,6 +46,7 @@ step on, so its norms and snapshots are too; no state is invented for it.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -173,7 +176,6 @@ class ProblemSpec:
         self.dt_adjusted = not math.isclose(self.dt, self.dt_requested,
                                             rel_tol=1e-12)
         self.n_steps = int(math.ceil(self.t_final / self.dt - 1e-9))
-        self._factor = None     # set by _factor_for for a static operator
         self._validate()
 
     def _validate(self):
@@ -305,48 +307,74 @@ class HistoryBuffer:
         self.head_time += self.dt
 
 
-class _TridiagFactor:
-    """Prefactored cyclic-reduction solve of (I - dt A(t)) x = rhs, batched
-    over rows.
+class _Solver:
+    """Cyclic-reduction solve of (I - dt A(t)) x = rhs for batch rows of n
+    unknowns, with the noise buffer of one IMEX step; built once per path
+    chunk.
 
     Level k keeps the odd-numbered equations of level k-1, with their
-    even-numbered neighbours eliminated.  Every level's multipliers and
-    reciprocal pivots are computed here, once; solve() applies them level
-    by level with elementwise ufuncs, so no path's arithmetic depends on the
-    rest of its batch.  No pivoting: reduction keeps the matrix strictly
-    diagonally dominant with positive diagonal for any a > 0, so no pivot
-    can vanish.
+    even-numbered neighbours eliminated.  factor(a_mid) writes every
+    level's multipliers and reciprocal pivots in place; solve() applies
+    them level by level with elementwise ufuncs, so no path's arithmetic
+    depends on the rest of its batch.  No pivoting: reduction keeps the
+    matrix strictly diagonally dominant with positive diagonal for any
+    a > 0, so no pivot can vanish.
 
-    solve() keeps each level as two contiguous (k, B) blocks in natural
-    order, [evens | odds] (see _Workspace), so every reduction and
-    back-substitution op is one flat ufunc loop.  The coefficients are
-    materialized as (k, B) arrays for the same reason: against a (k, 1)
-    column numpy restarts its inner loop on every row.  Both forms give the
-    same bits; at n = 63 the materialized one is about 30% faster at B = 50,
-    25% at 200, and level with the column form at 1000 and 2000.
+    A level of k rows is a (k, batch) array, its (k + 1) // 2 even rows
+    then its odd rows, each in natural order, so every op is one flat
+    ufunc loop; the odd rows, the next level's, are de-interleaved into its
+    array on the way down and back on the way up, and level 0 is filled
+    from the transposed right-hand side and read into the solution.  The
+    coefficients are (k, batch) arrays for the same reason: against a
+    (k, 1) column numpy restarts its inner loop on every row.  Both forms
+    give the same bits; at n = 63 the materialized one is about 30% faster
+    at B = 50, 25% at 200, and level with the column form at 1000 and 2000.
     """
 
-    def __init__(self, a_mid, dt, dx):
-        r = dt / (dx * dx)
-        n = a_mid.size - 1
-        lower = -r * a_mid[:-1]          # subdiagonal, entry j couples j-1
-        upper = -r * a_mid[1:]           # superdiagonal, entry j couples j+1
-        diag = 1.0 + r * (a_mid[:-1] + a_mid[1:])
+    def __init__(self, n, batch, dt, dx):
+        self.r = dt / (dx * dx)
+        tmp = np.empty((n // 2, batch))
+        f = np.empty((n, batch))
+        # the step's g dB, a (batch, n) view of level 0, which holds nothing
+        # until solve() reads the right-hand side
+        self.noise = f.reshape(batch, n)
+        self.evens, self.odds = f[:(n + 1) // 2], f[(n + 1) // 2:]
+        # per level: the views of its blocks, and alpha, beta (reduction) and
+        # inv, lo_inv, up_inv (back substitution) for its no odd and ne even
+        # rows
+        self.levels = []
+        while f.shape[0] > 1:
+            ne, no = (f.shape[0] + 1) // 2, f.shape[0] // 2
+            e, o = f[:ne], f[ne:]
+            nxt = np.empty((no, batch))
+            half = (no + 1) // 2
+            self.levels.append((
+                (e, o, e[:no], e[1:], o[:ne - 1], tmp[:no], tmp[:ne - 1],
+                 o[0::2], o[1::2], nxt[:half], nxt[half:]),
+                tuple(np.empty((k, batch))
+                      for k in (no, ne - 1, ne, ne - 1, no))))
+            f = nxt
+        self.top = f
+        self.top_inv = None
+
+    def factor(self, a_mid):
+        """Set the coefficients of I - dt A for a(t, .) = a_mid at the n+1
+        gap midpoints."""
+        lower = -self.r * a_mid[:-1]     # subdiagonal, entry j couples j-1
+        upper = -self.r * a_mid[1:]      # superdiagonal, entry j couples j+1
+        diag = 1.0 + self.r * (a_mid[:-1] + a_mid[1:])
         lower[0] = upper[-1] = 0.0       # the walls carry no unknown
-        self.n = n
-        # per level: alpha, beta (reduction) and inv, lo_inv, up_inv (back
-        # substitution), for the level's no odd and ne even rows
-        self._levels = []
-        while diag.size > 1:
-            ne, no = (diag.size + 1) // 2, diag.size // 2
-            m = ne - 1                   # odd rows with a right neighbour
+        for _, coeffs in self.levels:
+            no = diag.size // 2
+            m = (diag.size + 1) // 2 - 1  # odd rows with a right neighbour
             assert np.all(diag > 0.0), "cyclic reduction broke down"
             inv = 1.0 / diag[0::2]
             lo_e, up_e = lower[0::2], upper[0::2]
             alpha = -lower[1::2] * inv[:no]
             beta = -upper[1::2][:m] * inv[1:]
-            self._levels.append((alpha, beta, inv, lo_e[1:] * inv[1:],
-                                 up_e[:no] * inv[:no]))
+            for c, v in zip(coeffs, (alpha, beta, inv, lo_e[1:] * inv[1:],
+                                     up_e[:no] * inv[:no])):
+                c[...] = v[:, None]
             next_diag = diag[1::2] + alpha * up_e[:no]
             next_diag[:m] += beta * lo_e[1:]
             lower = alpha * lo_e[:no]
@@ -354,44 +382,26 @@ class _TridiagFactor:
             upper[:m] = beta * up_e[1:]
             diag = next_diag
         assert diag[0] > 0.0, "cyclic reduction broke down"
-        self._top = 1.0 / diag[0]
-        self._columns = (0, None)
+        self.top_inv = 1.0 / diag[0]
 
-    def _columns_for(self, batch):
-        """Every level's coefficients as (k, batch) arrays, kept for the
-        last batch size asked for."""
-        if self._columns[0] != batch:
-            self._columns = (batch, [
-                tuple(np.repeat(c[:, None], batch, axis=1) for c in level)
-                for level in self._levels])
-        return self._columns[1]
-
-    def solve(self, rhs, out=None, work=None):
-        """Solve for every row of rhs (B, n) into out, a C-contiguous (B, n)
-        (allocated when None); work is a _Workspace for n and B, built
-        here when None.  rhs may be work.rhs or share memory with out: it
-        is read in full before out is written."""
-        B = rhs.shape[0]
-        if work is None:
-            work = _Workspace(self.n, B)
-        if out is None:
-            out = np.empty((B, self.n))
+    def solve(self, rhs, out):
+        """Solve for every row of rhs (batch, n) into out, a C-contiguous
+        (batch, n).  rhs may share memory with out: it is read in full
+        before out is written."""
         mul, add, sub, copy = np.multiply, np.add, np.subtract, np.copyto
-        levels = list(zip(work.levels, self._columns_for(B)))
-        evens, odds = work.level0
-        copy(evens, rhs[:, 0::2].T)
-        copy(odds, rhs[:, 1::2].T)
+        copy(self.evens, rhs[:, 0::2].T)
+        copy(self.odds, rhs[:, 1::2].T)
         for (e, o, e_l, e_r, o_m, t_no, t_m, o_ev, o_od, n_ev, n_od), \
-                (alpha, beta, _, _, _) in levels:
+                (alpha, beta, _, _, _) in self.levels:
             mul(alpha, e_l, t_no)
             add(o, t_no, o)
             mul(beta, e_r, t_m)
             add(o_m, t_m, o_m)
             copy(n_ev, o_ev)
             copy(n_od, o_od)
-        mul(work.top, self._top, work.top)
+        mul(self.top, self.top_inv, self.top)
         for (e, o, e_l, e_r, o_m, t_no, t_m, o_ev, o_od, n_ev, n_od), \
-                (_, _, inv, lo_inv, up_inv) in reversed(levels):
+                (_, _, inv, lo_inv, up_inv) in reversed(self.levels):
             copy(o_ev, n_ev)
             copy(o_od, n_od)
             mul(e, inv, e)
@@ -399,72 +409,26 @@ class _TridiagFactor:
             sub(e_r, t_m, e_r)
             mul(up_inv, o, t_no)
             sub(e_l, t_no, e_l)
-        copy(out[:, 0::2], evens.T)
-        copy(out[:, 1::2], odds.T)
+        copy(out[:, 0::2], self.evens.T)
+        copy(out[:, 1::2], self.odds.T)
         return out
 
 
-class _Workspace:
-    """Buffers of one IMEX step for B paths of n unknowns, with every view
-    the solve uses, built once per run.
-
-    rhs and noise hold the right-hand side and its noise term.  The solve
-    stores a level of k rows as a (k, B) array whose first (k + 1) // 2 rows
-    are the level's even rows and the rest its odd rows, each in natural
-    order.  The odd rows are the next level's rows, so between levels the
-    odds block is de-interleaved into the next level's array on the way
-    down and interleaved back on the way up; level 0 is filled straight
-    from the transposed right-hand side and read straight into the
-    solution.
-    """
-
-    def __init__(self, n, batch):
-        self.rhs = np.empty((batch, n))
-        self.noise = np.empty((batch, n))
-        tmp = np.empty((n // 2, batch))
-        f = np.empty((n, batch))
-        self.level0 = (f[:(n + 1) // 2], f[(n + 1) // 2:])
-        self.levels = []
-        while f.shape[0] > 1:
-            ne, no = (f.shape[0] + 1) // 2, f.shape[0] // 2
-            e, o = f[:ne], f[ne:]
-            nxt = np.empty((no, batch))
-            half = (no + 1) // 2
-            self.levels.append((e, o, e[:no], e[1:], o[:ne - 1], tmp[:no],
-                                tmp[:ne - 1], o[0::2], o[1::2], nxt[:half],
-                                nxt[half:]))
-            f = nxt
-        self.top = f
-
-
-def _factor_for(p: ProblemSpec, t_next: float) -> _TridiagFactor:
-    """Factor of I - dt A(t_next): built once per problem when A does not
-    depend on time, afresh for every step when it does."""
-    factor = p._factor
-    if factor is None:
-        factor = _TridiagFactor(p.op.midpoint_values(t_next, p.grid), p.dt,
-                                p.grid.dx)
-        if not p.op.time_dependent:
-            p._factor = factor
-    return factor
-
-
-def _em_step(p: ProblemSpec, t: float, x, y, dB, work=None, out=None):
+def _em_step(p: ProblemSpec, t: float, x, y, dB, solver, out):
     """Scheme arithmetic: solve (I - dt A(t + dt)) x' = x + dt f + g dB,
     with f, g at (t, x, y) and dB the Brownian increments, one per row of x.
 
-    x' goes into out (allocated when None).  out may be y's memory: the
-    right-hand side is formed in work's buffers before the solve writes."""
+    solver is a _Solver for x's rows, factored at t + dt.  The right-hand
+    side is formed in out and solved in place, so out may be y's memory:
+    g dB is formed first, and f and g may be views of y."""
     drift = np.asarray(p.drift(t, x, y), dtype=float)
     diff = np.asarray(p.diffusion(t, x, y), dtype=float)
-    if work is None:
-        work = _Workspace(p.grid.n_interior, x.shape[0])
-    rhs, noise = work.rhs, work.noise
-    np.multiply(p.dt, drift, rhs)
-    np.add(x, rhs, rhs)
+    noise = solver.noise
     np.multiply(diff, dB, noise)
-    np.add(rhs, noise, rhs)
-    return _factor_for(p, t + p.dt).solve(rhs, out, work)
+    np.multiply(p.dt, drift, out)
+    np.add(x, out, out)
+    np.add(out, noise, out)
+    return solver.solve(out, out)
 
 
 def imex_em_step(p: ProblemSpec, h: HistoryBuffer, path_id: int,
@@ -475,8 +439,12 @@ def imex_em_step(p: ProblemSpec, h: HistoryBuffer, path_id: int,
 
     Pure: h is not advanced (push the returned state to advance).
     """
+    n, t = p.grid.n_interior, step * p.dt
+    solver = _Solver(n, 1, p.dt, p.grid.dx)
+    solver.factor(p.op.midpoint_values(t + p.dt, p.grid))
     dB = p.noise.increments([path_id], step, p.dt)
-    out = _em_step(p, step * p.dt, h.current(), h.delayed(), dB)
+    out = _em_step(p, t, h.current(), h.delayed(), dB, solver,
+                   np.empty((1, n)))
     return Field(p.grid, out[0])
 
 
@@ -567,8 +535,10 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
     snapshot_steps.
     Each reads the very values a full per-step trace would hold, and each
     path's arithmetic is identical to a single-path run, so results do not
-    depend on how paths are grouped or chunked."""
-    path_arr = np.fromiter(path_ids, dtype=np.int64)
+    depend on how paths are grouped or chunked.  ValueError for a path id
+    that is not an integer, and for a record, window or snapshot step
+    outside [0, n_steps]."""
+    path_arr = np.fromiter(map(_path_id, path_ids), dtype=np.int64)
     B, n_steps = path_arr.size, p.n_steps
     if record_steps is None:
         steps = np.arange(n_steps + 1)
@@ -584,6 +554,9 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
         window = (int(window[0]), int(window[1]))
         if not 0 <= window[0] <= window[1] <= n_steps:
             raise ValueError("window steps must lie in [0, %d]" % n_steps)
+    snap_steps = sorted(set(int(s) for s in snapshot_steps))
+    if snap_steps and not 0 <= snap_steps[0] <= snap_steps[-1] <= n_steps:
+        raise ValueError("snapshot steps must lie in [0, %d]" % n_steps)
     n_v = B if record_v is None else min(record_v, B)
     res = BatchResult(
         steps, p.dt, h_norms=np.full((B, steps.size), np.nan),
@@ -591,9 +564,7 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
         ids=path_arr, explosion_times=np.full(B, np.nan),
         peak=np.full(B, np.nan), window=window,
         window_peak=None if window is None else np.full(B, np.nan),
-        snapshots={s: np.empty((B, p.grid.n_interior))
-                   for s in set(int(s) for s in snapshot_steps)
-                   if 0 <= s <= n_steps})
+        snapshots={s: np.empty((B, p.grid.n_interior)) for s in snap_steps})
     # the reducers keep squared norms: sqrt is monotone and correctly
     # rounded, so the root of the largest square is the largest root
     for lo in range(0, B, PATH_CHUNK):
@@ -602,6 +573,15 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
     if window is not None:
         np.sqrt(res.window_peak, out=res.window_peak)
     return res
+
+
+def _path_id(i):
+    """i as an int: a Python or numpy integer; ValueError for anything
+    else, which np.int64 would truncate."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError("path id %r is not an integer" % (i,)) from None
 
 
 def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v):
@@ -620,7 +600,11 @@ def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v):
     explosion_times = res.explosion_times[rows]
 
     hist = HistoryBuffer.from_problem(p, ids.size)
-    work = _Workspace(p.grid.n_interior, ids.size)
+    solver = _Solver(p.grid.n_interior, ids.size, dt, dx)
+    # step 0 solves with A(dt); a static A keeps that factor for the chunk,
+    # a time-dependent one is refactored in place at every later step
+    solver.factor(p.op.midpoint_values(dt, p.grid))
+    refactor = p.op.time_dependent
     # capped, so a non-finite state explodes even at an infinite limit
     limit_sq = min(p.explosion_limit * p.explosion_limit,
                    np.finfo(float).max)
@@ -651,14 +635,17 @@ def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v):
                 snapshots[step][...] = x
             if step == n_steps:
                 break
-            k = step % NOISE_BLOCK
+            k, t = step % NOISE_BLOCK, step * dt
             if k == 0:
                 dBs = p.noise.increments(
                     ids, np.arange(step, min(step + NOISE_BLOCK, n_steps)), dt)
+            if refactor and step:
+                solver.factor(p.op.midpoint_values(t + dt, p.grid))
             # the delayed state is last read while the right-hand side is
-            # formed, so the solve writes the new state over it, in the ring
-            x = _em_step(p, step * dt, hist.current(), hist.delayed(),
-                         dBs[:, k:k + 1], work, out=hist.delayed())
+            # formed, so the step forms it and the new state over it, in the
+            # ring
+            x = _em_step(p, t, hist.current(), hist.delayed(),
+                         dBs[:, k:k + 1], solver, hist.delayed())
             hist.advance()
 
 
@@ -674,9 +661,15 @@ def simulate_paths(p: ProblemSpec, path_ids, record_v=None,
 def simulate(p: ProblemSpec, path_id: int, snapshot_times=()) -> Trajectory:
     """Integrate one path; deterministic given (p.noise.seed, path_id).
 
-    On explosion the trajectory and its snapshots end before the first bad
-    step, and the status records when it happened.
+    snapshot_times must lie in [0, t_final] (to within 1e-12); each is
+    taken at its nearest step.  On explosion the trajectory and its
+    snapshots end before the first bad step, and the status records when
+    it happened.
     """
+    for t in snapshot_times:
+        if not -1e-12 <= t <= p.t_final + 1e-12:
+            raise ValueError("snapshot time %r must lie in [0, t_final=%g]"
+                             % (t, p.t_final))
     snap_steps = sorted({min(p.n_steps, int(round(t / p.dt)))
                          for t in snapshot_times})
     res = simulate_paths(p, [path_id], snapshot_steps=snap_steps)
@@ -685,8 +678,7 @@ def simulate(p: ProblemSpec, path_id: int, snapshot_times=()) -> Trajectory:
     end = (int(round(status_time / p.dt)) if status == "exploded"
            else p.n_steps + 1)
     snaps = [(s * p.dt, Field(p.grid, res.snapshots[s][0]))
-             for s in snap_steps if s in res.snapshots
-             and np.all(np.isfinite(res.snapshots[s][0]))]
+             for s in snap_steps if np.all(np.isfinite(res.snapshots[s][0]))]
     return Trajectory(res.times[:end], res.h_norms[0, :end],
                       res.v_norms[0, :end], status, status_time, snaps,
                       path_id=int(path_id))

@@ -310,6 +310,8 @@ def as_window(p: ProblemSpec, window=None):
 def as_stability_stats(p: ProblemSpec, n_paths: int, threshold=1e-2,
                        window=None, u_bound=1e6) -> ASStats:
     """Fraction of paths settled below the threshold over the late window."""
+    if n_paths < 1:
+        raise ValueError("a.s. statistics need n_paths >= 1")
     res = run_ensemble(p, range(n_paths), record_steps=(), record_v=0,
                        window=as_window(p, window)[1])
     return as_stats_from_batch(res, p, threshold, window, u_bound)
@@ -364,6 +366,8 @@ def explosion_scan(p: ProblemSpec, k_values, n_paths: int,
     ks = np.array([float(k) for k in k_values])
     if not ks.size or np.any(ks[1:] <= ks[:-1]):
         raise ValueError("k_values must be non-empty and increasing")
+    if n_paths < 1:
+        raise ValueError("explosion scan needs n_paths >= 1")
     q = p.replace(t_final=horizon)
     q.check_radius(ks[0])
     # the exits need each path's peak norm and status only, which the

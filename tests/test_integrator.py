@@ -348,14 +348,18 @@ def test_manual_stepping_matches_simulate_bitwise():
 def test_step_draws_its_increment_at_the_problem_dt():
     # the step draws the path's increment over p.dt itself, so no increment
     # of another step size can reach it
-    from sedes.integrator import _em_step
+    from sedes.integrator import _Solver, _em_step
 
     p = make_preset("eq16", t_final=1.0).problem
     h = HistoryBuffer.from_problem(p)
     ring = h._ring.copy()
+    n = p.grid.n_interior
     for path_id, step in ((0, 0), (3, 0), (3, 11)):
         dB = p.noise.increments([path_id], step, p.dt)
-        want = _em_step(p, step * p.dt, h.current(), h.delayed(), dB)[0]
+        solver = _Solver(n, 1, p.dt, p.grid.dx)
+        solver.factor(p.op.midpoint_values(step * p.dt + p.dt, p.grid))
+        want = _em_step(p, step * p.dt, h.current(), h.delayed(), dB,
+                        solver, np.empty((1, n)))[0]
         x = imex_em_step(p, h, path_id, step)
         assert np.array_equal(x.values, want)
     # the step is pure: the history is left as it was
@@ -395,6 +399,14 @@ class ThomasFactor:
         return x
 
 
+def factored_solver(a_mid, dt, dx, batch):
+    """The engine's solve for batch rows, factored for a_mid."""
+    from sedes.integrator import _Solver
+    solver = _Solver(a_mid.size - 1, batch, dt, dx)
+    solver.factor(a_mid)
+    return solver
+
+
 def tridiag_matrix(a_mid, dt, dx):
     r = dt / (dx * dx)
     return (np.diag(1.0 + r * (a_mid[:-1] + a_mid[1:]))
@@ -404,12 +416,11 @@ def tridiag_matrix(a_mid, dt, dx):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 63, 64, 200, 1000])
 @pytest.mark.parametrize("dt", [1e-5, 1e-3, 1e-1])
 def test_cyclic_reduction_matches_thomas(n, dt):
-    from sedes.integrator import _TridiagFactor
     rng = np.random.default_rng(n)
     a_mid = rng.uniform(0.5, 2.0, n + 1)
     dx = math.pi / (n + 1)
     rhs = rng.standard_normal((7, n))
-    x = _TridiagFactor(a_mid, dt, dx).solve(rhs)
+    x = factored_solver(a_mid, dt, dx, 7).solve(rhs, np.empty((7, n)))
     ref = ThomasFactor(a_mid, dt, dx).solve(rhs)
     assert x.shape == rhs.shape and x.flags.c_contiguous
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -418,9 +429,9 @@ def test_cyclic_reduction_matches_thomas(n, dt):
         assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(rhs))
     # each row is solved with its own arithmetic: a one-row solve gives
     # the same bits as that row of the batch
-    solver = _TridiagFactor(a_mid, dt, dx)
+    solver = factored_solver(a_mid, dt, dx, 1)
     for i in range(rhs.shape[0]):
-        one = solver.solve(rhs[i:i + 1])
+        one = solver.solve(rhs[i:i + 1], np.empty((1, n)))
         assert one.flags.c_contiguous
         assert np.array_equal(one[0], x[i])
 
@@ -584,24 +595,47 @@ class StridedCyclicReduction:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 63, 64, 200, 1000])
 def test_contiguous_levels_match_the_strided_solve_bitwise(n):
-    from sedes.integrator import _TridiagFactor, _Workspace
     rng = np.random.default_rng(100 + n)
     a_mid = rng.uniform(0.5, 2.0, n + 1)
     dx = math.pi / (n + 1)
     for dt in (1e-5, 1e-3, 1e-1):
-        factor = _TridiagFactor(a_mid, dt, dx)
         ref = StridedCyclicReduction(a_mid, dt, dx)
         for B in (1, 7, 200, 7):
+            solver = factored_solver(a_mid, dt, dx, B)
             rhs = rng.standard_normal((B, n))
-            assert np.array_equal(factor.solve(rhs), ref.solve(rhs)), (dt, B)
-            # a reused workspace and a caller's output array: same bits,
-            # and the right-hand side is left as it was
-            work, out = _Workspace(n, B), np.empty((B, n))
+            assert np.array_equal(solver.solve(rhs, np.empty((B, n))),
+                                  ref.solve(rhs)), (dt, B)
+            # a reused solver and a caller's output array: same bits, and
+            # the right-hand side is left as it was
+            out = np.empty((B, n))
             kept = rhs.copy()
             for _ in range(2):
-                assert factor.solve(rhs, out, work) is out
+                assert solver.solve(rhs, out) is out
                 assert np.array_equal(out, ref.solve(rhs))
             assert np.array_equal(rhs, kept)
+            # solved in place, as the step does in the ring
+            inplace = rhs.copy()
+            assert solver.solve(inplace, inplace) is inplace
+            assert np.array_equal(inplace, out)
+
+
+@pytest.mark.parametrize("n", [2, 5, 31, 64])
+def test_a_solver_refactored_in_place_equals_a_fresh_one_bitwise(n):
+    # each factor overwrites every coefficient of the last: a solver
+    # refactored over a sequence of operators solves as a new one would
+    rng = np.random.default_rng(200 + n)
+    dx = math.pi / (n + 1)
+    a_mids = [rng.uniform(0.5, 2.0, n + 1) for _ in range(3)]
+    a_mids += [np.ones(n + 1), 10.0 * a_mids[0]]
+    for B in (1, 7, 200):
+        reused = factored_solver(a_mids[0], 1e-3, dx, B)
+        for a_mid in a_mids:
+            reused.factor(a_mid)
+            rhs = rng.standard_normal((B, n))
+            want = factored_solver(a_mid, 1e-3, dx, B).solve(
+                rhs, np.empty((B, n)))
+            got = reused.solve(rhs, np.empty((B, n)))
+            assert np.array_equal(got, want), (B, a_mid[:3])
 
 
 def _stepped_by_hand(p, path_id, n_steps):
@@ -792,6 +826,40 @@ def test_record_steps_are_sorted_without_repeats(record):
     assert np.array_equal(res.v_norms, trace.v_norms[:, want])
 
 
+def test_path_ids_must_be_integers():
+    # int64 conversion would take 0.5 for path 0 and 2.7 for path 2
+    p = zero_problem(tau=0.01, t_final=0.05, diffusion=lambda t, u, v: v)
+    ref = run_ensemble(p, [0, 1, 2])
+    for ids in ([0, np.int32(1), np.int64(2)], range(3), np.arange(3),
+                np.arange(3, dtype=np.uint8)):
+        res = run_ensemble(p, ids)
+        assert res.ids.dtype == np.int64 and res.ids.tolist() == [0, 1, 2]
+        assert np.array_equal(res.h_norms, ref.h_norms)
+    for bad in ([0.5], [0, 2.0], np.array([1.5]), ["1"]):
+        with pytest.raises(ValueError, match="path id .* is not an integer"):
+            run_ensemble(p, bad)
+    with pytest.raises(ValueError, match="path id 2.7 is not an integer"):
+        simulate(p, 2.7)
+
+
+def test_snapshot_points_must_lie_in_the_run():
+    p = zero_problem(tau=0.01, t_final=0.05)
+    n = p.n_steps
+    res = run_ensemble(p, [0], record_steps=(), snapshot_steps=(n, 0, n))
+    assert sorted(res.snapshots) == [0, n]
+    for bad in ((-1,), (0, n + 1)):
+        with pytest.raises(ValueError,
+                           match=r"snapshot steps must lie in \[0, %d\]" % n):
+            run_ensemble(p, [0], snapshot_steps=bad)
+    # simulate takes times in [0, t_final], to within 1e-12
+    traj = simulate(p, 0, snapshot_times=(-1e-13, 0.01, 0.05 + 1e-13))
+    assert [t for t, _ in traj.snapshots] == pytest.approx([0.0, 0.01, 0.05])
+    for bad in (-0.5, 99.0, 0.05 + 1e-9, -1e-9, math.nan):
+        with pytest.raises(ValueError, match=r"snapshot time .* must lie in "
+                           r"\[0, t_final=0.05\]"):
+            simulate(p, 0, snapshot_times=(0.01, bad))
+
+
 def test_history_block_is_the_ring_of_every_path():
     p = zero_problem(tau=0.01, t_final=0.05)
     psi = p.history_block()
@@ -907,12 +975,12 @@ def test_the_operator_is_factored_once_unless_a_has_a_t_axis(monkeypatch,
                                                               a_fn, per_step):
     from sedes import integrator
     made = []
+    factor = integrator._Solver.factor
 
-    class Counted(integrator._TridiagFactor):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-    monkeypatch.setattr(integrator, "_TridiagFactor", Counted)
+    def counted(self, a_mid):
+        made.append(a_mid)
+        return factor(self, a_mid)
+    monkeypatch.setattr(integrator._Solver, "factor", counted)
     op = (OperatorCoeff.laplacian() if a_fn is None
           else OperatorCoeff.divergence(a_fn, nu=1.0, alpha_upper=1.5))
     p = ProblemSpec(Grid(15), op, drift=lambda t, u, v: -u,
@@ -921,6 +989,8 @@ def test_the_operator_is_factored_once_unless_a_has_a_t_axis(monkeypatch,
                     initial_history=lambda th, x: np.sin(x),
                     t_final=0.1, dt=1e-2)
     assert op.time_dependent == per_step
+    # one path chunk per run: a static A is factored once per chunk, a
+    # time-dependent one at every step
     run_ensemble(p, range(3))
     run_ensemble(p, range(2))
-    assert len(made) == (2 * p.n_steps if per_step else 1)
+    assert len(made) == (2 * p.n_steps if per_step else 2)

@@ -185,6 +185,20 @@ def test_as_stability_stats_heat():
     assert zero.fraction == 0.0
 
 
+def test_as_stability_stats_of_zero_paths_is_refused():
+    pre = make_preset("heat", grid_n=15, dt=1e-2, t_final=1.0, tau=0.1)
+    for n_paths in (0, -1):
+        with pytest.raises(ValueError, match="n_paths >= 1"):
+            as_stability_stats(pre.problem, n_paths, window=(0.5, 1.0))
+
+
+def test_explosion_scan_of_zero_paths_is_refused():
+    pre = make_preset("heat", grid_n=15, dt=1e-2, t_final=1.0, tau=0.1)
+    for n_paths in (0, -1):
+        with pytest.raises(ValueError, match="n_paths >= 1"):
+            explosion_scan(pre.problem, [5.0], n_paths, horizon=0.5)
+
+
 def test_explosion_scan_heat_never_crosses():
     pre = make_preset("heat", grid_n=31, dt=1e-3, t_final=1.0)
     # ||psi||_H ~ 1.2533: monotone decay never reaches k=2
