@@ -240,14 +240,16 @@ class OperatorCoeff:
     def midpoint_values(self, t, grid: Grid):
         """a(t, .) at the n+1 gap midpoints: an (n+1,) array for a float t,
         an (S, n+1) array for an (S, 1) column of times.  Read-only: a value
-        that does not vary along an axis is broadcast there, not copied."""
+        that does not vary along an axis is broadcast there, not copied.
+        Every value is checked (check_range), so the solver is never
+        factored, nor a checker block evaluated, with an a that validate's
+        lattice missed."""
         shape = np.broadcast_shapes(np.shape(t), grid.midpoints.shape)
         if self.a_fn is None:
             return np.broadcast_to(1.0, shape)
         a = np.broadcast_to(np.asarray(self.a_fn(t, grid.midpoints),
                                        dtype=float), shape)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("operator coefficient evaluated non-finite")
+        self.check_range(a, t, grid.midpoints)
         return a
 
     def validate(self, grid: Grid, t_final: float):
@@ -259,16 +261,23 @@ class OperatorCoeff:
         xs = np.linspace(0.0, math.pi, n)
         a = np.empty((n, n))
         a[...] = call_on_times("a_fn", self.a_fn, ts, xs)
+        self.check_range(a, ts, xs)
+
+    def check_range(self, a, t, x):
+        """ValueError unless every value of a = a(t, x) is finite and in
+        [nu, alpha_upper] to within 1e-12 relative; the message gives the
+        worst value with its t and x, which broadcast to a's shape."""
         if not np.all(np.isfinite(a)):
-            raise ValueError("operator coefficient evaluated non-finite")
-        if a.min() < self.nu - 1e-12 * max(1.0, self.nu):
-            raise ValueError(
-                "operator coefficient drops below nu=%g (min %g sampled)"
-                % (self.nu, a.min()))
-        if a.max() > self.alpha_upper + 1e-12 * max(1.0, self.alpha_upper):
-            raise ValueError(
-                "operator coefficient exceeds alpha_upper=%g (max %g sampled)"
-                % (self.alpha_upper, a.max()))
+            i, what = np.argmin(np.isfinite(a)), "evaluated non-finite"
+        elif a.min() < self.nu - 1e-12 * max(1.0, self.nu):
+            i, what = np.argmin(a), "drops below nu=%g" % self.nu
+        elif a.max() > self.alpha_upper + 1e-12 * max(1.0, self.alpha_upper):
+            i, what = np.argmax(a), "exceeds alpha_upper=%g" % self.alpha_upper
+        else:
+            return
+        raise ValueError("operator coefficient %s (%g at t=%g, x=%g)" % (
+            what, a.flat[i], np.broadcast_to(t, a.shape).flat[i],
+            np.broadcast_to(x, a.shape).flat[i]))
 
 
 def apply_operator(c: OperatorCoeff, t: float, f: Field) -> Field:

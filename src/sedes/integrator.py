@@ -30,7 +30,10 @@ The ensemble engine integrates PATH_CHUNK paths at a time, each chunk with a
 ring of its own, and keeps per path only what its reducers ask for: the
 norms at the record steps, running maxima of the H norm, explosion times
 and snapshots.  A run's memory therefore grows with neither its path count
-(beyond the reducers' arrays) nor its number of steps.
+(beyond the reducers' arrays) nor its number of steps.  Every buffer a
+chunk keeps, the ring and the solver's blocks and coefficients, starts on
+a 64-byte cache line: numpy's AVX-512 loops run about twice as fast on
+aligned operands (see _Solver), and alignment moves no bit.
 
 The delay tau is pinned to an exact multiple m * dt (the constructor
 shrinks dt to the nearest divisor and records the adjustment), so the
@@ -81,9 +84,22 @@ NOISE_BLOCK = 64
 # paths integrated together, each chunk with a delay ring of its own, so a
 # run holds one (m+1, PATH_CHUNK, n) ring however many paths it has; paths
 # are independent and their noise is keyed by path, so the value moves no
-# bit of any path.  The eq24 batch sweep is fastest near B = 200
-# (BENCH_6.json: 923k path-steps/s, against 879k at 1000 and 815k at 2000)
+# bit of any path.  A multiple of 8 keeps every row of a chunk on whole
+# cache lines.  The eq24 batch sweep of `bench/run.py --trace 1` (medians
+# of ten, BENCH_25.json) gives 1.16M path-steps/s at B = 200, 1.19M at
+# 1000, 1.15M at 2000 and 0.66M at 50
 PATH_CHUNK = 256
+
+
+def _aligned_empty(shape):
+    """np.empty(shape) of float64 whose data starts on a 64-byte boundary,
+    the cache line: a slice of a one-dimensional block eight numbers longer.
+    It stays a numpy allocation, so a large one keeps numpy's huge-page
+    advice."""
+    size = math.prod(shape)
+    block = np.empty(size + 8)
+    start = (-block.__array_interface__["data"][0] % 64) // 8
+    return block[start:start + size].reshape(shape)
 
 
 def clamp_to_ball(values, radius, dx):
@@ -246,9 +262,10 @@ class ProblemSpec:
 
     def history_values(self, batch: int = 1):
         """Initial ring (m+1, batch, n): history_block copied to every path
-        of the batch; the block is dropped once the ring is filled."""
+        of the batch; the block is dropped once the ring is filled.  The
+        ring starts on a cache line (see _Solver)."""
         psi = self.history_block()
-        ring = np.empty((psi.shape[0], batch, psi.shape[1]))
+        ring = _aligned_empty((psi.shape[0], batch, psi.shape[1]))
         ring[...] = psi[:, None, :]
         return ring
 
@@ -329,12 +346,20 @@ class _Solver:
     (k, 1) column numpy restarts its inner loop on every row.  Both forms
     give the same bits; at n = 63 the materialized one is about 30% faster
     at B = 50, 25% at 200, and level with the column form at 1000 and 2000.
+
+    Every array starts on a 64-byte cache line (_aligned_empty), as does
+    the delay ring: an AVX-512 multiply of two (200, 63) blocks into a
+    third takes 4.45 us when all three do and 8.9 to 10.5 us when they
+    start 8 or 16 bytes past one.  Alignment moves no bit.  When B is a
+    multiple of 8, as 200 and PATH_CHUNK are, a (k, B) row and a ring slot
+    are whole numbers of lines, so every view the solve prebuilds and every
+    slot is aligned too; other batch sizes keep unaligned rows, unpadded.
     """
 
     def __init__(self, n, batch, dt, dx):
         self.r = dt / (dx * dx)
-        tmp = np.empty((n // 2, batch))
-        f = np.empty((n, batch))
+        tmp = _aligned_empty((n // 2, batch))
+        f = _aligned_empty((n, batch))
         # the step's g dB, a (batch, n) view of level 0, which holds nothing
         # until solve() reads the right-hand side
         self.noise = f.reshape(batch, n)
@@ -346,12 +371,12 @@ class _Solver:
         while f.shape[0] > 1:
             ne, no = (f.shape[0] + 1) // 2, f.shape[0] // 2
             e, o = f[:ne], f[ne:]
-            nxt = np.empty((no, batch))
+            nxt = _aligned_empty((no, batch))
             half = (no + 1) // 2
             self.levels.append((
                 (e, o, e[:no], e[1:], o[:ne - 1], tmp[:no], tmp[:ne - 1],
                  o[0::2], o[1::2], nxt[:half], nxt[half:]),
-                tuple(np.empty((k, batch))
+                tuple(_aligned_empty((k, batch))
                       for k in (no, ne - 1, ne, ne - 1, no))))
             f = nxt
         self.top = f
@@ -359,7 +384,8 @@ class _Solver:
 
     def factor(self, a_mid):
         """Set the coefficients of I - dt A for a(t, .) = a_mid at the n+1
-        gap midpoints."""
+        gap midpoints, each positive (OperatorCoeff.midpoint_values checks
+        them against [nu, alpha_upper])."""
         lower = -self.r * a_mid[:-1]     # subdiagonal, entry j couples j-1
         upper = -self.r * a_mid[1:]      # superdiagonal, entry j couples j+1
         diag = 1.0 + self.r * (a_mid[:-1] + a_mid[1:])
@@ -367,7 +393,6 @@ class _Solver:
         for _, coeffs in self.levels:
             no = diag.size // 2
             m = (diag.size + 1) // 2 - 1  # odd rows with a right neighbour
-            assert np.all(diag > 0.0), "cyclic reduction broke down"
             inv = 1.0 / diag[0::2]
             lo_e, up_e = lower[0::2], upper[0::2]
             alpha = -lower[1::2] * inv[:no]
@@ -381,7 +406,6 @@ class _Solver:
             upper = np.zeros(no)
             upper[:m] = beta * up_e[1:]
             diag = next_diag
-        assert diag[0] > 0.0, "cyclic reduction broke down"
         self.top_inv = 1.0 / diag[0]
 
     def solve(self, rhs, out):
@@ -536,25 +560,29 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
     Each reads the very values a full per-step trace would hold, and each
     path's arithmetic is identical to a single-path run, so results do not
     depend on how paths are grouped or chunked.  ValueError for a path id
-    that is not an integer, and for a record, window or snapshot step
-    outside [0, n_steps]."""
-    path_arr = np.fromiter(map(_path_id, path_ids), dtype=np.int64)
+    or a record, window or snapshot step that is not an integer, and for a
+    step outside [0, n_steps]."""
+    path_arr = np.fromiter((_index(i, "path id") for i in path_ids),
+                           dtype=np.int64)
     B, n_steps = path_arr.size, p.n_steps
     if record_steps is None:
         steps = np.arange(n_steps + 1)
     else:
         # sorted, without repeats; np.unique would import numpy.ma
-        steps = np.sort(np.asarray(record_steps, dtype=np.int64), axis=None)
+        steps = np.sort(np.fromiter(
+            (_index(s, "record step")
+             for s in np.ravel(record_steps).tolist()), dtype=np.int64))
         keep = np.ones(steps.size, dtype=bool)
         keep[1:] = steps[1:] != steps[:-1]
         steps = steps[keep]
     if steps.size and not 0 <= steps[0] <= steps[-1] <= n_steps:
         raise ValueError("record steps must lie in [0, %d]" % n_steps)
     if window is not None:
-        window = (int(window[0]), int(window[1]))
+        window = (_index(window[0], "window step"),
+                  _index(window[1], "window step"))
         if not 0 <= window[0] <= window[1] <= n_steps:
             raise ValueError("window steps must lie in [0, %d]" % n_steps)
-    snap_steps = sorted(set(int(s) for s in snapshot_steps))
+    snap_steps = sorted({_index(s, "snapshot step") for s in snapshot_steps})
     if snap_steps and not 0 <= snap_steps[0] <= snap_steps[-1] <= n_steps:
         raise ValueError("snapshot steps must lie in [0, %d]" % n_steps)
     n_v = B if record_v is None else min(record_v, B)
@@ -575,13 +603,13 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
     return res
 
 
-def _path_id(i):
-    """i as an int: a Python or numpy integer; ValueError for anything
-    else, which np.int64 would truncate."""
+def _index(i, what):
+    """i as an int: a Python or numpy integer; ValueError naming what i is
+    for anything else, which int() or np.int64 would truncate."""
     try:
         return operator.index(i)
     except TypeError:
-        raise ValueError("path id %r is not an integer" % (i,)) from None
+        raise ValueError("%s %r is not an integer" % (what, i)) from None
 
 
 def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v):
@@ -609,13 +637,18 @@ def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v):
     limit_sq = min(p.explosion_limit * p.explosion_limit,
                    np.finfo(float).max)
     x, col = hist.current(), 0
+    # the step's squared H norms, by h_norm_sq_values' ufuncs in its order;
+    # the squares go to the level-0 block, which holds nothing between steps
+    hn2, sq = _aligned_empty((ids.size,)), solver.noise
 
     # a path heading for blow-up may overflow inside the coefficients, the
     # solve or the norms, and a dead path's NaN row runs through all of
     # them; that is reported through explosion_times, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(n_steps + 1):
-            hn2 = h_norm_sq_values(x, dx)
+            np.multiply(x, x, out=sq)
+            np.add.reduce(sq, axis=-1, out=hn2)
+            np.multiply(hn2, dx, out=hn2)
             # NaN, inf and norms beyond the limit fail one comparison; a NaN
             # row enters the next right-hand side additively, so stays NaN
             new = ~(hn2 <= limit_sq) & np.isnan(explosion_times)

@@ -638,6 +638,41 @@ def test_a_solver_refactored_in_place_equals_a_fresh_one_bitwise(n):
             assert np.array_equal(got, want), (B, a_mid[:3])
 
 
+def _line_offset(a):
+    """Bytes past a 64-byte cache line at which a's data starts."""
+    return a.__array_interface__["data"][0] % 64
+
+
+@pytest.mark.parametrize("batch", [8, 200, 256])
+def test_every_step_buffer_starts_on_a_cache_line(batch):
+    # a multiple of 8 paths makes a (k, batch) row and a (batch, 63) ring
+    # slot whole cache lines, so every prebuilt view and every slot of the
+    # ring starts on one as well as every block
+    from sedes.integrator import _Solver
+    p = zero_problem(grid_n=63, tau=0.01, t_final=0.05)
+    ring = p.history_values(batch)
+    assert [_line_offset(slot) for slot in ring] == [0] * (p.m_delay + 1)
+    solver = _Solver(63, batch, p.dt, p.grid.dx)
+    arrays = [solver.noise, solver.evens, solver.odds, solver.top]
+    for views, coeffs in solver.levels:
+        # the level's blocks, tmp's two views and nxt's two halves
+        arrays += list(views) + list(coeffs)
+    assert len(arrays) == 4 + 16 * len(solver.levels)
+    assert [_line_offset(a) for a in arrays] == [0] * len(arrays)
+
+
+def test_an_unaligned_batch_still_starts_every_block_on_a_cache_line():
+    # at 7 paths a row is 56 bytes, so only the blocks' starts are aligned
+    from sedes.integrator import _Solver
+    p = zero_problem(grid_n=63, tau=0.01, t_final=0.05)
+    assert _line_offset(p.history_values(7)) == 0
+    solver = _Solver(63, 7, p.dt, p.grid.dx)
+    starts = [solver.noise, solver.top]
+    for (e, _, _, _, _, tmp, _, _, _, nxt, _), coeffs in solver.levels:
+        starts += [e, tmp, nxt] + list(coeffs)
+    assert [_line_offset(a) for a in starts] == [0] * len(starts)
+
+
 def _stepped_by_hand(p, path_id, n_steps):
     """States of one path from imex_em_step and push, as an (n_steps + 1,
     n) array."""
@@ -710,6 +745,45 @@ def test_time_dependent_operator_is_refactored_every_step():
         assert np.max(np.abs(stale)) > 1e-6 * np.max(np.abs(rhs))
         h.push(x_next)
     assert worst <= 1e-12
+
+
+def _spiked_operator(value):
+    """a = 1 except within 1e-4 of t = 0.014, where it is value: between
+    two of validate's 64 lattice times over [0, 0.05], but at the end of
+    step 13 at dt = 1e-3."""
+    return OperatorCoeff.divergence(
+        lambda t, x: np.where(np.abs(t - 0.014) < 1e-4, value, 1.0) + 0 * x,
+        nu=0.5, alpha_upper=1.0)
+
+
+@pytest.mark.parametrize("value, what", [
+    (-1.0, r"drops below nu=0.5 \(-1 at t=0.014,"),
+    (0.4, r"drops below nu=0.5 \(0.4 at t=0.014,"),
+    (2.0, r"exceeds alpha_upper=1 \(2 at t=0.014,"),
+    (math.nan, r"evaluated non-finite \(nan at t=0.014,"),
+])
+def test_the_operator_is_checked_where_the_solver_is_factored(value, what):
+    op = _spiked_operator(value)
+    p = ProblemSpec(Grid(15), op, drift=lambda t, u, v: -u,
+                    diffusion=lambda t, u, v: 0.5 * v, tau=0.01,
+                    noise=NoiseModel.scalar(seed=2),
+                    initial_history=lambda th, x: np.sin(x),
+                    t_final=0.05, dt=1e-3)
+    assert op.time_dependent and p.n_steps == 50
+    # the lattice misses the spike: construction and the steps before it
+    # pass, and the step that would solve with it is refused
+    h = HistoryBuffer.from_problem(p)
+    for k in range(13):
+        h.push(imex_em_step(p, h, 0, k).values)
+    with pytest.raises(ValueError, match=what):
+        imex_em_step(p, h, 0, 13)
+    with pytest.raises(ValueError, match=what):
+        run_ensemble(p, range(3))
+    # a checker block evaluates a(t, .) through the same check
+    with pytest.raises(ValueError, match=what):
+        op.midpoint_values(np.array([[0.0], [0.014], [0.03]]), p.grid)
+    assert op.midpoint_values(np.array([[0.0], [0.03]]), p.grid).shape \
+        == (2, 16)
 
 
 def test_linear_sine_mode_paths_match_the_scalar_recursion():
@@ -840,6 +914,47 @@ def test_path_ids_must_be_integers():
             run_ensemble(p, bad)
     with pytest.raises(ValueError, match="path id 2.7 is not an integer"):
         simulate(p, 2.7)
+
+
+def test_the_step_norm_equals_h_norm_sq_values_of_the_state_bitwise():
+    # the loop squares each state into the solver's level-0 block and sums
+    # with add.reduce; the norms and maxima must be those of the fields, by
+    # h_norm_sq_values, to the bit, at the desk batch and at a ragged one
+    p = make_preset("eq24", t_final=0.05, seed=3).problem
+    steps = range(p.n_steps + 1)
+    for paths in (200, 13):
+        res = run_ensemble(p, range(paths), snapshot_steps=steps,
+                           window=(10, 30))
+        sq = np.array([h_norm_sq_values(res.snapshots[k], p.grid.dx)
+                       for k in steps]).T
+        assert np.array_equal(res.h_norms, np.sqrt(sq))
+        assert np.array_equal(res.peak, np.sqrt(sq.max(axis=1)))
+        assert np.array_equal(res.window_peak,
+                              np.sqrt(sq[:, 10:31].max(axis=1)))
+
+
+def test_record_window_and_snapshot_steps_must_be_integers():
+    # int() and np.int64 would take 2.5 for step 2 and (1.5, 4.7) for the
+    # window (1, 4)
+    p = zero_problem(tau=0.01, t_final=0.05, diffusion=lambda t, u, v: v)
+    ref = run_ensemble(p, [0], record_steps=[2, 3], snapshot_steps=[2],
+                       window=(1, 4))
+    res = run_ensemble(p, [0], record_steps=np.array([3, 2], dtype=np.uint8),
+                       snapshot_steps=[np.int32(2)],
+                       window=(np.int64(1), np.int16(4)))
+    assert np.array_equal(res.steps, ref.steps) and res.window == (1, 4)
+    assert np.array_equal(res.h_norms, ref.h_norms)
+    assert np.array_equal(res.window_peak, ref.window_peak)
+    assert np.array_equal(res.snapshots[2], ref.snapshots[2])
+    for kw, what in [(dict(record_steps=[2.5, 3.9]), "record step 2.5"),
+                     (dict(record_steps=np.array([[1.0, 2.0]])),
+                      "record step 1.0"),
+                     (dict(snapshot_steps=[2.5]), "snapshot step 2.5"),
+                     (dict(snapshot_steps=[1, "3"]), "snapshot step '3'"),
+                     (dict(window=(1.5, 4.7)), "window step 1.5"),
+                     (dict(window=(1, 4.0)), "window step 4.0")]:
+        with pytest.raises(ValueError, match="^%s is not an integer$" % what):
+            run_ensemble(p, [0], **kw)
 
 
 def test_snapshot_points_must_lie_in_the_run():
