@@ -39,9 +39,9 @@ from .lyapunov import (FourierSampler, check_exponential, check_khasminskii,
                        check_lasalle)
 from .presets import (DEFAULTS as PRESET_DEFAULTS, PRESET_NAMES,
                       eq24_failed_requirement, make_preset)
-from .stability import (as_stats_from_batch, as_window, default_record_times,
+from .stability import (as_stats_from_batch, as_window, default_record_steps,
                         explosion_scan, fit_decay_rate_adaptive,
-                        ms_curve_from_batch, record_steps, solve_decay)
+                        ms_curve_from_batch, solve_decay)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 2
@@ -184,11 +184,9 @@ def load_config(path=None, overrides=None) -> dict:
     if cfg["preset"] == "eq24" and not cfg["allow_unstable"]:
         nu, a, b, c = (float(cfg[k]) for k in ("nu", "a", "b", "c"))
         failed = eq24_failed_requirement(nu, a, b, c)
-        needs = {"b": "nu-a > b^2 > 0 (nu=%g, a=%g, b=%g)" % (nu, a, b),
-                 "c": "0 < c^4 < 2 (c=%g)" % c}
         if failed is not None:
             raise ConfigError("eq24 parameters rejected: requires %s; pass "
-                              "--allow-unstable to run anyway" % needs[failed])
+                              "--allow-unstable to run anyway" % failed)
     if cfg["decay_solver"] and cfg["preset"] != "eq24":
         raise ConfigError(
             "decay_solver needs the exponential-stability constants, which "
@@ -229,7 +227,7 @@ def _run_bytes(cfg):
     ring = (m + 1.0) * min(float(PATH_CHUNK), B) * n
     floats = SETUP_FLOATS_PER_POINT * n
     if cfg["ms_ensemble"] or cfg["as_stats"]:
-        # default_record_times keeps at most record_points steps
+        # default_record_steps keeps at most record_points steps
         records = min(steps + 1.0, float(cfg["record_points"]))
         floats += ring + (B + min(cfg["n_sample_paths"], B) + 1.0) * records
     if cfg["explosion_scan"]:
@@ -307,7 +305,7 @@ def run(cfg) -> int:
                               % (key, cfg[key], p.t_final))
     resolved = dict(cfg)
     resolved.update(grid_n=p.grid.n_interior, dt=p.dt, tau=p.tau,
-                    t_final=p.t_final, amplitude=preset.params["amplitude"],
+                    t_final=p.t_final, amplitude=preset.amplitude,
                     dt_requested=p.dt_requested, dt_adjusted=p.dt_adjusted,
                     m_delay=p.m_delay)
     if p.dt_adjusted:
@@ -341,13 +339,12 @@ def run(cfg) -> int:
 
     decay = None
     if cfg["decay_solver"]:
+        # load_config allows the solver for eq24 alone, and make_preset
+        # sets its alpha1..alpha4 and mu
         L = preset.lyapunov
-        if None in (L.alpha1, L.alpha2, L.alpha3, L.alpha4):
-            raise ConfigError("decay solver needs alpha1..alpha4")
         try:
             decay = solve_decay(L.alpha1, L.alpha2, L.alpha3, L.alpha4,
-                                p.tau,
-                                mu=L.mu if L.mu is not None else math.inf)
+                                p.tau, mu=L.mu)
             print("decay solver: eps1=%.6g eps2=%.6g bound=%.6g"
                   % (decay.eps1, decay.eps2, decay.bound))
         except ValueError as err:
@@ -363,21 +360,20 @@ def run(cfg) -> int:
     numerical_failure = False
     if cfg["ms_ensemble"] or cfg["as_stats"]:
         n_paths = cfg["n_paths"]
-        record_times = default_record_times(p, int(cfg["record_points"]))
-        steps = record_steps(p, record_times)
         res = run_ensemble(
-            p, range(n_paths), record_steps=steps,
+            p, range(n_paths),
+            record_steps=default_record_steps(p, int(cfg["record_points"])),
             record_v=int(cfg["n_sample_paths"]),
             window=as_window(p, cfg["as_window"])[1] if cfg["as_stats"]
             else None)
-        n_exploded = len(res.exploded_ids())
+        n_exploded = int(np.count_nonzero(res.exploded))
         if n_exploded / n_paths > cfg["explosion_budget"]:
             numerical_failure = True
             print("numerical failure: %d/%d paths exploded (budget %g)"
                   % (n_exploded, n_paths, cfg["explosion_budget"]))
         if cfg["ms_ensemble"]:
             try:
-                curve = ms_curve_from_batch(res, p, record_times)
+                curve = ms_curve_from_batch(res, p)
             except RuntimeError as err:
                 numerical_failure = True
                 print("numerical failure: %s" % err)
@@ -411,7 +407,7 @@ def run(cfg) -> int:
         # sample-path table from the same batch
         n_show = min(int(cfg["n_sample_paths"]), n_paths)
         rows = []
-        for j, t in zip(res.columns(steps), steps * p.dt):
+        for j, t in enumerate(res.times):
             for pid in range(n_show):
                 h = res.h_norms[pid, j]
                 v = res.v_norms[pid, j]

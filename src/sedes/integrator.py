@@ -494,9 +494,11 @@ class BatchResult:
     """Ensemble run, as its reducers left it.
 
     ids (int64) are the paths in row order and explosion_times each path's
-    explosion time, NaN for a path that completed.  h_norms (n_paths,
-    len(steps)) and v_norms (n_v, len(steps)) hold the norms at the
-    recorded steps (every step for simulate_paths); dead entries are NaN.
+    explosion time, NaN for a path that completed; exploded is the mask of
+    the paths that did not, the one explosion status every analysis reads.
+    h_norms (n_paths, len(steps)) and v_norms (n_v, len(steps)) hold the
+    norms at the recorded steps, at times = steps * dt (every step for
+    simulate_paths); dead entries are NaN.
     peak is each path's largest H norm from step 0 to the end, and
     window_peak its largest over steps window[0]..window[1] (None without a
     window); both stop at a path's explosion, and window_peak is NaN for a
@@ -522,10 +524,14 @@ class BatchResult:
         return self.ids.size
 
     @property
+    def exploded(self):
+        return ~np.isnan(self.explosion_times)
+
+    @property
     def statuses(self):
         """Status per path: "exploded" or "completed"."""
-        return ["completed" if math.isnan(t) else "exploded"
-                for t in self.explosion_times.tolist()]
+        return ["exploded" if e else "completed"
+                for e in self.exploded.tolist()]
 
     @property
     def status_times(self):
@@ -534,18 +540,7 @@ class BatchResult:
                 for t in self.explosion_times.tolist()]
 
     def exploded_ids(self):
-        return self.ids[~np.isnan(self.explosion_times)].tolist()
-
-    def columns(self, steps):
-        """Column of h_norms and v_norms holding each of the given steps;
-        ValueError for a step the run did not record."""
-        steps = np.asarray(steps, dtype=np.int64)
-        cols = np.searchsorted(self.steps, steps)
-        if np.any(cols >= self.steps.size) or \
-                not np.array_equal(self.steps[cols], steps):
-            raise ValueError("the ensemble recorded no norms at some of the "
-                             "requested steps")
-        return cols
+        return self.ids[self.exploded].tolist()
 
 
 def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
@@ -604,12 +599,16 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
 
 
 def _index(i, what):
-    """i as an int: a Python or numpy integer; ValueError naming what i is
-    for anything else, which int() or np.int64 would truncate."""
+    """i as an int: a Python or numpy integer in [-2^63, 2^63); ValueError
+    naming what i is for anything else, which int() or np.int64 would
+    truncate or refuse with an OverflowError."""
     try:
-        return operator.index(i)
+        i = operator.index(i)
     except TypeError:
         raise ValueError("%s %r is not an integer" % (what, i)) from None
+    if not -2 ** 63 <= i < 2 ** 63:
+        raise ValueError("%s %d is outside [-2^63, 2^63)" % (what, i))
+    return i
 
 
 def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v):

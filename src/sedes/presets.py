@@ -70,12 +70,13 @@ def _fourth_power(c):
 
 
 def eq24_failed_requirement(nu, a, b, c):
-    """The first expstab requirement (nu, a, b, c) fails: "b" for
-    nu - a > b^2 > 0, "c" for 0 < c^4 < 2; None when both hold."""
+    """The first expstab requirement (nu, a, b, c) fails, worded with the
+    values that fail it: nu - a > b^2 > 0, then 0 < c^4 < 2; None when both
+    hold."""
     if not (nu - a > b * b > 0.0):
-        return "b"
+        return "nu - a > b^2 > 0 (nu=%g, a=%g, b=%g)" % (nu, a, b)
     if not (0.0 < _fourth_power(c) < 2.0):
-        return "c"
+        return "0 < c^4 < 2 (c=%g, c^4=%g)" % (c, _fourth_power(c))
     return None
 
 
@@ -86,13 +87,15 @@ def _sine_history(amplitude):
 
 
 class Preset:
-    """A built-in problem plus its Lyapunov certificate and parameters."""
+    """A built-in problem plus its Lyapunov certificate and the amplitude
+    of its initial history psi(theta, x) = amplitude sin(x), the one
+    parameter the problem does not hold."""
 
-    def __init__(self, name, problem, lyapunov, params):
+    def __init__(self, name, problem, lyapunov, amplitude):
         self.name = name
         self.problem = problem
         self.lyapunov = lyapunov
-        self.params = params
+        self.amplitude = amplitude
 
 
 def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
@@ -121,8 +124,6 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
     grid = Grid(grid_n)
     noise = NoiseModel.scalar(seed=seed)
     psi = _sine_history(amplitude)
-    params = dict(grid_n=grid_n, dt=dt, tau=tau, t_final=t_final,
-                  seed=seed, amplitude=amplitude)
 
     if name == "heat":
         problem = ProblemSpec(
@@ -137,7 +138,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             w1_fn=lambda v, dx: 2.0 * h_norm_sq_values(v, dx),
             w2_fn=h_norm_sq_values,
             gamma_fn=lambda t: 0.0)
-        return Preset(name, problem, lyap, params)
+        return Preset(name, problem, lyap, amplitude)
 
     if name == "eq16":
         sign = -1.0 if sign_variant else 1.0
@@ -151,8 +152,7 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
             W_fn=quartic_values, lam1=4.0 / 3.0,
             lam2=(4.0 / 3.0 if lam2 is None else float(lam2)),
             gamma_fn=lambda t: 0.0)
-        params.update(sign_variant=sign_variant, lam2=lyap.lam2)
-        return Preset(name, problem, lyap, params)
+        return Preset(name, problem, lyap, amplitude)
 
     if name == "eq6":
         gf = float(g_factor)
@@ -167,21 +167,14 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
                                        + 2.0 * h_norm_sq_values(v, dx)),
             w2_fn=h_norm_sq_values,
             gamma_fn=lambda t: 0.0)
-        params.update(g_factor=gf)
-        return Preset(name, problem, lyap, params)
+        return Preset(name, problem, lyap, amplitude)
 
     # eq24: divergence-form operator with 0 < nu <= a(t,x) <= alpha
     nu, a, b, c = float(nu), float(a), float(b), float(c)
-    c4 = _fourth_power(c)
     failed = (eq24_failed_requirement(nu, a, b, c) if enforce_constraints
               else None)
-    if failed == "b":
-        raise ValueError(
-            "expstab preset requires nu - a > b^2 > 0 "
-            "(nu=%g, a=%g, b=%g)" % (nu, a, b))
-    if failed == "c":
-        raise ValueError(
-            "expstab preset requires 0 < c^4 < 2 (c=%g, c^4=%g)" % (c, c4))
+    if failed is not None:
+        raise ValueError("expstab preset requires " + failed)
     op = OperatorCoeff.divergence(
         lambda t, x: np.full_like(np.asarray(x, dtype=float), nu),
         nu=nu, alpha_upper=nu)
@@ -194,9 +187,8 @@ def make_preset(name, grid_n=None, dt=None, tau=None, t_final=None,
     lyap = LyapunovSpec(
         W1_fn=quartic_values,
         alpha1=2.0 * (nu - a), alpha2=2.0 * b * b,
-        alpha3=1.0, alpha4=0.5 * c4,
+        alpha3=1.0, alpha4=0.5 * _fourth_power(c),
         mu=math.inf,
         gamma_fn=lambda t: 0.0,
         enforce_constants=enforce_constraints)
-    params.update(nu=nu, a=a, b=b, c=c)
-    return Preset(name, problem, lyap, params)
+    return Preset(name, problem, lyap, amplitude)

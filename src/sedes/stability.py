@@ -42,8 +42,7 @@ __all__ = [
     "solve_decay",
     "ms_ensemble",
     "ms_curve_from_batch",
-    "default_record_times",
-    "record_steps",
+    "default_record_steps",
     "fit_decay_rate",
     "fit_decay_rate_adaptive",
     "as_stability_stats",
@@ -163,60 +162,50 @@ class MsCurve:
                 "exploded_ids": self.exploded_ids, "seed": self.seed}
 
 
-def default_record_times(p: ProblemSpec, n_points=501):
-    """Uniform record grid of at most n_points steps, both ends included,
-    no finer than the step size: the stride is n_steps / (n_points - 1)
-    rounded up, and the last step closes the grid."""
+def default_record_steps(p: ProblemSpec, n_points=501):
+    """Uniform grid of at most n_points record steps (int64), both ends
+    included, no finer than the step size: the stride is n_steps /
+    (n_points - 1) rounded up, and the last step closes the grid."""
     stride = max(1, -(-p.n_steps // max(1, n_points - 1)))
     steps = np.arange(0, p.n_steps + 1, stride)
     if steps[-1] != p.n_steps:
         steps = np.append(steps, p.n_steps)
-    return steps * p.dt
+    return steps
 
 
-def record_steps(p: ProblemSpec, record_times):
-    """The step nearest each record time, clipped to [0, n_steps]."""
-    record_times = np.asarray(record_times, dtype=float)
-    return np.clip(np.round(record_times / p.dt).astype(int), 0, p.n_steps)
-
-
-def _exploded(res):
-    return ~np.isnan(res.explosion_times)
-
-
-def ms_curve_from_batch(res, p: ProblemSpec, record_times) -> MsCurve:
-    """Reduce an ensemble batch to the mean-square curve (see ms_ensemble);
-    res must hold the norms at the record times' steps."""
-    alive = ~_exploded(res)
-    if not alive.any():
+def ms_curve_from_batch(res, p: ProblemSpec) -> MsCurve:
+    """Reduce an ensemble batch to the mean-square curve (see ms_ensemble):
+    one point per step the batch recorded, at res.times."""
+    alive = ~res.exploded
+    n_alive = int(alive.sum())
+    if not n_alive:
         raise RuntimeError("ensemble collapse: every path exploded")
-    steps = record_steps(p, record_times)
-    h2 = res.h_norms[alive][:, res.columns(steps)] ** 2
-    n_alive = np.full(steps.size, int(alive.sum()))
+    # path-contiguous (Fortran-order) rows, so the mean and the deviations
+    # below are numpy's pairwise sums down each column; a C-order copy
+    # sums row by row and moves the last bits of the curve
+    h2 = np.asfortranarray(res.h_norms[alive]) ** 2
     mean = h2.mean(axis=0)
-    if alive.sum() > 1:
+    if n_alive > 1:
         # deviations about the first alive path, not the rounded mean: a
         # column where every path is equal has a standard error of exactly 0
-        stderr = ((h2 - h2[:1]).std(axis=0, ddof=1)
-                  / math.sqrt(alive.sum()))
+        stderr = (h2 - h2[:1]).std(axis=0, ddof=1) / math.sqrt(n_alive)
     else:
         stderr = np.zeros_like(mean)
-    return MsCurve(steps * p.dt, mean, stderr, n_alive, res.n_paths,
-                   res.exploded_ids(), p.noise.seed)
+    return MsCurve(res.times, mean, stderr, np.full(res.steps.size, n_alive),
+                   res.n_paths, res.exploded_ids(), p.noise.seed)
 
 
-def ms_ensemble(p: ProblemSpec, n_paths: int, record_times=None) -> MsCurve:
-    """Sample mean and standard error of ||x(t)||_H^2 over paths 0..n-1.
+def ms_ensemble(p: ProblemSpec, n_paths: int) -> MsCurve:
+    """Sample mean and standard error of ||x(t)||_H^2 over paths 0..n-1 at
+    the default_record_steps grid.
 
     Exploded paths are excluded from the mean but reported; they are never
     silently dropped.  Raises if every path exploded."""
     if n_paths < 2:
         raise ValueError("ensemble needs n_paths >= 2")
-    if record_times is None:
-        record_times = default_record_times(p)
-    res = run_ensemble(p, range(n_paths),
-                       record_steps=record_steps(p, record_times), record_v=0)
-    return ms_curve_from_batch(res, p, record_times)
+    res = run_ensemble(p, range(n_paths), record_steps=default_record_steps(p),
+                       record_v=0)
+    return ms_curve_from_batch(res, p)
 
 
 def fit_decay_rate(curve: MsCurve, window=None):
@@ -326,7 +315,7 @@ def as_stats_from_batch(res, p: ProblemSpec, threshold=1e-2, window=None,
     if res.window != steps:
         raise ValueError("the batch holds maxima over steps %s, not over "
                          "the window's steps %s" % (res.window, steps))
-    exploded = _exploded(res)
+    exploded = res.exploded
     ok = int(np.count_nonzero(res.window_peak[~exploded] < threshold))
     bounded = int(np.count_nonzero(res.peak[~exploded] ** 2 < u_bound))
     return ASStats(ok / n_paths, bounded / n_paths, threshold, window,
@@ -349,7 +338,7 @@ class ExplosionRow:
 
 def _exits(res, ks):
     """(len(ks), n_paths) mask: the path's norm reached k, or it exploded."""
-    return (res.peak >= ks[:, None]) | _exploded(res)
+    return (res.peak >= ks[:, None]) | res.exploded
 
 
 def explosion_scan(p: ProblemSpec, k_values, n_paths: int,

@@ -51,12 +51,23 @@ def test_load_config_unknown_keys_listed(tmp_path):
 def test_load_config_rejects_unstable_eq24_citing_hypothesis():
     with pytest.raises(ConfigError, match="c\\^4 < 2"):
         load_config(None, {"preset": "eq24", "c": 1.3})
-    with pytest.raises(ConfigError, match="nu-a > b\\^2 > 0"):
+    with pytest.raises(ConfigError, match="nu - a > b\\^2 > 0"):
         load_config(None, {"preset": "eq24", "b": 2.0})
     # --allow-unstable lifts the construction-time rejection
     cfg = load_config(None, {"preset": "eq24", "c": 1.3,
                              "allow_unstable": True})
     assert cfg["c"] == 1.3
+    # one wording: the configuration error cites the requirement that
+    # make_preset refuses, with its values
+    for params in (dict(b=2.0), dict(nu=2.0, a=1.0, b=1.0), dict(c=1.3),
+                   dict(c=0.0)):
+        with pytest.raises(ValueError) as built:
+            make_preset("eq24", **params)
+        text = str(built.value).removeprefix("expstab preset ")
+        assert text.startswith("requires ")
+        with pytest.raises(ConfigError) as loaded:
+            load_config(None, dict(preset="eq24", **params))
+        assert text in str(loaded.value)
 
 
 def test_heat_default_run_passes(tmp_path):

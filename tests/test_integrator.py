@@ -957,6 +957,27 @@ def test_record_window_and_snapshot_steps_must_be_integers():
             run_ensemble(p, [0], **kw)
 
 
+def test_integers_outside_64_bits_are_refused_by_name():
+    # np.fromiter into int64 raised OverflowError for these
+    p = zero_problem(tau=0.01, t_final=0.05, diffusion=lambda t, u, v: v)
+    top = run_ensemble(p, [2 ** 63 - 1, -2 ** 63])
+    assert top.ids.tolist() == [2 ** 63 - 1, -2 ** 63]
+    for kw, what, i in [(dict(path_ids=[2 ** 63]), "path id", 2 ** 63),
+                        (dict(path_ids=[0, -2 ** 63 - 1]), "path id",
+                         -2 ** 63 - 1),
+                        (dict(path_ids=[np.uint64(2 ** 63)]), "path id",
+                         2 ** 63),
+                        (dict(record_steps=[2 ** 63]), "record step",
+                         2 ** 63),
+                        (dict(snapshot_steps=[2 ** 64]), "snapshot step",
+                         2 ** 64),
+                        (dict(window=(0, 2 ** 63)), "window step", 2 ** 63)]:
+        kw.setdefault("path_ids", [0])
+        with pytest.raises(ValueError, match=r"^%s %d is outside "
+                           r"\[-2\^63, 2\^63\)$" % (what, i)):
+            run_ensemble(p, **kw)
+
+
 def test_snapshot_points_must_lie_in_the_run():
     p = zero_problem(tau=0.01, t_final=0.05)
     n = p.n_steps

@@ -52,6 +52,14 @@ def test_eq24_parameter_gates():
         make_preset("eq24", b=2.0)
     with pytest.raises(ValueError, match="nu - a > b\\^2 > 0"):
         make_preset("eq24", b=0.0)
+    # nu - a = b^2 exactly is on the wrong side of nu - a > b^2
+    with pytest.raises(ValueError, match=r"^expstab preset requires "
+                       r"nu - a > b\^2 > 0 \(nu=2, a=1, b=1\)$"):
+        make_preset("eq24", nu=2.0, a=1.0, b=1.0)
+    make_preset("eq24", nu=2.0, a=0.99, b=1.0)
+    with pytest.raises(ValueError, match=r"^expstab preset requires "
+                       r"0 < c\^4 < 2 \(c=1.3, c\^4=2.8561\)$"):
+        make_preset("eq24", c=1.3)
     ok = make_preset("eq24", nu=3.0, a=1.0, b=1.2, c=1.0)
     assert ok.lyapunov.alpha1 == pytest.approx(2 * (3.0 - 1.0))
     assert ok.lyapunov.alpha2 == pytest.approx(2 * 1.2 ** 2)

@@ -252,6 +252,29 @@ def cubic_blowup_problem():
                        t_final=1.0, dt=5e-3)
 
 
+def test_ms_curve_reduces_the_alive_rows_path_contiguously_to_the_bit():
+    # the milder start of test_as_stats_matches_per_path_loop: 11 of 32
+    # paths stay alive, enough rows for the two orders of summation to part
+    p = cubic_blowup_problem().replace(
+        diffusion=lambda t, u, v: 2.0 + 0 * u,
+        initial_history=lambda th, x: 1.5 * np.sin(x))
+    res = run_ensemble(p, range(32), record_steps=range(0, p.n_steps + 1, 7),
+                       record_v=0)
+    alive = ~res.exploded
+    assert alive.sum() == 11
+    curve = stability.ms_curve_from_batch(res, p)
+    assert np.array_equal(curve.times, res.times)
+    assert curve.exploded_ids == res.ids[res.exploded].tolist()
+    assert np.all(curve.n_alive == alive.sum())
+    # numpy sums a path-contiguous column pairwise, a row-contiguous one
+    # row by row; the curve's bits are those of the pairwise sums
+    h2 = np.asfortranarray(res.h_norms[alive]) ** 2
+    stderr = (h2 - h2[:1]).std(axis=0, ddof=1) / math.sqrt(alive.sum())
+    assert np.array_equal(curve.mean, h2.mean(axis=0))
+    assert np.array_equal(curve.stderr, stderr)
+    assert not np.array_equal(curve.mean, (res.h_norms[alive] ** 2).mean(0))
+
+
 def test_as_stats_matches_per_path_loop():
     # the per-path loop the array reduction replaced is the reference; a
     # milder start and kick leave about a third of the paths alive
@@ -471,7 +494,7 @@ def test_ms_curve_matches_the_exact_second_moment_recursion():
     assert np.max(np.abs(z_off)) > 2 * bound
 
 
-def test_default_record_times_keep_at_most_the_points_asked_for():
+def test_default_record_steps_keep_at_most_the_points_asked_for():
     # eq24 to t = 1.249 has 1249 steps: a stride rounded to the nearest
     # integer (2) recorded 626 steps where 501 were asked for
     for t_final, n_points in ((1.249, 501), (1.001, 501), (0.75, 501),
@@ -480,8 +503,7 @@ def test_default_record_times_keep_at_most_the_points_asked_for():
         p = make_preset("eq24", t_final=t_final).problem
         assert p.n_steps == round(t_final * 1000)
         assert p.n_steps % (n_points - 1) != 0
-        steps = np.round(stability.default_record_times(p, n_points)
-                         / p.dt).astype(int)
+        steps = stability.default_record_steps(p, n_points)
         assert steps[0] == 0 and steps[-1] == p.n_steps
         assert len(steps) <= n_points, (t_final, n_points, len(steps))
         # one stride throughout, and a last step no longer than it
@@ -493,5 +515,5 @@ def test_default_record_times_keep_at_most_the_points_asked_for():
                               (0.016, 5)):
         p = make_preset("eq24", t_final=t_final).problem
         stride = p.n_steps // (n_points - 1)
-        assert np.array_equal(stability.default_record_times(p, n_points),
-                              np.arange(0, p.n_steps + 1, stride) * p.dt)
+        assert np.array_equal(stability.default_record_steps(p, n_points),
+                              np.arange(0, p.n_steps + 1, stride))
