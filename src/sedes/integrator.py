@@ -128,7 +128,8 @@ class BallClampedCoeff:
     """
 
     def __init__(self, inner, radius, dx):
-        if radius <= 0:
+        # a NaN radius fails too, as it would clamp nothing
+        if not radius > 0:
             raise ValueError("truncation radius must be positive")
         self.inner = inner
         self.radius = float(radius)
@@ -163,12 +164,12 @@ class ProblemSpec:
     def __init__(self, grid: Grid, op: OperatorCoeff, drift, diffusion,
                  tau: float, noise: NoiseModel, initial_history,
                  t_final: float, dt: float, explosion_limit=EXPLOSION_LIMIT):
-        if tau <= 0:
-            raise ValueError("delay tau must be positive")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if t_final <= 0:
-            raise ValueError("t_final must be positive")
+        for name, value in (("delay tau", tau), ("dt", dt),
+                            ("t_final", t_final)):
+            # NaN fails the comparison too
+            if not 0 < value < math.inf:
+                raise ValueError("%s must be positive and finite, got %g"
+                                 % (name, value))
         if not explosion_limit > 0:
             raise ValueError("explosion_limit must be positive")
         self.grid = grid
@@ -270,11 +271,12 @@ class ProblemSpec:
         return ring
 
     def check_radius(self, k: float):
-        """ValueError for a truncation radius k below the initial data: the
-        larger of psi_h_bound (257 thetas) and the ring's own norms."""
+        """ValueError for a truncation radius k below the initial data, the
+        larger of psi_h_bound (257 thetas) and the ring's own norms, or
+        NaN."""
         ring_sq = h_norm_sq_values(self.history_block(), self.grid.dx)
         bound = max(self.psi_h_bound, float(np.sqrt(ring_sq.max())))
-        if k < bound:
+        if not k >= bound:
             raise ValueError("truncation below initial data: k=%g < psi "
                              "bound %g" % (k, bound))
 
@@ -291,20 +293,20 @@ class ProblemSpec:
 class HistoryBuffer:
     """Ring of the m+1 most recent states, covering one delay window.
 
-    current() is the state at head_time; delayed() is the state stored
-    exactly m steps earlier (no interpolation, by construction).
+    current() is the newest state; delayed() is the state stored exactly m
+    steps earlier (no interpolation, by construction).  The ring keeps no
+    time: a state's time is the step index its caller passes, as
+    imex_em_step and the ensemble engine do.
     """
 
-    def __init__(self, ring, dt, head_time=0.0):
+    def __init__(self, ring):
         self._ring = np.asarray(ring, dtype=float)
         self._m = self._ring.shape[0] - 1
         self._head = self._m
-        self.dt = float(dt)
-        self.head_time = float(head_time)
 
     @classmethod
     def from_problem(cls, p: ProblemSpec, batch: int = 1) -> "HistoryBuffer":
-        return cls(p.history_values(batch), p.dt, head_time=0.0)
+        return cls(p.history_values(batch))
 
     def current(self):
         return self._ring[self._head]
@@ -321,7 +323,6 @@ class HistoryBuffer:
         """Move the head onto the slot delayed() returned, whose values the
         caller has overwritten with the new state (push without a copy)."""
         self._head = (self._head + 1) % (self._m + 1)
-        self.head_time += self.dt
 
 
 class _Solver:
@@ -493,18 +494,19 @@ class Trajectory:
 class BatchResult:
     """Ensemble run, as its reducers left it.
 
-    ids (int64) are the paths in row order and explosion_times each path's
-    explosion time, NaN for a path that completed; exploded is the mask of
-    the paths that did not, the one explosion status every analysis reads.
+    ids (int64) are the paths in row order and explosion_times, the one
+    record of explosions, each path's explosion time, NaN for a path that
+    completed; exploded (the mask every analysis reads) and statuses derive
+    from it.
     h_norms (n_paths, len(steps)) and v_norms (n_v, len(steps)) hold the
     norms at the recorded steps, at times = steps * dt (every step for
     simulate_paths); dead entries are NaN.
     peak is each path's largest H norm from step 0 to the end, and
     window_peak its largest over steps window[0]..window[1] (None without a
-    window); both stop at a path's explosion, and window_peak is NaN for a
-    path dead before the window.  snapshots maps a step to the (n_paths, n)
-    states there; an exploded path's row is NaN at and after its
-    explosion step."""
+    window), two rows of one fold; both stop at a path's explosion, and
+    window_peak is NaN for a path dead before the window.  snapshots maps a
+    step to the (n_paths, n) states there; an exploded path's row is NaN at
+    and after its explosion step."""
 
     def __init__(self, steps, dt, h_norms, v_norms, ids, explosion_times,
                  peak, window=None, window_peak=None, snapshots=None):
@@ -533,12 +535,6 @@ class BatchResult:
         return ["exploded" if e else "completed"
                 for e in self.exploded.tolist()]
 
-    @property
-    def status_times(self):
-        """Explosion time per path, None for a completed one."""
-        return [None if math.isnan(t) else t
-                for t in self.explosion_times.tolist()]
-
     def exploded_ids(self):
         return self.ids[self.exploded].tolist()
 
@@ -549,9 +545,9 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
 
     The reducers keep the H norms at record_steps (every step when None),
     the V norms there for the first record_v paths (all when None), the
-    running maxima of the H norm over the whole run and over the steps
-    window = (i0, i1), the explosion times and the states at
-    snapshot_steps.
+    explosion times, the states at snapshot_steps and the running maxima
+    of the H norm, rows (first step, last step, buffer) of one fold: peak
+    over the run and window_peak over the steps window = (i0, i1).
     Each reads the very values a full per-step trace would hold, and each
     path's arithmetic is identical to a single-path run, so results do not
     depend on how paths are grouped or chunked.  ValueError for a path id
@@ -560,26 +556,13 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
     path_arr = np.fromiter((_index(i, "path id") for i in path_ids),
                            dtype=np.int64)
     B, n_steps = path_arr.size, p.n_steps
-    if record_steps is None:
-        steps = np.arange(n_steps + 1)
-    else:
-        # sorted, without repeats; np.unique would import numpy.ma
-        steps = np.sort(np.fromiter(
-            (_index(s, "record step")
-             for s in np.ravel(record_steps).tolist()), dtype=np.int64))
-        keep = np.ones(steps.size, dtype=bool)
-        keep[1:] = steps[1:] != steps[:-1]
-        steps = steps[keep]
-    if steps.size and not 0 <= steps[0] <= steps[-1] <= n_steps:
-        raise ValueError("record steps must lie in [0, %d]" % n_steps)
+    steps = (np.arange(n_steps + 1) if record_steps is None else
+             _steps(np.ravel(record_steps).tolist(), "record step", n_steps))
     if window is not None:
         window = (_index(window[0], "window step"),
                   _index(window[1], "window step"))
         if not 0 <= window[0] <= window[1] <= n_steps:
             raise ValueError("window steps must lie in [0, %d]" % n_steps)
-    snap_steps = sorted({_index(s, "snapshot step") for s in snapshot_steps})
-    if snap_steps and not 0 <= snap_steps[0] <= snap_steps[-1] <= n_steps:
-        raise ValueError("snapshot steps must lie in [0, %d]" % n_steps)
     n_v = B if record_v is None else min(record_v, B)
     res = BatchResult(
         steps, p.dt, h_norms=np.full((B, steps.size), np.nan),
@@ -587,15 +570,31 @@ def run_ensemble(p: ProblemSpec, path_ids, record_steps=None, record_v=None,
         ids=path_arr, explosion_times=np.full(B, np.nan),
         peak=np.full(B, np.nan), window=window,
         window_peak=None if window is None else np.full(B, np.nan),
-        snapshots={s: np.empty((B, p.grid.n_interior)) for s in snap_steps})
-    # the reducers keep squared norms: sqrt is monotone and correctly
+        snapshots={s: np.empty((B, p.grid.n_interior)) for s in _steps(
+            snapshot_steps, "snapshot step", n_steps).tolist()})
+    # the maxima are of squared norms: sqrt is monotone and correctly
     # rounded, so the root of the largest square is the largest root
-    for lo in range(0, B, PATH_CHUNK):
-        _run_chunk(p, res, path_arr, slice(lo, min(lo + PATH_CHUNK, B)), n_v)
-    np.sqrt(res.peak, out=res.peak)
+    maxima = [(0, n_steps, res.peak)]
     if window is not None:
-        np.sqrt(res.window_peak, out=res.window_peak)
+        maxima.append(window + (res.window_peak,))
+    for lo in range(0, B, PATH_CHUNK):
+        _run_chunk(p, res, maxima, path_arr,
+                   slice(lo, min(lo + PATH_CHUNK, B)), n_v)
+    for _, _, buf in maxima:
+        np.sqrt(buf, out=buf)
     return res
+
+
+def _steps(values, what, n_steps):
+    """The steps in values, sorted and without repeats, as int64; ValueError
+    naming what they are for one that is not an integer (see _index) or
+    lies outside [0, n_steps]."""
+    # a set, not np.unique, which would import numpy.ma
+    steps = np.array(sorted({_index(s, what) for s in values}),
+                     dtype=np.int64)
+    if steps.size and not 0 <= steps[0] <= steps[-1] <= n_steps:
+        raise ValueError("%ss must lie in [0, %d]" % (what, n_steps))
+    return steps
 
 
 def _index(i, what):
@@ -611,17 +610,16 @@ def _index(i, what):
     return i
 
 
-def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v):
+def _run_chunk(p, res, maxima, path_arr, rows, n_v):
     """Integrate the paths path_arr[rows] in one batch with a delay ring of
-    their own, feeding res's reducers at those rows."""
+    their own, feeding res's reducers at those rows; a row (i0, i1, buf) of
+    maxima folds the squared H norms of steps i0..i1 into buf by np.fmax."""
     ids = path_arr[rows]
     dx, dt, n_steps = p.grid.dx, p.dt, p.n_steps
     nv = max(0, min(rows.stop, n_v) - rows.start)
     h_rec = res.h_norms[rows]
     v_rec = res.v_norms[rows.start:rows.start + nv] if nv else None
-    peak_sq = res.peak[rows]
-    w0, w1 = res.window if res.window is not None else (-1, -1)
-    window_sq = res.window_peak[rows] if res.window is not None else None
+    maxima = [(i0, i1, buf[rows]) for i0, i1, buf in maxima]
     record = res.steps.tolist()
     snapshots = {s: snap[rows] for s, snap in res.snapshots.items()}
     explosion_times = res.explosion_times[rows]
@@ -655,9 +653,9 @@ def _run_chunk(p: ProblemSpec, res: BatchResult, path_arr, rows, n_v):
                 explosion_times[new] = step * dt
                 x[new] = np.nan
                 hn2[new] = np.nan
-            np.fmax(peak_sq, hn2, out=peak_sq)
-            if w0 <= step <= w1:
-                np.fmax(window_sq, hn2, out=window_sq)
+            for i0, i1, buf in maxima:
+                if i0 <= step <= i1:
+                    np.fmax(buf, hn2, out=buf)
             if col < len(record) and record[col] == step:
                 h_rec[:, col] = np.sqrt(hn2)
                 if nv:
@@ -695,8 +693,8 @@ def simulate(p: ProblemSpec, path_id: int, snapshot_times=()) -> Trajectory:
 
     snapshot_times must lie in [0, t_final] (to within 1e-12); each is
     taken at its nearest step.  On explosion the trajectory and its
-    snapshots end before the first bad step, and the status records when
-    it happened.
+    snapshots end before the first bad step, and status_time is the
+    path's explosion_times entry (None for a completed path).
     """
     for t in snapshot_times:
         if not -1e-12 <= t <= p.t_final + 1e-12:
@@ -705,10 +703,10 @@ def simulate(p: ProblemSpec, path_id: int, snapshot_times=()) -> Trajectory:
     snap_steps = sorted({min(p.n_steps, int(round(t / p.dt)))
                          for t in snapshot_times})
     res = simulate_paths(p, [path_id], snapshot_steps=snap_steps)
-    status, status_time = res.statuses[0], res.status_times[0]
+    (status,), (t_boom,) = res.statuses, res.explosion_times.tolist()
+    status_time = None if math.isnan(t_boom) else t_boom
     # an exploded path ends at the last step before the explosion
-    end = (int(round(status_time / p.dt)) if status == "exploded"
-           else p.n_steps + 1)
+    end = p.n_steps + 1 if status_time is None else round(t_boom / p.dt)
     snaps = [(s * p.dt, Field(p.grid, res.snapshots[s][0]))
              for s in snap_steps if np.all(np.isfinite(res.snapshots[s][0]))]
     return Trajectory(res.times[:end], res.h_norms[0, :end],

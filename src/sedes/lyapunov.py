@@ -385,8 +385,6 @@ def _gamma_integral(L, t_final, mu=None):
 
 def _blocks(sampler, n):
     """(first index, t, X, Y) for samples 0..n-1, SAMPLE_BLOCK at a time."""
-    if n < 0:
-        raise ValueError("number of samples must be >= 0, got %d" % n)
     for start in range(0, n, SAMPLE_BLOCK):
         # yielded unbound: the generator holds no block while drawing one
         yield (start,) + sampler.sample_block(
@@ -403,6 +401,9 @@ def _check(name, p, L, sampler, n, constants, functionals, families, rows,
     value per row; the functionals vanishing at x = 0; and gamma's
     (extras key, message, mu), weighted by e^{mu t} unless mu is None.
     Constants and the zero check enter first, gamma's quadrature last."""
+    # with no sample the worst margin would be -inf, a pass
+    if n < 1:
+        raise ValueError("number of samples must be >= 1, got %d" % n)
     missing = [nm for nm in constants + functionals if getattr(L, nm) is None]
     if missing:
         raise ValueError("check_%s needs %s set in its LyapunovSpec"

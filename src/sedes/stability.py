@@ -353,7 +353,8 @@ def explosion_scan(p: ProblemSpec, k_values, n_paths: int,
     provided the initial ring lies in the ball (checked).  The theorem
     predicts the table is nonincreasing in k and heads to 0."""
     ks = np.array([float(k) for k in k_values])
-    if not ks.size or np.any(ks[1:] <= ks[:-1]):
+    # a NaN radius fails the comparison, so it is not increasing
+    if not ks.size or not np.all(ks[1:] > ks[:-1]):
         raise ValueError("k_values must be non-empty and increasing")
     if n_paths < 1:
         raise ValueError("explosion scan needs n_paths >= 1")

@@ -536,6 +536,22 @@ def test_resolved_config_replays_byte_for_byte(tmp_path):
         (pytest.approx(0.1 / 334, rel=1e-15), 334)
 
 
+def test_eq24_with_history_b_and_c_negated_writes_the_same_curves(tmp_path):
+    # (psi, b, c) -> (-psi, -b, -c) maps every eq24 path x to -x bit for
+    # bit, so the norms, and every file built from them, stay byte for byte
+    base = ["--preset", "eq24", "--paths", "40", "--grid-n", "31",
+            "--t-final", "5", "--as-stats", "--no-check-conditions"]
+    flips = (["--amplitude", "0.1"],
+             ["--amplitude", "-0.1", "--b", "-1", "--c", "-1"])
+    outs = [tmp_path / "plus", tmp_path / "minus"]
+    codes = [run_cli(base + flip + ["--out-dir", str(out)])
+             for flip, out in zip(flips, outs)]
+    # over the window [0, 5] the a.s. proxy fails, which is beside the point
+    assert codes == [EXIT_CHECK_FAILURE] * 2
+    for name in ("ms_curve.csv", "paths_sample.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_key_table_keeps_the_flags_and_defaults(monkeypatch):
     from sedes.cli import build_parser
     monkeypatch.delenv("SEDES_OUT", raising=False)

@@ -125,7 +125,7 @@ def test_history_buffer_delay_exactness():
     grid = Grid(8)
     m = 5
     ring = np.zeros((m + 1, 1, 8))
-    h = HistoryBuffer(ring, dt=0.1)
+    h = HistoryBuffer(ring)
     pushed = []
     for i in range(1, 20):
         vals = np.full((1, 8), float(i))
@@ -133,7 +133,20 @@ def test_history_buffer_delay_exactness():
         pushed.append(vals)
         if i > m:
             assert np.array_equal(h.delayed(), pushed[i - 1 - m])
-    assert h.head_time == pytest.approx(1.9)
+    assert np.array_equal(h.current(), pushed[-1])
+
+
+def test_problem_times_must_be_finite():
+    # unchecked, an infinite dt runs with dt = tau, and int() refuses an
+    # infinite or NaN tau or t_final with an error that does not name it
+    p = zero_problem()
+    for key, name in (("tau", "delay tau"), ("dt", "dt"),
+                      ("t_final", "t_final")):
+        for bad, text in ((math.inf, "inf"), (math.nan, "nan"),
+                          (-1.0, "-1"), (0.0, "0")):
+            with pytest.raises(ValueError, match="%s must be positive and "
+                               "finite, got %s" % (name, text)):
+                p.replace(**{key: bad})
 
 
 def test_initial_history_validation():
@@ -188,8 +201,14 @@ def test_truncation_wrapper_semantics():
     proj = clamp_to_ball(big, 4.0, dx)
     assert math.sqrt(h_norm_sq_values(proj, dx)) == pytest.approx(4.0,
                                                                   rel=1e-12)
-    with pytest.raises(ValueError, match="truncation below initial data"):
-        truncate_problem(p, 0.01)
+    # every comparison with NaN is False, so NaN fails both radius checks
+    from sedes.integrator import BallClampedCoeff
+    for bad in (0.01, math.nan):
+        with pytest.raises(ValueError, match="truncation below initial data"):
+            truncate_problem(p, bad)
+    for bad in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            BallClampedCoeff(p.drift, bad, dx)
 
 
 def test_clamp_keeps_fields_whose_squared_norm_underflows():
@@ -309,7 +328,7 @@ def test_a_history_beyond_the_limit_explodes_at_step_0():
     p = zero_problem(t_final=0.05, tau=0.01)
     q = p.replace(explosion_limit=0.5)
     res = simulate_paths(q, [0, 1], snapshot_steps=[0, 3])
-    assert res.status_times == [0.0, 0.0]
+    assert res.explosion_times.tolist() == [0.0, 0.0]
     assert np.all(np.isnan(res.h_norms)) and np.all(np.isnan(res.peak))
     assert all(np.all(np.isnan(x)) for x in res.snapshots.values())
     traj = simulate(q, 0, snapshot_times=[0.0])
@@ -342,7 +361,6 @@ def test_manual_stepping_matches_simulate_bitwise():
         x = imex_em_step(p, h, 2, n)
         h.push(x.values)
         assert h_norm(x) == traj.h_norms[n + 1]
-    assert h.head_time == pytest.approx(5 * p.dt)
 
 
 def test_step_draws_its_increment_at_the_problem_dt():
@@ -363,7 +381,6 @@ def test_step_draws_its_increment_at_the_problem_dt():
         x = imex_em_step(p, h, path_id, step)
         assert np.array_equal(x.values, want)
     # the step is pure: the history is left as it was
-    assert h.head_time == 0.0
     assert np.array_equal(h._ring, ring)
 
 
@@ -461,7 +478,8 @@ def test_ensembles_do_not_depend_on_the_noise_block(monkeypatch, block):
         assert np.array_equal(res.v_norms, ref[name].v_norms,
                               equal_nan=True), name
         assert res.statuses == ref[name].statuses, name
-        assert res.status_times == ref[name].status_times, name
+        assert np.array_equal(res.explosion_times, ref[name].explosion_times,
+                              equal_nan=True), name
 
 
 def _chunked_run(p, n_paths):
@@ -502,8 +520,9 @@ def test_ensembles_do_not_depend_on_the_path_chunk(monkeypatch, chunk):
             assert np.array_equal(res.peak,
                                   np.fmax.reduce(trace.h_norms, axis=1),
                                   equal_nan=True), name
-            assert (res.statuses, res.status_times) == (
-                trace.statuses, trace.status_times), name
+            assert res.statuses == trace.statuses, name
+            assert np.array_equal(res.explosion_times, trace.explosion_times,
+                                  equal_nan=True), name
     monkeypatch.setattr(integ, "PATH_CHUNK", chunk)
     for name, p in _block_cases():
         trace, reduced, stats = _chunked_run(p, n_paths)
@@ -512,8 +531,9 @@ def test_ensembles_do_not_depend_on_the_path_chunk(monkeypatch, chunk):
             for key in ("h_norms", "v_norms", "peak"):
                 assert np.array_equal(getattr(res, key), getattr(want, key),
                                       equal_nan=True), (name, key)
-            assert (res.statuses, res.status_times) == (
-                want.statuses, want.status_times), name
+            assert res.statuses == want.statuses, name
+            assert np.array_equal(res.explosion_times, want.explosion_times,
+                                  equal_nan=True), name
         assert np.array_equal(reduced.window_peak, ref_reduced.window_peak,
                               equal_nan=True), name
         assert trace.snapshots.keys() == ref_trace.snapshots.keys()
@@ -522,6 +542,46 @@ def test_ensembles_do_not_depend_on_the_path_chunk(monkeypatch, chunk):
             assert np.array_equal(states, ref_trace.snapshots[step],
                                   equal_nan=True), name
         assert stats == ref_stats, name
+
+
+def test_the_maxima_take_both_end_steps_of_their_range():
+    # deterministic runs whose norm falls, and rises, at every step: each
+    # maximum is the norm at one end of its steps, so a fold that skips an
+    # end step reads a neighbour's norm instead
+    window = (20, 60)
+    falls = zero_problem(t_final=0.1)
+    rises = zero_problem(t_final=0.1, drift=lambda t, u, v: 3.0 * u)
+    for p, sign, at in ((falls, -1.0, 0), (rises, 1.0, 1)):
+        res = run_ensemble(p, [0, 1], window=window)
+        assert np.all(sign * np.diff(res.h_norms, axis=1) > 0)
+        assert np.array_equal(res.peak, res.h_norms[:, (0, -1)[at]])
+        assert np.array_equal(res.window_peak, res.h_norms[:, window[at]])
+
+
+_SIGN_CASES = (("heat", 1.0, {}), ("eq6", 0.1, {}),
+               ("eq24", 0.1, {"b": 1.0, "c": 1.0}))
+
+
+@pytest.mark.parametrize("name, amplitude, odd", _SIGN_CASES,
+                         ids=[c[0] for c in _SIGN_CASES])
+def test_a_negated_history_negates_every_path_bit_for_bit(name, amplitude,
+                                                          odd):
+    # f and g are odd in the state (eq24's once b and c change sign with
+    # it), rounding to nearest is symmetric in sign and every operation of
+    # the step commutes with negation, so psi -> -psi maps x to -x exactly
+    kw = dict(grid_n=31, t_final=1.0, seed=5)
+    every = range(0, 1001, 25)
+    pos, neg = [run_ensemble(make_preset(
+        name, amplitude=sign * amplitude,
+        **{k: sign * v for k, v in odd.items()}, **kw).problem,
+        range(12), snapshot_steps=every) for sign in (1.0, -1.0)]
+    assert pos.steps.size == 1001 and not pos.exploded.any()
+    for s in every:
+        assert np.array_equal((-pos.snapshots[s]).view(np.uint64),
+                              neg.snapshots[s].view(np.uint64)), s
+    for key in ("h_norms", "v_norms", "peak"):
+        assert np.array_equal(getattr(pos, key).view(np.uint64),
+                              getattr(neg, key).view(np.uint64)), key
 
 
 # ---------------------------------------------------------------------------

@@ -543,10 +543,17 @@ def test_diffusion_operator_is_a_row_of_the_block_kernel():
 
 
 def test_checkers_reject_a_negative_sample_count():
+    # no sample is refused too: it would pass with a worst margin of -inf
     pre = make_preset("eq16")
-    with pytest.raises(ValueError, match="samples"):
-        check_khasminskii(pre.problem, pre.lyapunov,
-                          default_sampler(pre.problem), -1)
+    for n in (-1, 0):
+        with pytest.raises(ValueError, match="samples"):
+            check_khasminskii(pre.problem, pre.lyapunov,
+                              default_sampler(pre.problem), n)
+    for name, check in (("eq6", check_lasalle),
+                        ("eq24", check_exponential)):
+        pre = make_preset(name)
+        with pytest.raises(ValueError, match="samples"):
+            check(pre.problem, pre.lyapunov, default_sampler(pre.problem), 0)
 
 
 def _varying_problem():

@@ -204,10 +204,14 @@ def test_explosion_scan_heat_never_crosses():
     # ||psi||_H ~ 1.2533: monotone decay never reaches k=2
     rows = explosion_scan(pre.problem, [2.0, 4.0], 4, horizon=1.0)
     assert [r.probability for r in rows] == [0.0, 0.0]
-    with pytest.raises(ValueError, match="increasing"):
-        explosion_scan(pre.problem, [4.0, 2.0], 4, horizon=1.0)
-    with pytest.raises(ValueError, match="truncation below initial data"):
-        explosion_scan(pre.problem, [0.5, 2.0], 4, horizon=1.0)
+    # every comparison with NaN is False: NaN after 2.0 does not increase,
+    # and NaN alone is below the initial data
+    for ks in ([4.0, 2.0], [2.0, math.nan]):
+        with pytest.raises(ValueError, match="increasing"):
+            explosion_scan(pre.problem, ks, 4, horizon=1.0)
+    for ks in ([0.5, 2.0], [math.nan]):
+        with pytest.raises(ValueError, match="truncation below initial data"):
+            explosion_scan(pre.problem, ks, 4, horizon=1.0)
 
 
 def test_a_path_whose_peak_equals_k_exits_in_the_scan_and_in_sigma_k():
@@ -225,12 +229,14 @@ def test_a_path_whose_peak_equals_k_exits_in_the_scan_and_in_sigma_k():
 
 def test_exploded_paths_are_counted_not_dropped():
     grid = Grid(31)
-    # noise-kicked supercritical drift: some paths blow up, some do not
+    # noise-kicked supercritical drift: some paths blow up, some do not;
+    # this start keeps at least two alive, so the standard error is taken
+    # over deviations
     p = ProblemSpec(grid, OperatorCoeff.laplacian(),
                     drift=lambda t, u, v: u ** 3,
-                    diffusion=lambda t, u, v: 5.0 + 0 * u,
+                    diffusion=lambda t, u, v: 2.0 + 0 * u,
                     tau=0.1, noise=NoiseModel.scalar(seed=8),
-                    initial_history=lambda th, x: 2.29 * np.sin(x),
+                    initial_history=lambda th, x: 1.5 * np.sin(x),
                     t_final=1.0, dt=5e-3)
     from sedes import simulate_paths
     res = simulate_paths(p, range(16))
@@ -239,11 +245,13 @@ def test_exploded_paths_are_counted_not_dropped():
     curve = ms_ensemble(p, 16)
     assert curve.n_exploded == n_exploded
     assert curve.n_alive[0] == 16 - n_exploded
+    assert np.all(curve.n_alive >= 2)
     assert np.all(np.isfinite(curve.mean))
 
 
 def cubic_blowup_problem():
-    # the problem of test_exploded_paths_are_counted_not_dropped
+    # noise-kicked supercritical drift: all but about one path in sixteen
+    # blow up
     return ProblemSpec(Grid(31), OperatorCoeff.laplacian(),
                        drift=lambda t, u, v: u ** 3,
                        diffusion=lambda t, u, v: 5.0 + 0 * u,
@@ -298,6 +306,25 @@ def test_as_stats_matches_per_path_loop():
     # the batch holds maxima over one window of steps only
     with pytest.raises(ValueError, match="window's steps"):
         stability.as_stats_from_batch(res, p, threshold, (0.2, 1.0), u_bound)
+
+
+def test_a_history_four_times_larger_scales_the_ms_curve_by_sixteen():
+    # for linear f and g every operation of the step commutes with a power
+    # of two while nothing under- or overflows, so psi -> 4 psi gives 4x on
+    # every path and 16x on every mean square, exactly
+    def linear(amplitude):
+        return ProblemSpec(
+            Grid(31), OperatorCoeff.laplacian(),
+            drift=lambda t, u, v: 0.3 * u + 0.4 * v,
+            diffusion=lambda t, u, v: 0.6 * v,
+            tau=0.1, noise=NoiseModel.scalar(seed=2),
+            initial_history=lambda th, x: amplitude * np.sin(x),
+            t_final=1.0, dt=1e-3)
+    one, four = ms_ensemble(linear(1.0), 12), ms_ensemble(linear(4.0), 12)
+    assert np.array_equal(four.times, one.times)
+    assert np.all(one.stderr[1:] > 0)     # every path starts at psi
+    assert np.array_equal(four.mean, 16.0 * one.mean)
+    assert np.array_equal(four.stderr, 16.0 * one.stderr)
 
 
 def test_ensemble_invariant_under_batch_grouping():
