@@ -24,7 +24,6 @@ from .fields import (
 from .noise import NoiseModel
 from .integrator import (
     BallClampedCoeff,
-    HistoryBuffer,
     ProblemSpec,
     Trajectory,
     imex_em_step,

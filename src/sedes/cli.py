@@ -319,8 +319,7 @@ def run(cfg) -> int:
     reports = []
     if cfg["check_conditions"]:
         sampler = FourierSampler(p.grid, seed=cfg["sampler_seed"],
-                                 t_max=p.t_final,
-                                 n_modes=min(8, p.grid.n_interior))
+                                 t_max=p.t_final)
         for nm, fn in _CHECKERS[cfg["preset"]]:
             try:
                 rep = fn(p, preset.lyapunov, sampler, int(cfg["n_samples"]))
@@ -348,7 +347,8 @@ def run(cfg) -> int:
             print("decay solver: eps1=%.6g eps2=%.6g bound=%.6g"
                   % (decay.eps1, decay.eps2, decay.bound))
         except ValueError as err:
-            # reachable only with --allow-unstable constants
+            # with --allow-unstable constants, or constants that overflow
+            # (nu = 1e308 and a = -1e308 give alpha1 = inf)
             checks["decay_solver"] = False
             print("decay solver FAIL: %s" % err)
 

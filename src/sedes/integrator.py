@@ -25,6 +25,7 @@ on the way up.  The step forms the right-hand side in the ring slot of
 the delayed state, the one slot no later part of the step reads, and
 the solve overwrites it with the new state; the noise term is formed in
 the solver's level-0 block, which holds nothing until the solve starts.
+One step kernel, _em_step, serves the ensemble engine and imex_em_step.
 
 The ensemble engine integrates PATH_CHUNK paths at a time, each chunk with a
 ring of its own, and keeps per path only what its reducers ask for: the
@@ -37,7 +38,10 @@ aligned operands (see _Solver), and alignment moves no bit.
 
 The delay tau is pinned to an exact multiple m * dt (the constructor
 shrinks dt to the nearest divisor and records the adjustment), so the
-delayed state is always a stored step and never interpolated.
+delayed state is always a stored step and never interpolated: the ring
+holds the m+1 most recent states, and the step index alone locates each
+(the state of step s is in slot (s - 1) % (m+1)), so the ring keeps no
+head of its own.
 
 Paths are pure functions of (ProblemSpec, path_id): all randomness is
 counter-based, and the batched ensemble driver performs exactly the same
@@ -66,7 +70,6 @@ from .noise import NoiseModel
 __all__ = [
     "BallClampedCoeff",
     "ProblemSpec",
-    "HistoryBuffer",
     "Trajectory",
     "BatchResult",
     "imex_em_step",
@@ -263,8 +266,10 @@ class ProblemSpec:
 
     def history_values(self, batch: int = 1):
         """Initial ring (m+1, batch, n): history_block copied to every path
-        of the batch; the block is dropped once the ring is filled.  The
-        ring starts on a cache line (see _Solver)."""
+        of the batch; the block is dropped once the ring is filled.  Slot i
+        holds the state of step i - m, and the steps keep the state of step
+        s in slot (s - 1) % (m+1) (see _em_step).  The ring starts on a
+        cache line (see _Solver)."""
         psi = self.history_block()
         ring = _aligned_empty((psi.shape[0], batch, psi.shape[1]))
         ring[...] = psi[:, None, :]
@@ -288,41 +293,6 @@ class ProblemSpec:
                     explosion_limit=self.explosion_limit)
         args.update(kw)
         return ProblemSpec(**args)
-
-
-class HistoryBuffer:
-    """Ring of the m+1 most recent states, covering one delay window.
-
-    current() is the newest state; delayed() is the state stored exactly m
-    steps earlier (no interpolation, by construction).  The ring keeps no
-    time: a state's time is the step index its caller passes, as
-    imex_em_step and the ensemble engine do.
-    """
-
-    def __init__(self, ring):
-        self._ring = np.asarray(ring, dtype=float)
-        self._m = self._ring.shape[0] - 1
-        self._head = self._m
-
-    @classmethod
-    def from_problem(cls, p: ProblemSpec, batch: int = 1) -> "HistoryBuffer":
-        return cls(p.history_values(batch))
-
-    def current(self):
-        return self._ring[self._head]
-
-    def delayed(self):
-        """State from m steps ago (lag exactly tau)."""
-        return self._ring[(self._head + 1) % (self._m + 1)]
-
-    def push(self, values):
-        self.delayed()[...] = values
-        self.advance()
-
-    def advance(self):
-        """Move the head onto the slot delayed() returned, whose values the
-        caller has overwritten with the new state (push without a copy)."""
-        self._head = (self._head + 1) % (self._m + 1)
 
 
 class _Solver:
@@ -439,38 +409,41 @@ class _Solver:
         return out
 
 
-def _em_step(p: ProblemSpec, t: float, x, y, dB, solver, out):
-    """Scheme arithmetic: solve (I - dt A(t + dt)) x' = x + dt f + g dB,
-    with f, g at (t, x, y) and dB the Brownian increments, one per row of x.
+def _em_step(p: ProblemSpec, ring, step, dB, solver):
+    """Step step of the scheme on the (m+1, B, n) ring of history_values:
+    solve (I - dt A(t + dt)) x' = x + dt f + g dB, with f, g at (t, x, y),
+    t = step * dt and dB the Brownian increments, one per row.
 
-    solver is a _Solver for x's rows, factored at t + dt.  The right-hand
-    side is formed in out and solved in place, so out may be y's memory:
-    g dB is formed first, and f and g may be views of y."""
+    The step index locates every state: x, the state of step step, is in
+    slot (step - 1) % (m+1) and y, that of step - m, in slot step % (m+1),
+    where the right-hand side is formed and solved in place into the state
+    of step + 1, which the returned slot holds.  So g dB is formed first,
+    in the solver's noise block, and f and g may be views of y.  solver is
+    a _Solver for the ring's B rows, factored at t + dt."""
+    slots = ring.shape[0]
+    x = ring[(step - 1) % slots]
+    y = ring[step % slots]
+    t = step * p.dt
     drift = np.asarray(p.drift(t, x, y), dtype=float)
     diff = np.asarray(p.diffusion(t, x, y), dtype=float)
     noise = solver.noise
     np.multiply(diff, dB, noise)
-    np.multiply(p.dt, drift, out)
-    np.add(x, out, out)
-    np.add(out, noise, out)
-    return solver.solve(out, out)
+    np.multiply(p.dt, drift, y)
+    np.add(x, y, y)
+    np.add(y, noise, y)
+    return solver.solve(y, y)
 
 
-def imex_em_step(p: ProblemSpec, h: HistoryBuffer, path_id: int,
-                 step: int) -> Field:
-    """One IMEX Euler-Maruyama step of path path_id from the state at
-    t = step * dt in h, driven by the path's Brownian increment over
-    [t, t + dt).
-
-    Pure: h is not advanced (push the returned state to advance).
-    """
-    n, t = p.grid.n_interior, step * p.dt
-    solver = _Solver(n, 1, p.dt, p.grid.dx)
-    solver.factor(p.op.midpoint_values(t + p.dt, p.grid))
+def imex_em_step(p: ProblemSpec, ring, path_id: int, step: int) -> Field:
+    """Step step of path path_id, driven by the path's Brownian increment
+    over [t, t + dt), t = step * dt, on the path's ring from
+    p.history_values(), which it advances in place (see _em_step): the
+    state of step + 1 replaces that of step - m, and is returned.  Steps
+    0, 1, 2, ... on one ring give the engine's path bit for bit."""
+    solver = _Solver(p.grid.n_interior, 1, p.dt, p.grid.dx)
+    solver.factor(p.op.midpoint_values(step * p.dt + p.dt, p.grid))
     dB = p.noise.increments([path_id], step, p.dt)
-    out = _em_step(p, t, h.current(), h.delayed(), dB, solver,
-                   np.empty((1, n)))
-    return Field(p.grid, out[0])
+    return Field(p.grid, _em_step(p, ring, step, dB, solver)[0])
 
 
 class Trajectory:
@@ -624,7 +597,7 @@ def _run_chunk(p, res, maxima, path_arr, rows, n_v):
     snapshots = {s: snap[rows] for s, snap in res.snapshots.items()}
     explosion_times = res.explosion_times[rows]
 
-    hist = HistoryBuffer.from_problem(p, ids.size)
+    ring = p.history_values(ids.size)
     solver = _Solver(p.grid.n_interior, ids.size, dt, dx)
     # step 0 solves with A(dt); a static A keeps that factor for the chunk,
     # a time-dependent one is refactored in place at every later step
@@ -633,7 +606,7 @@ def _run_chunk(p, res, maxima, path_arr, rows, n_v):
     # capped, so a non-finite state explodes even at an infinite limit
     limit_sq = min(p.explosion_limit * p.explosion_limit,
                    np.finfo(float).max)
-    x, col = hist.current(), 0
+    x, col = ring[-1], 0
     # the step's squared H norms, by h_norm_sq_values' ufuncs in its order;
     # the squares go to the level-0 block, which holds nothing between steps
     hn2, sq = _aligned_empty((ids.size,)), solver.noise
@@ -665,18 +638,13 @@ def _run_chunk(p, res, maxima, path_arr, rows, n_v):
                 snapshots[step][...] = x
             if step == n_steps:
                 break
-            k, t = step % NOISE_BLOCK, step * dt
+            k = step % NOISE_BLOCK
             if k == 0:
                 dBs = p.noise.increments(
                     ids, np.arange(step, min(step + NOISE_BLOCK, n_steps)), dt)
             if refactor and step:
-                solver.factor(p.op.midpoint_values(t + dt, p.grid))
-            # the delayed state is last read while the right-hand side is
-            # formed, so the step forms it and the new state over it, in the
-            # ring
-            x = _em_step(p, t, hist.current(), hist.delayed(),
-                         dBs[:, k:k + 1], solver, hist.delayed())
-            hist.advance()
+                solver.factor(p.op.midpoint_values(step * dt + dt, p.grid))
+            x = _em_step(p, ring, step, dBs[:, k:k + 1], solver)
 
 
 def simulate_paths(p: ProblemSpec, path_ids, record_v=None,

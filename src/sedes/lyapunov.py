@@ -89,6 +89,9 @@ DEFAULT_TOLERANCE = 1e-8
 # in cache, and a report does not depend on this number
 SAMPLE_BLOCK = 128
 
+# the H-norm range the sampler draws states in, log-uniformly
+NORM_LO, NORM_HI = 1e-2, 8.0
+
 
 def _rows(values, S, name):
     """A functional's or gamma's values as one per row of an S-row block: a
@@ -278,33 +281,27 @@ class FourierSampler:
     """Random truncated Fourier states for the hypothesis checkers.
 
     Each sample i yields (t, x, y) with x = sum_{k<=n_modes} c_k sin(k x_j),
-    Gaussian coefficients rescaled so the H norm hits a log-uniform target
-    in [norm_lo, norm_hi], and t uniform in [0, t_max].  Each draw is keyed
-    (seed, stream, i, ...): uniforms (10, i, 0) for t and (21, i, 0),
-    (31, i, 0) for the targets of x and y; Gaussians (20, i, k), (30, i, k)
-    for the weights of mode k + 1 in x and y.  A block (sample_block) draws
-    its uniforms in one call and its Gaussians in another and forms x and y
-    as one (2, S, n) array.  Each row is bitwise the same whatever block it
-    is drawn in, so samples are a prefix-extension family, two checkers
-    with the same seed see the same states, and sample(i) is a block of one.
+    n_modes = min(8, grid points), Gaussian coefficients rescaled so the H
+    norm hits a log-uniform target in [NORM_LO, NORM_HI], and t uniform in
+    [0, t_max].  Each draw is keyed (seed, stream, i, ...): uniforms
+    (10, i, 0) for t and (21, i, 0), (31, i, 0) for the targets of x and y;
+    Gaussians (20, i, k), (30, i, k) for the weights of mode k + 1 in x and
+    y.  A block (sample_block) draws its uniforms in one call and its
+    Gaussians in another and forms x and y as one (2, S, n) array.  Each
+    row is bitwise the same whatever block it is drawn in, so samples are a
+    prefix-extension family, two checkers with the same seed see the same
+    states, and sample(i) is a block of one.
     """
 
-    def __init__(self, grid, seed=0, t_max=50.0, n_modes=8,
-                 norm_lo=1e-2, norm_hi=8.0):
-        if n_modes > grid.n_interior:
-            raise ValueError("more sampler modes than grid points")
-        if not 0 < norm_lo < norm_hi:
-            raise ValueError("need 0 < norm_lo < norm_hi")
+    def __init__(self, grid, seed=0, t_max=50.0):
         self.grid = grid
         self.seed = int(seed)
         self.t_max = float(t_max)
-        self.n_modes = int(n_modes)
-        self.norm_lo = float(norm_lo)
-        self.norm_hi = float(norm_hi)
+        self.n_modes = min(8, grid.n_interior)
         k = np.arange(1, self.n_modes + 1)
         self._sines = np.sin(k[:, None] * grid.points[None, :])
-        self._log_lo = math.log(norm_lo)
-        self._log_span = math.log(norm_hi) - math.log(norm_lo)
+        self._log_lo = math.log(NORM_LO)
+        self._log_span = math.log(NORM_HI) - math.log(NORM_LO)
 
     def sample_block(self, indices):
         """(t, X, Y) for a block of sample indices: t has shape (S,), X and

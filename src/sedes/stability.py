@@ -55,13 +55,19 @@ RESIDUAL_RTOL = 1e-12
 LOG_FLOOR_FACTOR = 10.0
 
 
+def _check_tau(tau):
+    # NaN fails the comparison too
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite, got %g" % tau)
+
+
 def solve_eps1(alpha1: float, alpha2: float, tau: float) -> float:
-    """Unique positive root of alpha1 = eps + alpha2 e^{eps tau}."""
-    if not alpha1 > alpha2 >= 0:
-        raise ValueError("hypothesis alpha1 > alpha2 >= 0 violated "
+    """Unique positive root of alpha1 = eps + alpha2 e^{eps tau}, for a
+    finite alpha1 and tau."""
+    if not math.inf > alpha1 > alpha2 >= 0:
+        raise ValueError("hypothesis inf > alpha1 > alpha2 >= 0 violated "
                          "(alpha1=%g, alpha2=%g)" % (alpha1, alpha2))
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     if alpha2 == 0.0:
         return float(alpha1)
 
@@ -86,12 +92,12 @@ def solve_eps1(alpha1: float, alpha2: float, tau: float) -> float:
 
 
 def solve_eps2(alpha3: float, alpha4: float, tau: float) -> float:
-    """Closed-form root of alpha3 = alpha4 e^{eps tau}."""
-    if not alpha3 > alpha4 > 0:
-        raise ValueError("hypothesis alpha3 > alpha4 > 0 violated "
+    """Closed-form root of alpha3 = alpha4 e^{eps tau}, for a finite
+    alpha3 and tau."""
+    if not math.inf > alpha3 > alpha4 > 0:
+        raise ValueError("hypothesis inf > alpha3 > alpha4 > 0 violated "
                          "(alpha3=%g, alpha4=%g)" % (alpha3, alpha4))
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     return math.log(alpha3 / alpha4) / tau
 
 
@@ -127,9 +133,10 @@ def solve_decay(alpha1, alpha2, alpha3, alpha4, tau, mu=math.inf):
     eps2 = solve_eps2(alpha3, alpha4, tau)
     r1 = abs(alpha1 - eps1 - alpha2 * math.exp(eps1 * tau))
     r2 = abs(alpha3 - alpha4 * math.exp(eps2 * tau))
-    if r1 > RESIDUAL_RTOL * alpha1:
+    # a NaN residual breaks the contract too
+    if not r1 <= RESIDUAL_RTOL * alpha1:
         raise ArithmeticError("eps1 residual %g beyond contract" % r1)
-    if r2 > RESIDUAL_RTOL * alpha3:
+    if not r2 <= RESIDUAL_RTOL * alpha3:
         raise ArithmeticError("eps2 residual %g beyond contract" % r2)
     return DecaySolution(eps1, eps2, mu, r1, r2)
 

@@ -494,6 +494,22 @@ def test_extreme_float_values_end_with_an_exit_code(tmp_path, monkeypatch,
                     EXIT_CONFIG_ERROR)
 
 
+def test_an_overflowing_decay_constant_fails_the_decay_solver(tmp_path,
+                                                           capsys):
+    # nu = 1e308 and a = -1e308 give alpha1 = 2 (nu - a) = inf, which the
+    # solver refuses, where it printed eps1=nan and exited 0
+    out = tmp_path / "out"
+    code = run_cli(["--preset", "eq24", "--nu", "1e308", "--a=-1e308",
+                    "--grid-n", "15", "--no-check-conditions",
+                    "--no-ms-ensemble", "--out-dir", str(out)])
+    assert code == EXIT_CHECK_FAILURE
+    assert "decay solver FAIL: hypothesis inf > alpha1 > alpha2 >= 0 " \
+        "violated (alpha1=inf" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert report["decay"] is None
+    assert report["checks"]["decay_solver"] is False
+
+
 def test_output_dir_errors_exit_4_without_traceback(tmp_path, monkeypatch):
     monkeypatch.delenv("SEDES_OUT", raising=False)
     for bad in (5, None):
@@ -550,6 +566,26 @@ def test_eq24_with_history_b_and_c_negated_writes_the_same_curves(tmp_path):
     assert codes == [EXIT_CHECK_FAILURE] * 2
     for name in ("ms_curve.csv", "paths_sample.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_no_state_leaks_from_one_run_into_the_next(tmp_path, monkeypatch):
+    # a run, then the exit_eq16 benchmark's scan, then the first run again
+    # in the same process: the repeat writes the first run's files byte for
+    # byte, so nothing either run leaves behind reaches a later one
+    monkeypatch.delenv("SEDES_OUT", raising=False)
+    eq24 = ["--preset", "eq24", "--paths", "20", "--grid-n", "15",
+            "--t-final", "2", "--n-samples", "200", "--as-stats"]
+    exit_config = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "bench", "exit_eq16.json")
+    first, third = tmp_path / "first", tmp_path / "third"
+    # over the window [0, 2] the a.s. proxy fails, which is beside the point
+    assert run_cli(eq24 + ["--out-dir", str(first)]) == EXIT_CHECK_FAILURE
+    assert run_cli(["--config", exit_config,
+                    "--out-dir", str(tmp_path / "second")]) == EXIT_OK
+    assert run_cli(eq24 + ["--out-dir", str(third)]) == EXIT_CHECK_FAILURE
+    for name in ("ms_curve.csv", "paths_sample.csv", "conditions.json",
+                 "report.json"):
+        assert (first / name).read_bytes() == (third / name).read_bytes()
 
 
 def test_key_table_keeps_the_flags_and_defaults(monkeypatch):

@@ -8,7 +8,6 @@ import pytest
 from sedes import (
     Field,
     Grid,
-    HistoryBuffer,
     NoiseModel,
     OperatorCoeff,
     ProblemSpec,
@@ -48,8 +47,7 @@ def test_dt_adjusted_downward_to_divide_tau():
 
 def test_one_step_implicit_eigen_decay():
     p = zero_problem(grid_n=63, dt=1e-3, tau=0.01)
-    h = HistoryBuffer.from_problem(p)
-    x1 = imex_em_step(p, h, 0, 0)
+    x1 = imex_em_step(p, p.history_values(), 0, 0)
     lam = lambda_min(p.grid)
     expected = np.sin(p.grid.points) / (1.0 + p.dt * lam)
     assert np.max(np.abs(x1.values - expected)) <= 1e-12
@@ -121,19 +119,46 @@ def test_eq6_runs_to_completion():
     assert np.all(np.isfinite(traj.h_norms))
 
 
-def test_history_buffer_delay_exactness():
-    grid = Grid(8)
-    m = 5
-    ring = np.zeros((m + 1, 1, 8))
-    h = HistoryBuffer(ring)
-    pushed = []
-    for i in range(1, 20):
-        vals = np.full((1, 8), float(i))
-        h.push(vals)
-        pushed.append(vals)
-        if i > m:
-            assert np.array_equal(h.delayed(), pushed[i - 1 - m])
-    assert np.array_equal(h.current(), pushed[-1])
+def test_each_step_reads_the_state_exactly_tau_back():
+    # with no drift and no diffusion, sin x decays by 1 / (1 + dt lambda_h)
+    # a step, so step j >= 0 holds sin x (1 + dt lambda_h)^-j and step j < 0
+    # holds psi(j dt) = (1 + j dt) sin x: an oracle in closed form for the
+    # state each step reads m steps back and for the state it returns,
+    # whichever ring slots hold them
+    seen = []
+
+    def drift(t, u, v):
+        seen.append(v.copy())
+        return np.zeros_like(u)
+
+    grid = Grid(15)
+    p = ProblemSpec(grid, OperatorCoeff.laplacian(), drift=drift,
+                    diffusion=lambda t, u, v: np.zeros_like(u), tau=0.03,
+                    noise=NoiseModel.scalar(seed=0),
+                    initial_history=lambda th, x: (1.0 + th) * np.sin(x),
+                    t_final=0.12, dt=0.01)
+    m, n_steps = p.m_delay, p.n_steps
+    assert m == 3 and n_steps == 12
+
+    def state(j):
+        decay = (1.0 + p.dt * lambda_min(grid)) ** -max(j, 0)
+        return (1.0 + min(j, 0) * p.dt) * decay * np.sin(grid.points)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    seen.clear()
+    ring = p.history_values()
+    for s in range(n_steps):
+        x = imex_em_step(p, ring, 0, s)
+        assert close(seen[-1][0], state(s - m)), s
+        assert close(x.values, state(s + 1)), s
+    # the engine steps the same ring slots
+    seen.clear()
+    res = simulate_paths(p, [0], snapshot_steps=range(n_steps + 1))
+    for s in range(n_steps):
+        assert close(seen[s][0], state(s - m)), s
+        assert close(res.snapshots[s + 1][0], state(s + 1)), s
 
 
 def test_problem_times_must_be_finite():
@@ -356,10 +381,9 @@ def test_manual_stepping_matches_simulate_bitwise():
     pre = make_preset("eq16", t_final=1.0, seed=13)
     p = pre.problem
     traj = simulate(p, 2)
-    h = HistoryBuffer.from_problem(p)
+    ring = p.history_values()
     for n in range(5):
-        x = imex_em_step(p, h, 2, n)
-        h.push(x.values)
+        x = imex_em_step(p, ring, 2, n)
         assert h_norm(x) == traj.h_norms[n + 1]
 
 
@@ -369,19 +393,20 @@ def test_step_draws_its_increment_at_the_problem_dt():
     from sedes.integrator import _Solver, _em_step
 
     p = make_preset("eq16", t_final=1.0).problem
-    h = HistoryBuffer.from_problem(p)
-    ring = h._ring.copy()
-    n = p.grid.n_interior
+    n, slots = p.grid.n_interior, p.m_delay + 1
     for path_id, step in ((0, 0), (3, 0), (3, 11)):
         dB = p.noise.increments([path_id], step, p.dt)
         solver = _Solver(n, 1, p.dt, p.grid.dx)
         solver.factor(p.op.midpoint_values(step * p.dt + p.dt, p.grid))
-        want = _em_step(p, step * p.dt, h.current(), h.delayed(), dB,
-                        solver, np.empty((1, n)))[0]
-        x = imex_em_step(p, h, path_id, step)
+        want = _em_step(p, p.history_values(), step, dB, solver)[0]
+        ring = p.history_values()
+        before = ring.copy()
+        x = imex_em_step(p, ring, path_id, step)
         assert np.array_equal(x.values, want)
-    # the step is pure: the history is left as it was
-    assert np.array_equal(h._ring, ring)
+        # the step writes slot step % (m+1), with the new state, and no other
+        others = np.arange(slots) != step % slots
+        assert np.array_equal(ring[others], before[others])
+        assert np.array_equal(ring[step % slots, 0], x.values)
 
 
 # ---------------------------------------------------------------------------
@@ -734,14 +759,12 @@ def test_an_unaligned_batch_still_starts_every_block_on_a_cache_line():
 
 
 def _stepped_by_hand(p, path_id, n_steps):
-    """States of one path from imex_em_step and push, as an (n_steps + 1,
-    n) array."""
-    h = HistoryBuffer.from_problem(p)
-    states = [h.current()[0].copy()]
+    """States of one path from imex_em_step, as an (n_steps + 1, n)
+    array."""
+    ring = p.history_values()
+    states = [ring[-1, 0].copy()]
     for k in range(n_steps):
-        x = imex_em_step(p, h, path_id, k)
-        h.push(x.values)
-        states.append(x.values.copy())
+        states.append(imex_em_step(p, ring, path_id, k).values)
     return np.array(states)
 
 
@@ -789,13 +812,13 @@ def test_time_dependent_operator_is_refactored_every_step():
                     t_final=0.2, dt=1e-2)
     _assert_engine_equals_hand_stepping(p, [0, 1, 6], p.n_steps)
     # each step solves the system of its own end time t_{n+1}
-    h = HistoryBuffer.from_problem(p)
+    ring, slots = p.history_values(), p.m_delay + 1
     dx, worst = grid.dx, 0.0
     for k in range(p.n_steps):
-        t, x, y = k * p.dt, h.current(), h.delayed()
+        t, x, y = k * p.dt, ring[(k - 1) % slots], ring[k % slots]
         dB = p.noise.increments([1], k, p.dt)
         rhs = (x + p.dt * p.drift(t, x, y) + p.diffusion(t, x, y) * dB)[0]
-        x_next = imex_em_step(p, h, 1, k).values
+        x_next = imex_em_step(p, ring, 1, k).values
         a_mid = op.midpoint_values(t + p.dt, grid)
         resid = tridiag_matrix(a_mid, p.dt, dx) @ x_next - rhs
         worst = max(worst, np.max(np.abs(resid)) / np.max(np.abs(rhs)))
@@ -803,7 +826,6 @@ def test_time_dependent_operator_is_refactored_every_step():
         stale = (tridiag_matrix(op.midpoint_values(t, grid), p.dt, dx)
                  @ x_next - rhs)
         assert np.max(np.abs(stale)) > 1e-6 * np.max(np.abs(rhs))
-        h.push(x_next)
     assert worst <= 1e-12
 
 
@@ -832,11 +854,11 @@ def test_the_operator_is_checked_where_the_solver_is_factored(value, what):
     assert op.time_dependent and p.n_steps == 50
     # the lattice misses the spike: construction and the steps before it
     # pass, and the step that would solve with it is refused
-    h = HistoryBuffer.from_problem(p)
+    ring = p.history_values()
     for k in range(13):
-        h.push(imex_em_step(p, h, 0, k).values)
+        imex_em_step(p, ring, 0, k)
     with pytest.raises(ValueError, match=what):
-        imex_em_step(p, h, 0, 13)
+        imex_em_step(p, ring, 0, 13)
     with pytest.raises(ValueError, match=what):
         run_ensemble(p, range(3))
     # a checker block evaluates a(t, .) through the same check
@@ -844,6 +866,26 @@ def test_the_operator_is_checked_where_the_solver_is_factored(value, what):
         op.midpoint_values(np.array([[0.0], [0.014], [0.03]]), p.grid)
     assert op.midpoint_values(np.array([[0.0], [0.03]]), p.grid).shape \
         == (2, 16)
+
+
+def test_no_state_leaks_from_one_ensemble_into_the_next():
+    # a second run_ensemble on the same ProblemSpec, after a simulate call
+    # in between, gives the first one's every array bit for bit
+    p = make_preset("eq16", grid_n=15, t_final=0.5, amplitude=1.0,
+                    seed=3).problem
+    kw = dict(record_steps=range(0, p.n_steps + 1, 7), record_v=2,
+              window=(10, 40), snapshot_steps=(0, 25, p.n_steps))
+
+    def arrays(res):
+        return [res.h_norms, res.v_norms, res.peak, res.window_peak,
+                res.explosion_times] + list(res.snapshots.values())
+
+    first = arrays(run_ensemble(p, range(6), **kw))
+    simulate(p, 9, snapshot_times=(0.1,))
+    again = arrays(run_ensemble(p, range(6), **kw))
+    assert len(first) == len(again) == 8
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_linear_sine_mode_paths_match_the_scalar_recursion():

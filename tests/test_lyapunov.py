@@ -346,8 +346,7 @@ def _five_draw_block(s, indices):
 @pytest.mark.parametrize("grid_n", [2, 15, 31, 63])
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
 def test_sample_block_equals_the_five_draw_reference(seed, grid_n):
-    s = FourierSampler(Grid(grid_n), seed=seed, t_max=20.0,
-                       n_modes=min(8, grid_n))
+    s = FourierSampler(Grid(grid_n), seed=seed, t_max=20.0)
     for idx in (np.arange(128), np.arange(5000, 5044), [7], [0, 1],
                 np.arange(300)):
         got = s.sample_block(idx)

@@ -72,6 +72,31 @@ def test_solve_eps2_closed_form():
         solve_eps2(1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("solve, args, what", [
+    (solve_eps1, (2.0, 1.0, math.nan), "tau .* got nan"),
+    (solve_eps1, (2.0, 1.0, math.inf), "tau .* got inf"),
+    (solve_eps2, (1.0, 0.5, math.nan), "tau .* got nan"),
+    (solve_eps2, (1.0, 0.5, math.inf), "tau .* got inf"),
+    (solve_eps1, (math.inf, 1.0, 1.0), "alpha1=inf"),
+    (solve_eps2, (math.inf, 1.0, 1.0), "alpha3=inf"),
+], ids=["eps1-tau-nan", "eps1-tau-inf", "eps2-tau-nan", "eps2-tau-inf",
+        "eps1-alpha1-inf", "eps2-alpha3-inf"])
+def test_the_decay_solver_refuses_a_non_finite_delay_or_constant(
+        solve, args, what):
+    # unchecked, these returned nan or 0.0 (an infinite tau in solve_eps2)
+    # as if they were roots
+    with pytest.raises(ValueError, match=what):
+        solve(*args)
+
+
+@pytest.mark.parametrize("name", ["solve_eps1", "solve_eps2"])
+def test_a_nan_root_breaks_the_residual_contract(monkeypatch, name):
+    import sedes.stability as stability
+    monkeypatch.setattr(stability, name, lambda *args: math.nan)
+    with pytest.raises(ArithmeticError, match="residual nan"):
+        solve_decay(2.0, 1.0, 1.0, 0.5, 1.0)
+
+
 def test_residual_contract_on_lattice():
     for a1 in np.linspace(0.5, 6.0, 5):
         for ratio in np.linspace(0.0, 0.9, 5):
